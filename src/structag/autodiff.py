@@ -1,10 +1,10 @@
 """Reverse-mode differentiation over dense numpy arrays.
 
-Every operation the tagger architecture needs is defined here as a graph
-op: a forward value plus a closure that routes the upstream gradient to
-the operands. Tensors are rank 0..2 (scalars, vectors, matrices), stored
-row-major as float64. A graph and its tensors belong to one thread;
-independent graphs are safe in parallel.
+Every graph op is a forward value plus a closure routing the upstream
+gradient to the operands. The two recurrences are fused ops in `cells.py`
+with a hand-written backpropagation through time. Tensors are rank 0..2,
+stored row-major as float64. A graph and its tensors belong to one
+thread; independent graphs are safe in parallel.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
@@ -120,20 +117,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    _require(a.shape == b.shape,
-             f"elementwise_mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.value * b.value, "mul", (a, b))
-
-    def bw(g):
-        a._accumulate(g * b.value)
-        b._accumulate(g * a.value)
-    out._backward = bw
-    return out
-
-
 def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
-    """scale * a + shift with constant coefficients (e.g. 1 - z)."""
+    """scale * a + shift with constant coefficients."""
     out = Tensor(scale * a.value + shift, "affine", (a,))
 
     def bw(g):
@@ -168,15 +153,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.value.sum(), "sum", (a,))
-
-    def bw(g):
-        a._accumulate(np.full_like(a.value, g))
-    out._backward = bw
-    return out
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -187,19 +163,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def bw(g):
         a._accumulate(g * (1.0 - y * y))
-    out._backward = bw
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp for large |x|.
-    x = a.value
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(y, "sigmoid", (a,))
-
-    def bw(g):
-        a._accumulate(g * y * (1.0 - y))
     out._backward = bw
     return out
 
@@ -224,23 +187,6 @@ def softmax(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape ops
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors into one vector."""
-    _require(len(parts) > 0, "concat: no operands")
-    for p in parts:
-        _require(p.value.ndim == 1, f"concat: expected vectors, got {p.shape}")
-    out = Tensor(np.concatenate([p.value for p in parts]), "concat", tuple(parts))
-    sizes = [p.shape[0] for p in parts]
-
-    def bw(g):
-        offset = 0
-        for p, n in zip(parts, sizes):
-            p._accumulate(g[offset:offset + n])
-            offset += n
-    out._backward = bw
-    return out
 
 
 def hstack(parts: Sequence[Tensor]) -> Tensor:

@@ -48,11 +48,7 @@ class RecurrentEncoder:
         return self.cell.params(prefix)
 
     def encode(self, embedded: Tensor) -> Tensor:
-        _check_nonempty(embedded)
-        h = self.cell.initial_state()
-        for t in range(embedded.shape[0]):
-            h = self.cell.step(ad.row(embedded, t), h)
-        return h
+        return ad.row(self.cell.sequence(embedded), embedded.shape[0] - 1)
 
 
 class ConvolutionalEncoder:

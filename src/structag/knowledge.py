@@ -31,9 +31,6 @@ class KnowledgeParse:
     edge_labels: dict = field(default_factory=dict)  # (head, dep) -> label
     root: object = None
 
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
     def edges(self) -> list[tuple]:
         return [(h, d) for h, deps in self.children.items() for d in deps]
 
@@ -153,10 +150,10 @@ def load_amr(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
                 _, node_id, concept, tok = cols
                 if node_id in parse.nodes:
                     raise ParseFileError(f"{path}: {utt_id}: duplicate node {node_id!r}")
-                token = None if tok == "-" else int(tok) - 1
-                if token is not None and token < 0:
+                if tok != "-" and not (tok.isdecimal() and int(tok) >= 1):
                     raise ParseFileError(
-                        f"{path}: {utt_id}: token index must be >= 1: {line!r}")
+                        f"{path}: {utt_id}: token index must be - or >= 1: {line!r}")
+                token = None if tok == "-" else int(tok) - 1
                 parse.nodes[node_id] = ParseNode(form=concept, token=token)
                 parse.children[node_id] = []
             elif kind == "edge":

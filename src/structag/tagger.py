@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .cells import ElmanCell, GruCell, glorot_uniform, make_cell, zero_vector
+from .cells import glorot_uniform, make_cell, zero_vector
 from .errors import DimensionError
 
 TAGGER_MODES = ("chain", "knowledge", "joint")
@@ -28,9 +28,8 @@ class TaggerTower:
         self.cell = make_cell(cell_kind, rng, embed_dim, hidden_dim)
         self.knowledge_proj: dict[str, Tensor] | None = None
         if knowledge_dim is not None:
-            gates = GruCell.GATES if isinstance(self.cell, GruCell) else ("cand",)
-            self.knowledge_proj = {
-                g: glorot_uniform(rng, hidden_dim, knowledge_dim) for g in gates}
+            self.knowledge_proj = {g: glorot_uniform(rng, hidden_dim, knowledge_dim)
+                                   for g in self.cell.GATES}
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = self.cell.params(prefix)
@@ -39,24 +38,13 @@ class TaggerTower:
                 out[f"{prefix}.know_{gate}"] = mat
         return out
 
-    def _knowledge_terms(self, guided: Tensor | None):
-        """Project the guided representation once; reused at every step."""
-        if self.knowledge_proj is None or guided is None:
-            return None
-        terms = {gate: ad.matmul(mat, guided)
-                 for gate, mat in self.knowledge_proj.items()}
-        if isinstance(self.cell, ElmanCell):
-            return terms["cand"]
-        return terms
-
-    def run(self, embedded: Tensor, guided: Tensor | None = None) -> list[Tensor]:
-        extra = self._knowledge_terms(guided)
-        h = self.cell.initial_state()
-        states = []
-        for t in range(embedded.shape[0]):
-            h = self.cell.step(ad.row(embedded, t), h, extra)
-            states.append(h)
-        return states
+    def run(self, embedded: Tensor, guided: Tensor | None = None) -> Tensor:
+        """(tokens, hidden) states; `guided` enters every step of a knowledge tower."""
+        extra = None
+        if self.knowledge_proj is not None and guided is not None:
+            extra = {gate: ad.matmul(mat, guided)
+                     for gate, mat in self.knowledge_proj.items()}
+        return self.cell.sequence(embedded, extra)
 
 
 class Tagger:
@@ -81,15 +69,10 @@ class Tagger:
             raise ValueError(f"mode {mode!r} needs a knowledge dimension")
         self.mode = mode
         self.alpha = alpha
-        if mode == "chain":
-            self.towers = [TaggerTower(rng, cell_kind, embed_dim, hidden_dim)]
-        elif mode == "knowledge":
-            self.towers = [TaggerTower(rng, cell_kind, embed_dim, hidden_dim,
-                                       knowledge_dim)]
-        else:
-            self.towers = [TaggerTower(rng, cell_kind, embed_dim, hidden_dim),
-                           TaggerTower(rng, cell_kind, embed_dim, hidden_dim,
-                                       knowledge_dim)]
+        tower_knowledge = {"chain": [None], "knowledge": [knowledge_dim],
+                           "joint": [None, knowledge_dim]}[mode]
+        self.towers = [TaggerTower(rng, cell_kind, embed_dim, hidden_dim, k)
+                       for k in tower_knowledge]
         self.out_weight = glorot_uniform(rng, hidden_dim, n_tags)
         self.out_bias = zero_vector(n_tags)
 
@@ -102,25 +85,21 @@ class Tagger:
         return out
 
     def hidden_states(self, embedded: Tensor,
-                      guided: Tensor | None = None) -> list[Tensor]:
-        if self.mode == "chain":
-            return self.towers[0].run(embedded)
-        if self.mode == "knowledge":
-            if guided is None:
-                raise DimensionError("knowledge tagger needs a guided representation")
-            return self.towers[0].run(embedded, guided)
-        if guided is None:
-            raise DimensionError("joint tagger needs a guided representation")
-        chain_states = self.towers[0].run(embedded)
-        know_states = self.towers[1].run(embedded, guided)
-        return [ad.add(ad.affine(h1, self.alpha), ad.affine(h2, 1.0 - self.alpha))
-                for h1, h2 in zip(chain_states, know_states)]
+                      guided: Tensor | None = None) -> Tensor:
+        """(tokens, hidden) states; a chain tower ignores `guided`."""
+        if self.mode != "chain" and guided is None:
+            raise DimensionError(f"{self.mode} tagger needs a guided representation")
+        states = [tower.run(embedded, guided) for tower in self.towers]
+        if self.mode != "joint":
+            return states[0]
+        return ad.add(ad.affine(states[0], self.alpha),
+                      ad.affine(states[1], 1.0 - self.alpha))
 
     def distributions(self, embedded: Tensor, guided: Tensor | None = None,
                       dropout_rate: float = 0.0,
                       rng: np.random.Generator | None = None) -> Tensor:
-        """Stack per-token distributions into a (tokens, tags) matrix."""
-        states = ad.stack_rows(self.hidden_states(embedded, guided))
+        """Per-token distributions as a (tokens, tags) matrix."""
+        states = self.hidden_states(embedded, guided)
         if dropout_rate > 0.0 and rng is not None:
             states = ad.dropout(states, dropout_rate, rng)
         logits = ad.add(ad.matmul(states, self.out_weight), self.out_bias)

@@ -322,5 +322,8 @@ def load_checkpoint(path: str | Path) -> SlotModel:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, "
                 f"expected {p.value.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(
+                f"{path}: parameter {name!r} holds NaN or infinite values")
         p.value = arr.astype(np.float64).copy()
     return model

@@ -2,7 +2,33 @@
 
 import numpy as np
 
+from structag.autodiff import Tensor
+
 STEP = 1e-4
+
+
+# Loss-building helpers. The model itself never needs these two ops, so
+# they live with the tests that read gradients out through them.
+
+
+def sum_all(a):
+    out = Tensor(a.value.sum(), "sum", (a,))
+
+    def bw(g):
+        a._accumulate(np.full_like(a.value, g))
+    out._backward = bw
+    return out
+
+
+def elementwise_mul(a, b):
+    assert a.shape == b.shape, f"elementwise_mul: {a.shape} vs {b.shape}"
+    out = Tensor(a.value * b.value, "mul", (a, b))
+
+    def bw(g):
+        a._accumulate(g * b.value)
+        b._accumulate(g * a.value)
+    out._backward = bw
+    return out
 
 
 def numeric_grad(build_loss, tensor, step=STEP):

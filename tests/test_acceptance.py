@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 import conlleval_reference as ref
-from gradcheck_util import assert_grads_match
+from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag import autodiff as ad
 from structag.attention import attend, KnowledgeMemory
 from structag.autodiff import Tensor
+from structag.cells import make_cell
 from structag.corpus import Utterance, Vocabulary, load_corpus
 from structag.evaluator import evaluate
 from structag.knowledge import (KnowledgeParse, ParseNode, Substructure,
@@ -26,7 +27,7 @@ from structag.knowledge import (KnowledgeParse, ParseNode, Substructure,
 from structag.model import SlotModel
 from structag.seeding import derive_seed
 from structag.synthetic import SyntheticConfig, generate
-from structag.tagger import Tagger
+from structag.tagger import CELL_KINDS, Tagger
 from structag.trainer import TrainConfig, evaluate_model, train
 
 _CACHE: dict = {}
@@ -38,7 +39,7 @@ def _report(n: int, ok: bool, detail: str):
 
 
 def _weighted(expr: Tensor, w) -> Tensor:
-    return ad.sum_all(ad.elementwise_mul(expr, Tensor(np.asarray(w, float))))
+    return sum_all(elementwise_mul(expr, Tensor(np.asarray(w, float))))
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +67,6 @@ def _per_op_worst() -> float:
     c, v = mat(3, 2), mat(2)
     check(lambda: _weighted(ad.add(c, v), w32), [c, v])  # row broadcast
 
-    d, e = mat(2, 3), mat(2, 3)
-    w23 = rng.normal(size=(2, 3))
-    check(lambda: _weighted(ad.elementwise_mul(d, e), w23), [d, e])
-
     f = mat(4)
     wf = rng.normal(size=4)
     check(lambda: _weighted(ad.affine(f, -1.7, 0.3), wf), [f])
@@ -86,12 +83,8 @@ def _per_op_worst() -> float:
     m, n = mat(3), mat(3)
     check(lambda: ad.matmul(m, n), [m, n])
 
-    o = mat(2, 3)
-    check(lambda: ad.sum_all(o), [o])
     p = mat(3, 2)
     check(lambda: _weighted(ad.tanh(p), w32), [p])
-    q = mat(3, 2)
-    check(lambda: _weighted(ad.sigmoid(q), w32), [q])
     r = mat(4)
     wr = rng.normal(size=4)
     check(lambda: _weighted(ad.softmax(r), wr), [r])
@@ -99,9 +92,6 @@ def _per_op_worst() -> float:
     ws = rng.normal(size=(2, 4))
     check(lambda: _weighted(ad.softmax(s), ws), [s])
 
-    t, u = mat(3), mat(2)
-    wt = rng.normal(size=5)
-    check(lambda: _weighted(ad.concat([t, u]), wt), [t, u])
     va, vb = mat(2, 2), mat(2, 3)
     wv = rng.normal(size=(2, 5))
     check(lambda: _weighted(ad.hstack([va, vb]), wv), [va, vb])
@@ -128,8 +118,25 @@ def _per_op_worst() -> float:
     wac = rng.normal(size=3)
     check(lambda: _weighted(ad.mean_over_rows(ac), wac), [ac])
 
+    dd = mat(4, 3)
+    wdd = rng.normal(size=(4, 3))
+    check(lambda: _weighted(
+        ad.dropout(dd, 0.5, np.random.default_rng(3)), wdd), [dd])
     ae = mat(4, 3)
     check(lambda: ad.cross_entropy(ad.softmax(ae), [0, 2, 1, 2]), [ae])
+
+    # The fused recurrences, with and without knowledge terms, over one
+    # step and over several.
+    for kind in CELL_KINDS:
+        cell = make_cell(kind, rng, 3, 4)
+        know = {g: mat(4) for g in cell.GATES}
+        for length in (1, 6):
+            xs = mat(length, 3)
+            wh = rng.normal(size=(length, 4))
+            tensors = list(cell.params("c").values()) + [xs]
+            check(lambda: _weighted(cell.sequence(xs), wh), tensors)
+            check(lambda: _weighted(cell.sequence(xs, know), wh),
+                  tensors + list(know.values()))
     return worst
 
 

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck_util import assert_grads_match
-from structag import autodiff as ad
+from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.attention import (KnowledgeMemory, attend, build_attention_record,
                                 compose, knowledge_representation)
 from structag.autodiff import Tensor
@@ -121,7 +120,7 @@ def test_gradients_reach_every_memory_row_and_sentence_vector():
         mem = KnowledgeMemory(vectors=vectors, substructures=[
             Substructure(positions=(i,), forms=(), leaf=i) for i in range(3)])
         o, _ = knowledge_representation(u, mem, net)
-        return ad.sum_all(ad.elementwise_mul(o, Tensor(const)))
+        return sum_all(elementwise_mul(o, Tensor(const)))
 
     worst = assert_grads_match(
         build_loss, [vectors, u, net.weight, net.bias], tol=1e-4)

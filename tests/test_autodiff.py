@@ -7,9 +7,11 @@ import pytest
 
 import structag.autodiff as ad
 from structag.autodiff import PROB_EPS, Tensor
+from structag.cells import GruCell
 from structag.errors import DimensionError
 
-from gradcheck_util import assert_grads_match, numeric_grad, rel_err
+from gradcheck_util import (assert_grads_match, elementwise_mul, numeric_grad,
+                            rel_err, sum_all)
 
 
 def _t(rng, *shape):
@@ -22,7 +24,7 @@ def _const(rng, *shape):
 
 def _weighted_sum(expr, weights):
     # Weighted scalar readout so permuted/transposed outputs do not cancel.
-    return ad.sum_all(ad.elementwise_mul(expr, weights))
+    return sum_all(elementwise_mul(expr, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +59,28 @@ def test_matmul_inner_dim_mismatch():
 
 def test_tanh_and_sigmoid_identities():
     assert float(ad.tanh(Tensor(0.0)).value) == 0.0
-    assert float(ad.sigmoid(Tensor(0.0)).value) == 0.5
     assert float(ad.tanh(Tensor(50.0)).value) == pytest.approx(1.0)
-    big = ad.sigmoid(Tensor(np.array([1000.0, -1000.0])))
-    assert np.all(np.isfinite(big.value))
-    assert big.value[0] == pytest.approx(1.0)
-    assert big.value[1] == pytest.approx(0.0, abs=1e-300)
+    # The sigmoid lives inside the fused GRU. Zero weights put every gate
+    # at sigmoid(0) = 1/2, so each state is the mean of its predecessor
+    # and tanh(extra_cand).
+    cell = GruCell(np.random.default_rng(0), 2, 2)
+    for g in cell.GATES:
+        cell.w[g].value[:] = 0.0
+        cell.u[g].value[:] = 0.0
+    cand = np.array([0.3, -2.0])
+    h = cell.sequence(Tensor(np.ones((2, 2))), {"cand": Tensor(cand)}).value
+    np.testing.assert_array_equal(h[0], 0.5 * np.tanh(cand))
+    np.testing.assert_array_equal(h[1], 0.5 * np.tanh(cand) + 0.5 * h[0])
+    # Pre-activations of +-1000 saturate the gates without overflow: an
+    # update gate at 0 passes the candidate through, one at 1 keeps the
+    # zero initial state.
+    for update, expected in ((-1000.0, np.tanh(cand)), (1000.0, np.zeros(2))):
+        big = cell.sequence(Tensor(np.ones((1, 2))), {
+            "reset": Tensor(np.full(2, 1000.0)),
+            "update": Tensor(np.full(2, update)),
+            "cand": Tensor(cand)})
+        assert np.all(np.isfinite(big.value))
+        np.testing.assert_array_equal(big.value[0], expected)
 
 
 def test_softmax_uniform():
@@ -122,7 +140,7 @@ def test_cross_entropy_gold_out_of_range():
 
 def test_take_rows_repeated_indices_accumulate():
     e = Tensor(np.ones((3, 2)))
-    loss = ad.sum_all(ad.take_rows(e, [0, 0, 2]))
+    loss = sum_all(ad.take_rows(e, [0, 0, 2]))
     loss.backward()
     assert np.array_equal(e.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -134,7 +152,7 @@ def test_backward_requires_scalar():
 
 def test_constant_loss_gives_zero_gradients():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    loss = ad.sum_all(ad.elementwise_mul(x, Tensor(np.zeros((2, 2)))))
+    loss = sum_all(elementwise_mul(x, Tensor(np.zeros((2, 2)))))
     x.zero_grad()
     loss.backward()
     assert np.array_equal(x.grad, np.zeros((2, 2)))
@@ -143,7 +161,7 @@ def test_constant_loss_gives_zero_gradients():
 def test_shared_node_gradient_sums_over_uses():
     x = Tensor([0.3, -0.2])
     y = ad.tanh(x)
-    loss = ad.sum_all(ad.add(y, y))
+    loss = sum_all(ad.add(y, y))
     loss.backward()
     expected = 2.0 * (1.0 - np.tanh(x.value) ** 2)
     assert np.allclose(x.grad, expected, atol=1e-12)
@@ -151,7 +169,7 @@ def test_shared_node_gradient_sums_over_uses():
 
 def test_max_over_rows_tie_goes_to_first_row():
     a = Tensor([[1.0, 5.0], [1.0, 5.0]])
-    ad.sum_all(ad.max_over_rows(a)).backward()
+    sum_all(ad.max_over_rows(a)).backward()
     assert np.array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0]])
 
 
@@ -167,7 +185,7 @@ def test_dropout_masks_and_rescales():
     kept = out.value != 0.0
     assert np.all(out.value[kept] == 2.0)
     assert 0 < kept.sum() < x.value.size
-    ad.sum_all(out).backward()
+    sum_all(out).backward()
     assert np.array_equal(x.grad, out.value)  # grad equals mask/(1-rate)
 
 
@@ -190,7 +208,7 @@ def test_grad_add_broadcast():
 def test_grad_elementwise_mul():
     rng = np.random.default_rng(12)
     a, b, w = _t(rng, 2, 5), _t(rng, 2, 5), _const(rng, 2, 5)
-    assert_grads_match(lambda: _weighted_sum(ad.elementwise_mul(a, b), w), [a, b])
+    assert_grads_match(lambda: _weighted_sum(elementwise_mul(a, b), w), [a, b])
 
 
 def test_grad_affine():
@@ -210,13 +228,12 @@ def test_grad_matmul_all_rank_combinations():
     assert_grads_match(lambda: ad.matmul(v1, v1), [v1])
 
 
-def test_grad_sum_tanh_sigmoid():
+def test_grad_sum_tanh():
     rng = np.random.default_rng(15)
     a = _t(rng, 3, 3)
-    assert_grads_match(lambda: ad.sum_all(a), [a])
+    assert_grads_match(lambda: sum_all(a), [a])
     w = _const(rng, 3, 3)
     assert_grads_match(lambda: _weighted_sum(ad.tanh(a), w), [a])
-    assert_grads_match(lambda: _weighted_sum(ad.sigmoid(a), w), [a])
 
 
 def test_grad_softmax_vector_and_rows():
@@ -227,11 +244,8 @@ def test_grad_softmax_vector_and_rows():
     assert_grads_match(lambda: _weighted_sum(ad.softmax(m), wm), [m])
 
 
-def test_grad_concat_hstack_stack():
+def test_grad_hstack_stack():
     rng = np.random.default_rng(17)
-    a, b = _t(rng, 3), _t(rng, 2)
-    w = _const(rng, 5)
-    assert_grads_match(lambda: _weighted_sum(ad.concat([a, b]), w), [a, b])
     m1, m2 = _t(rng, 2, 3), _t(rng, 2, 2)
     wm = _const(rng, 2, 5)
     assert_grads_match(lambda: _weighted_sum(ad.hstack([m1, m2]), wm), [m1, m2])
@@ -278,9 +292,9 @@ def test_grad_composed_chain():
 
     def loss():
         h1 = ad.tanh(ad.matmul(w1, x))
-        h2 = ad.sigmoid(ad.matmul(w2, h1))
-        both = ad.concat([h1, h2])
-        return ad.sum_all(ad.elementwise_mul(both, both))
+        h2 = ad.tanh(ad.matmul(w2, h1))
+        both = ad.stack_rows([h1, h2])
+        return sum_all(elementwise_mul(both, both))
 
     assert_grads_match(loss, [w1, w2, x])
 
@@ -288,5 +302,5 @@ def test_grad_composed_chain():
 def test_numeric_grad_helper_on_known_derivative():
     # Sanity-check the oracle itself: d/dx sum(x^2) = 2x.
     x = Tensor([1.5, -2.0])
-    num = numeric_grad(lambda: ad.sum_all(ad.elementwise_mul(x, x)), x)
+    num = numeric_grad(lambda: sum_all(elementwise_mul(x, x)), x)
     assert rel_err(num, 2.0 * x.value) < 1e-6

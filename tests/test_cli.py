@@ -1,7 +1,9 @@
 """End-to-end command-line workflows, run in process via main()."""
 
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from structag.cli import main
@@ -233,6 +235,28 @@ def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
     assert main(["eval", "--model", str(bad),
                  "--data", str(workspace["data"] / "corpus.tsv")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_exits_3(workspace, tmp_path, capsys):
+    payload = json.loads(workspace["ckpt"].read_text())
+    entry = payload["params"]["embedding"]
+    values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    values[3] = np.nan
+    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(bad),
+                 "--data", str(workspace["data"] / "corpus.tsv")]) == 3
+    assert "'embedding'" in capsys.readouterr().err
+
+
+def test_non_numeric_amr_token_index_exits_2(tmp_path, capsys):
+    graphs = tmp_path / "graphs.tsv"
+    graphs.write_text("node\tn0\twant\t1\nroot\tn0\n\n"
+                      "node\tn0\twant\tx1\nroot\tn0\n")
+    assert main(["stats", "--parses", str(graphs), "--parse-kind", "amr"]) == 2
+    err = capsys.readouterr().err
+    assert "u0001" in err and "x1" in err
 
 
 def test_invalid_config_value_exits_1(workspace, capsys):

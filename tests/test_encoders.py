@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from gradcheck_util import assert_grads_match
-from structag import autodiff as ad
+from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.autodiff import Tensor
 from structag.encoders import (CNN_WINDOW, ENCODER_KINDS, OutputNetwork,
                                make_encoder)
@@ -76,8 +75,9 @@ def test_rnn_single_token_equals_one_cell_step():
     enc = make_encoder("rnn", RNG(5), 3, 4)
     x = _embed([[0.2, -0.4, 0.9]])
     via_encoder = enc.encode(x)
-    via_cell = enc.cell.step(ad.row(x, 0), enc.cell.initial_state())
-    np.testing.assert_array_equal(via_encoder.value, via_cell.value)
+    via_cell = enc.cell.sequence(x)
+    assert via_cell.shape == (1, 4)
+    np.testing.assert_array_equal(via_encoder.value, via_cell.value[0])
 
 
 def test_rnn_zero_weights_yield_zero_state():
@@ -185,7 +185,7 @@ def test_encoder_gradients(kind):
     tensors = list(enc.params("enc").values()) + [x]
 
     def build_loss():
-        return ad.sum_all(ad.elementwise_mul(enc.encode(x), Tensor(const)))
+        return sum_all(elementwise_mul(enc.encode(x), Tensor(const)))
 
     assert_grads_match(build_loss, tensors, tol=1e-4)
 

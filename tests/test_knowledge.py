@@ -219,6 +219,7 @@ def test_amr_error_cases(tmp_path):
         "bad root": "node\tn0\ta\t1\nroot\tn9\n",
         "duplicate node": "node\tn0\ta\t1\nnode\tn0\tb\t2\nroot\tn0\n",
         "zero token index": "node\tn0\ta\t0\nroot\tn0\n",
+        "non-numeric token index": "node\tn0\ta\tx1\nroot\tn0\n",
         "unknown kind": "blob\tn0\ta\t1\n",
         "cycle": ("node\tn0\ta\t1\nnode\tn1\tb\t2\n"
                   "edge\tn0\tr\tn1\nedge\tn1\tr\tn0\nroot\tn0\n"),

@@ -49,7 +49,7 @@ def test_generated_files_align_and_validate(tmp_path):
     assert len(utts) == len(deps) == len(amrs) == 30
     assert [u.id for u in utts] == [p.id for p in deps] == [p.id for p in amrs]
     for utt, dep in zip(utts, deps):
-        assert dep.n_nodes() == len(utt.tokens)
+        assert len(dep.nodes) == len(utt.tokens)
 
 
 def test_ambiguous_fraction_bounds():

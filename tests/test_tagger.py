@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.autodiff import Tensor
 from structag.cells import ElmanCell, GruCell, make_cell
 from structag.errors import DimensionError
@@ -31,40 +32,39 @@ def test_elman_zero_weights_give_zero_state():
     cell = ElmanCell(RNG(1), 2, 3)
     cell.w_in.value[:] = 0.0
     cell.u_rec.value[:] = 0.0
-    h = cell.step(Tensor(np.array([1.0, -2.0])), cell.initial_state())
-    np.testing.assert_array_equal(h.value, np.zeros(3))
+    h = cell.sequence(Tensor(np.array([[1.0, -2.0], [0.5, 3.0]])))
+    np.testing.assert_array_equal(h.value, np.zeros((2, 3)))
 
 
 def test_elman_without_recurrence_is_memoryless():
     cell = ElmanCell(RNG(2), 2, 3)
     cell.u_rec.value[:] = 0.0
-    x = Tensor(np.array([0.5, 1.5]))
-    from_zero = cell.step(x, cell.initial_state())
-    from_other = cell.step(x, Tensor(np.array([0.9, -0.9, 0.4])))
-    np.testing.assert_array_equal(from_zero.value, from_other.value)
-    expected = np.tanh(cell.w_in.value @ x.value)
-    np.testing.assert_allclose(from_zero.value, expected, rtol=1e-12)
+    x = np.array([0.5, 1.5])
+    # The same input after the zero state and after a nonzero state.
+    h = cell.sequence(Tensor(np.array([x, [-0.9, 0.4], x]))).value
+    assert np.abs(h[1]).max() > 0
+    np.testing.assert_array_equal(h[0], h[2])
+    expected = np.tanh(cell.w_in.value @ x)
+    np.testing.assert_allclose(h[0], expected, rtol=1e-12)
 
 
 def test_elman_two_step_oracle():
     cell = ElmanCell(RNG(3), 2, 2)
     xs = RNG(30).normal(size=(2, 2))
-    h = cell.initial_state()
-    for x in xs:
-        h = cell.step(Tensor(x.copy()), h)
+    h = cell.sequence(Tensor(xs.copy())).value
     h_np = np.zeros(2)
-    for x in xs:
+    for x, state in zip(xs, h):
         h_np = np.tanh(cell.w_in.value @ x + cell.u_rec.value @ h_np)
-    np.testing.assert_allclose(h.value, h_np, rtol=1e-12)
+        np.testing.assert_allclose(state, h_np, rtol=1e-12)
 
 
 def test_elman_extra_term_enters_preactivation():
     cell = ElmanCell(RNG(4), 2, 2)
-    x = Tensor(np.array([0.3, -0.1]))
+    x = np.array([0.3, -0.1])
     extra = np.array([0.7, -1.2])
-    h = cell.step(x, cell.initial_state(), Tensor(extra.copy()))
-    expected = np.tanh(cell.w_in.value @ x.value + extra)
-    np.testing.assert_allclose(h.value, expected, rtol=1e-12)
+    h = cell.sequence(Tensor(x[None].copy()), {"cand": Tensor(extra.copy())})
+    expected = np.tanh(cell.w_in.value @ x + extra)
+    np.testing.assert_allclose(h.value[0], expected, rtol=1e-12)
 
 
 def test_gru_zero_weights_halve_previous_state():
@@ -72,42 +72,78 @@ def test_gru_zero_weights_halve_previous_state():
     for g in cell.GATES:
         cell.w[g].value[:] = 0.0
         cell.u[g].value[:] = 0.0
-    h_prev = np.array([0.8, -0.4])
-    h = cell.step(Tensor(np.array([3.0, 3.0])), Tensor(h_prev.copy()))
-    np.testing.assert_array_equal(h.value, 0.5 * h_prev)
+    # With every gate at 1/2 each state is half its predecessor plus half
+    # the candidate, which only the knowledge term moves off zero.
+    cand = np.array([0.8, -0.4])
+    h = cell.sequence(Tensor(np.full((3, 2), 3.0)),
+                      {"cand": Tensor(cand.copy())}).value
+    np.testing.assert_array_equal(h[0], 0.5 * np.tanh(cand))
+    for t in (1, 2):
+        np.testing.assert_array_equal(h[t], 0.5 * np.tanh(cand) + 0.5 * h[t - 1])
 
 
 def test_gru_saturated_update_gate_copies_previous_state():
     cell = GruCell(RNG(6), 2, 3)
-    h_prev = np.array([0.25, -0.75, 0.5])
+    # The first input's column 0 drives the update gate to 0, the later
+    # ones leave it saturated at 1 by the knowledge term.
+    cell.w["update"].value[:] = [[1.0, 0.0]] * 3
+    cell.u["update"].value[:] = 0.0
     extra = {"update": Tensor(np.full(3, 1000.0))}
-    h = cell.step(Tensor(np.array([1.0, -1.0])), Tensor(h_prev.copy()), extra)
-    np.testing.assert_array_equal(h.value, h_prev)
+    xs = np.array([[-3000.0, 1.0], [0.0, -1.0], [0.0, 0.5]])
+    h = cell.sequence(Tensor(xs), extra).value
+    assert np.abs(h[0]).max() > 0
+    np.testing.assert_array_equal(h[1], h[0])
+    np.testing.assert_array_equal(h[2], h[0])
 
 
 def test_gru_step_oracle_with_extras():
     cell = GruCell(RNG(7), 2, 3)
-    x = RNG(70).normal(size=2)
-    h_prev = RNG(71).normal(size=3)
+    xs = RNG(70).normal(size=(3, 2))
     extras = {g: RNG(72 + i).normal(size=3)
               for i, g in enumerate(cell.GATES)}
-    h = cell.step(Tensor(x.copy()), Tensor(h_prev.copy()),
-                  {g: Tensor(v.copy()) for g, v in extras.items()})
-    r = _sigmoid(cell.w["reset"].value @ x + cell.u["reset"].value @ h_prev
-                 + extras["reset"])
-    z = _sigmoid(cell.w["update"].value @ x + cell.u["update"].value @ h_prev
-                 + extras["update"])
-    cand = np.tanh(cell.w["cand"].value @ x
-                   + cell.u["cand"].value @ (h_prev * r) + extras["cand"])
-    np.testing.assert_allclose(h.value, (1 - z) * cand + z * h_prev, rtol=1e-12)
+    h = cell.sequence(Tensor(xs.copy()),
+                      {g: Tensor(v.copy()) for g, v in extras.items()}).value
+    h_prev = np.zeros(3)
+    for x, state in zip(xs, h):
+        r = _sigmoid(cell.w["reset"].value @ x + cell.u["reset"].value @ h_prev
+                     + extras["reset"])
+        z = _sigmoid(cell.w["update"].value @ x + cell.u["update"].value @ h_prev
+                     + extras["update"])
+        cand = np.tanh(cell.w["cand"].value @ x
+                       + cell.u["cand"].value @ (h_prev * r) + extras["cand"])
+        h_prev = (1 - z) * cand + z * h_prev
+        np.testing.assert_allclose(state, h_prev, rtol=1e-12)
 
 
 def test_gru_state_is_convex_combination():
     cell = GruCell(RNG(8), 2, 4)
-    h = cell.initial_state()
-    for x in RNG(80).normal(size=(6, 2)):
-        h = cell.step(Tensor(x.copy()), h)
-        assert np.all(np.abs(h.value) < 1.0)
+    h = cell.sequence(Tensor(RNG(80).normal(size=(6, 2))))
+    assert h.shape == (6, 4)
+    assert np.all(np.abs(h.value) < 1.0)
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("length", (1, 5))
+@pytest.mark.parametrize("with_extra", (False, True))
+def test_sequence_gradients(kind, length, with_extra):
+    cell = make_cell(kind, RNG(26), 3, 4)
+    x = Tensor(RNG(260).normal(size=(length, 3)))
+    extras = {}
+    if with_extra:
+        extras = {g: Tensor(RNG(261 + i).normal(size=4))
+                  for i, g in enumerate(cell.GATES)}
+    const = Tensor(RNG(265).normal(size=(length, 4)))
+    tensors = list(cell.params("c").values()) + [x] + list(extras.values())
+    assert_grads_match(
+        lambda: sum_all(elementwise_mul(cell.sequence(x, extras), const)),
+        tensors, tol=1e-6)
+
+
+def test_sequence_rejects_bad_shapes():
+    cell = make_cell("gru", RNG(27), 3, 4)
+    for bad in (np.zeros((0, 3)), np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(DimensionError):
+            cell.sequence(Tensor(bad))
 
 
 def test_make_cell_rejects_unknown_kind():
@@ -156,13 +192,13 @@ def test_knowledge_elman_oracle_includes_projected_guide():
                     n_tags=3, knowledge_dim=4)
     xs = RNG(120).normal(size=(2, 2))
     guided = RNG(121).normal(size=4)
-    states = tagger.hidden_states(Tensor(xs.copy()), Tensor(guided.copy()))
+    states = tagger.hidden_states(Tensor(xs.copy()), Tensor(guided.copy())).value
     cell = tagger.towers[0].cell
     know = tagger.towers[0].knowledge_proj["cand"].value @ guided
     h = np.zeros(2)
     for x, state in zip(xs, states):
         h = np.tanh(cell.w_in.value @ x + cell.u_rec.value @ h + know)
-        np.testing.assert_allclose(state.value, h, rtol=1e-12)
+        np.testing.assert_allclose(state, h, rtol=1e-12)
 
 
 @pytest.mark.parametrize("cell", CELL_KINDS)
@@ -218,7 +254,7 @@ def test_joint_alpha_half_differs_from_both_towers():
                                   Tensor(guided.copy())).value
     chain_states = joint.towers[0].run(Tensor(embedded.copy()))
     assert np.abs(blended - 0.25).max() > 0  # sanity: something was computed
-    assert len(chain_states) == 3
+    assert chain_states.shape == (3, 3)
 
 
 @pytest.mark.parametrize("mode", TAGGER_MODES)
@@ -297,3 +333,42 @@ def test_parameter_census_per_mode():
     assert len(gru_joint) == 2 + 6 + 9
     assert "t.tower2.know_update" in gru_joint
     assert "t.tower1.know_update" not in gru_joint
+
+
+# ---------------------------------------------------------------------------
+# graph size
+
+
+def _graph_size(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("mode,encoder,cell,bound", [
+    ("joint", "rnn", "gru", 60), ("chain", "nn", "elman", 12)])
+def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
+                                                        bound):
+    # Each recurrence is one graph node however many tokens it runs over,
+    # so a 12-token loss graph is exactly as large as a 3-token one.
+    from structag.corpus import Utterance, Vocabulary
+    from structag.knowledge import Substructure
+    from structag.model import SlotModel
+    from structag.trainer import TrainConfig
+
+    tokens = tuple(f"w{i}" for i in range(12))
+    vocab = Vocabulary.build([Utterance(id="u", tokens=tokens, tags=("O",) * 12)])
+    config = TrainConfig(mode=mode, encoder=encoder, cell=cell, embed_dim=3,
+                         hidden_size=2, dropout=0.0)
+    model = SlotModel(config, vocab, RNG(28))
+    subs = None if mode == "chain" else [
+        Substructure(positions=(0, 1), forms=("w0", "w1"), leaf=1),
+        Substructure(positions=(0, 2), forms=("w0", "w2"), leaf=2)]
+    sizes = [_graph_size(model.loss(vocab.encode_tokens(tokens[:n]),
+                                    vocab.encode_tags(("O",) * n), subs))
+             for n in (3, 12)]
+    assert sizes[0] == sizes[1] <= bound
