@@ -42,7 +42,13 @@ class Tensor:
         return self.value.shape
 
     def zero_grad(self):
-        self.grad = None
+        """Zero the gradient in place; a gradient never set stays None.
+
+        In place because packed parameters' gradients are views into the
+        optimizer's flat buffer, which must stay shared.
+        """
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:

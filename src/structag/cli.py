@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import fractional_split, load_corpus
+from .corpus import fractional_split, load_corpus, write_split_manifest
 from .errors import (CheckpointError, ConfigError, CorpusFormatError,
                      DataError, ParseFileError)
 from .evaluator import format_report, save_report
@@ -101,9 +101,8 @@ def cmd_train(args) -> int:
                    log_path=args.log, quiet=args.quiet)
     save_checkpoint(result.model, args.out)
     manifest_path = Path(str(args.out) + ".splits.json")
-    manifest_path.write_text(json.dumps(
-        {"train": result.train_ids, "dev": result.dev_ids}, indent=2) + "\n",
-        encoding="utf-8")
+    write_split_manifest(manifest_path, {"train": result.train_ids,
+                                         "dev": result.dev_ids})
     summary = {"checkpoint": str(args.out), "epochs_run": len(result.history),
                "split_manifest": str(manifest_path),
                "best_epoch": result.best_epoch}

@@ -194,7 +194,6 @@ def split_dev(utterances: list[Utterance], dev_fraction: float,
     return train, dev
 
 
-def write_split_manifest(path: str | Path, splits: dict[str, list[Utterance]]):
+def write_split_manifest(path: str | Path, splits: dict[str, list[str]]):
     """Record which utterance ids landed in each split, for reproducibility."""
-    manifest = {name: [u.id for u in utts] for name, utts in splits.items()}
-    Path(path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(splits, indent=2) + "\n", encoding="utf-8")

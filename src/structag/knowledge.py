@@ -112,16 +112,8 @@ def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgePar
         for idx in sorted(heads):
             if heads[idx] != 0:
                 parse.children[heads[idx]].append(idx)
-
-        # Every token must reach the root without revisiting a node.
-        for idx in heads:
-            seen = set()
-            cur = idx
-            while cur != 0:
-                if cur in seen:
-                    raise ParseFileError(f"{path}: {utt_id}: cycle through token {idx}")
-                seen.add(cur)
-                cur = heads[cur]
+        # Each token has one head, so a cycle is cut off from the root.
+        _check_rooted_dag(parse, path, utt_id)
         parses.append(parse)
     return parses
 
@@ -184,24 +176,23 @@ def load_amr(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
 
 def _check_rooted_dag(parse: KnowledgeParse, path, utt_id):
     # DFS from the root: no back edges (cycles), everything reachable.
-    state: dict = {}  # node -> 1 on stack, 2 done
+    state: dict = {parse.root: 1}  # node -> 1 on stack, 2 done
     stack = [(parse.root, iter(parse.children[parse.root]))]
-    state[parse.root] = 1
     while stack:
         node, it = stack[-1]
-        child = next(it, None)
-        if child is None:
+        for child in it:
+            seen = state.get(child)
+            if seen == 1:
+                raise ParseFileError(f"{path}: {utt_id}: cycle through node {child!r}")
+            if seen is None:
+                state[child] = 1
+                stack.append((child, iter(parse.children[child])))
+                break
+        else:
             state[node] = 2
             stack.pop()
-            continue
-        if state.get(child) == 1:
-            raise ParseFileError(f"{path}: {utt_id}: cycle through node {child!r}")
-        if state.get(child) == 2:
-            continue
-        state[child] = 1
-        stack.append((child, iter(parse.children[child])))
-    unreachable = [n for n in parse.nodes if n not in state]
-    if unreachable:
+    if len(state) != len(parse.nodes):
+        unreachable = [n for n in parse.nodes if n not in state]
         raise ParseFileError(
             f"{path}: {utt_id}: nodes unreachable from root: {unreachable!r}")
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Tensor
 from .corpus import Utterance, Vocabulary, split_dev
 from .encoders import ENCODER_KINDS
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
@@ -92,43 +93,116 @@ class TrainConfig:
         return cfg
 
 
-class AdamOptimizer:
-    """Adam with bias correction, shared across all named parameters."""
+# Adam walks the flat buffers in blocks of this many floats through two
+# scratch arrays, so its temporaries stay small and cache-resident
+# whatever the model size (whole-buffer temporaries raised peak RSS).
+ADAM_BLOCK = 16384
 
-    def __init__(self, params: dict, learning_rate=0.001, beta1=0.9,
-                 beta2=0.999, epsilon=1e-8, clip_norm=None):
+
+def _pack_parameters(params: dict[str, Tensor]
+                     ) -> tuple[np.ndarray, np.ndarray, dict[str, slice]]:
+    """Move every value and gradient into one flat float64 buffer each.
+
+    Each tensor's `.value` and `.grad` become reshaped views of its slice,
+    so in-place writes through either side are seen by the other. A
+    gradient that was never set starts at zero. Returns the two buffers
+    and the slice of each name.
+    """
+    total = sum(p.value.size for p in params.values())
+    values = np.empty(total)
+    grads = np.zeros(total)
+    slices = {}
+    offset = 0
+    for name, p in params.items():
+        shape = p.value.shape
+        sl = slices[name] = slice(offset, offset + p.value.size)
+        values[sl] = p.value.reshape(-1)
+        if p.grad is not None:
+            grads[sl] = p.grad.reshape(-1)
+        p.value = values[sl].reshape(shape)
+        p.grad = grads[sl].reshape(shape)
+        offset = sl.stop
+    return values, grads, slices
+
+
+class AdamOptimizer:
+    """Adam (Kingma & Ba, arXiv:1412.6980) with bias correction over one
+    flat parameter store.
+
+    Construction packs the given parameters: their values and gradients
+    move into the contiguous buffers `values` and `grads`, and every
+    `Tensor.value` and `.grad` becomes a view of its slice (`slices`
+    maps names to slices), so backward passes, checkpoints and the
+    optimizer share memory. The moments `m` and `v` are flat as well.
+    Parameters named in `skip` are never updated and do not count
+    toward the clip norm. `step` updates in place, block by block, with
+    the elementwise operation order of the per-parameter formula, so its
+    results are bitwise those of a loop over the named arrays.
+    """
+
+    def __init__(self, params: dict[str, Tensor], learning_rate=0.001,
+                 beta1=0.9, beta2=0.999, epsilon=1e-8, clip_norm=None,
+                 skip: frozenset | set = frozenset()):
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.clip_norm = clip_norm
         self.t = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
-
-    def step(self, params: dict, skip: frozenset | set = frozenset()):
-        for name, p in params.items():
-            if not np.all(np.isfinite(p.grad)):
-                raise TrainingDivergedError(
-                    f"non-finite gradient in parameter {name!r}")
-        if self.clip_norm is not None:
-            total = math.sqrt(sum(float(np.sum(p.grad * p.grad))
-                                  for p in params.values()))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                for p in params.values():
-                    p.grad *= scale
-        self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
+        self.values, self.grads, self.slices = _pack_parameters(params)
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
+        # Runs of adjacent updated parameters, cut into blocks.
+        ranges = []
+        for name, sl in self.slices.items():
             if name in skip:
                 continue
-            g = p.grad
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            p.value = p.value - self.learning_rate * (m / correct1) / (
-                np.sqrt(v / correct2) + self.epsilon)
+            if ranges and ranges[-1][1] == sl.start:
+                ranges[-1][1] = sl.stop
+            else:
+                ranges.append([sl.start, sl.stop])
+        self._blocks = [(lo, min(lo + ADAM_BLOCK, stop)) for start, stop in ranges
+                        for lo in range(start, stop, ADAM_BLOCK)]
+        self._scratch = np.empty((2, min(ADAM_BLOCK, self.values.size)))
+
+    def step(self):
+        """Apply one update from the current gradients."""
+        grads = self.grads
+        if not np.isfinite(grads).all():
+            bad = next(name for name, sl in self.slices.items()
+                       if not np.isfinite(grads[sl]).all())
+            raise TrainingDivergedError(f"non-finite gradient in parameter {bad!r}")
+        if self.clip_norm is not None:
+            total = math.sqrt(sum(float(np.dot(grads[lo:hi], grads[lo:hi]))
+                                  for lo, hi in self._blocks))
+            if total > self.clip_norm:
+                scale = self.clip_norm / total
+                for lo, hi in self._blocks:
+                    grads[lo:hi] *= scale
+        self.t += 1
+        b1, b2, lr = self.beta1, self.beta2, self.learning_rate
+        correct1 = 1.0 - b1 ** self.t
+        correct2 = 1.0 - b2 ** self.t
+        for lo, hi in self._blocks:
+            g, m, v = grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            s1, s2 = self._scratch[0, :hi - lo], self._scratch[1, :hi - lo]
+            # m = b1*m + (1-b1)*g
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1 - b1, out=s1)
+            m += s1
+            # v = b2*v + ((1-b2)*g)*g
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1 - b2, out=s1)
+            s1 *= g
+            v += s1
+            # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+            np.divide(m, correct1, out=s1)
+            s1 *= lr
+            np.divide(v, correct2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.epsilon
+            s1 /= s2
+            self.values[lo:hi] -= s1
 
 
 @dataclass
@@ -184,11 +258,10 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
     vocab = Vocabulary.build(train_utterances)
     init_rng = np.random.default_rng(derive_seed(config.seed, "init"))
     model = SlotModel(config, vocab, init_rng)
-    params = model.params()
     optimizer = AdamOptimizer(
-        params, learning_rate=config.learning_rate, beta1=config.beta1,
-        beta2=config.beta2, epsilon=config.epsilon, clip_norm=config.clip_norm)
-    skip = frozenset({"embedding"}) if config.freeze_embeddings else frozenset()
+        model.params(), learning_rate=config.learning_rate, beta1=config.beta1,
+        beta2=config.beta2, epsilon=config.epsilon, clip_norm=config.clip_norm,
+        skip={"embedding"} if config.freeze_embeddings else frozenset())
 
     dropout_rng = np.random.default_rng(derive_seed(config.seed, "dropout"))
     unk_rng = random.Random(derive_seed(config.seed, "oov"))
@@ -225,7 +298,7 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
                         f"utterance {utt.id}")
                 loss.backward()
                 try:
-                    optimizer.step(params, skip)
+                    optimizer.step()
                 except TrainingDivergedError as exc:
                     raise TrainingDivergedError(
                         f"{exc} (epoch {epoch}, utterance {utt.id})") from exc
@@ -239,8 +312,7 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
                 if best_f1 is None or report["f1"] > best_f1:
                     best_f1 = report["f1"]
                     best_epoch = epoch
-                    best_values = {name: p.value.copy()
-                                   for name, p in params.items()}
+                    best_values = optimizer.values.copy()
                     stale_epochs = 0
                 else:
                     stale_epochs += 1
@@ -260,8 +332,7 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
             log_fh.close()
 
     if best_values is not None:
-        for name, p in params.items():
-            p.value = best_values[name]
+        optimizer.values[:] = best_values
     else:
         best_epoch = len(history)
     return TrainResult(model=model, best_epoch=best_epoch,
@@ -325,5 +396,5 @@ def load_checkpoint(path: str | Path) -> SlotModel:
         if not np.isfinite(arr).all():
             raise CheckpointError(
                 f"{path}: parameter {name!r} holds NaN or infinite values")
-        p.value = arr.astype(np.float64).copy()
+        p.value[...] = arr
     return model

@@ -166,6 +166,7 @@ def test_vocabulary_dict_roundtrip():
 def test_write_split_manifest(tmp_path):
     utts = _dummy_corpus(4)
     path = tmp_path / "splits.json"
-    write_split_manifest(path, {"train": utts[:3], "dev": utts[3:]})
+    write_split_manifest(path, {"train": [u.id for u in utts[:3]],
+                                "dev": [u.id for u in utts[3:]]})
     data = json.loads(path.read_text(encoding="utf-8"))
     assert data == {"train": ["u0000", "u0001", "u0002"], "dev": ["u0003"]}

@@ -77,8 +77,9 @@ def test_dependency_error_cases(tmp_path):
         "too few columns": "1\ta\n",
     }
     for label, text in cases.items():
-        with pytest.raises(ParseFileError):
+        with pytest.raises(ParseFileError) as err:
             load_dependency(_write(tmp_path, text, f"{label}.tsv"))
+        assert "u0000" in str(err.value), label
 
 
 def test_dependency_error_names_utterance(tmp_path):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from structag import trainer as trainer_module
 from structag.autodiff import Tensor
 from structag.corpus import Utterance, Vocabulary
 from structag.errors import (CheckpointError, ConfigError,
@@ -12,8 +13,9 @@ from structag.errors import (CheckpointError, ConfigError,
 from structag.knowledge import substructures_with_fallback
 from structag.model import SlotModel
 from structag.seeding import derive_seed
-from structag.trainer import (AdamOptimizer, TrainConfig, evaluate_model,
-                              load_checkpoint, save_checkpoint, train)
+from structag.trainer import (ADAM_BLOCK, AdamOptimizer, TrainConfig,
+                              evaluate_model, load_checkpoint, save_checkpoint,
+                              train)
 
 
 def _param(value, grad=0.0):
@@ -52,13 +54,13 @@ def test_adam_two_hand_computed_steps():
     p = _param([0.0])
     opt = AdamOptimizer({"p": p}, learning_rate=0.001)
     p.grad[:] = 1.0
-    opt.step({"p": p})
+    opt.step()
     m1, v1 = 0.1, 0.001
     x1 = -0.001 * (m1 / 0.1) / (np.sqrt(v1 / 0.001) + 1e-8)
     assert p.value[0] == pytest.approx(x1, abs=1e-15)
 
     p.grad[:] = -1.0
-    opt.step({"p": p})
+    opt.step()
     m2 = 0.9 * m1 + 0.1 * (-1.0)          # -0.01
     v2 = 0.999 * v1 + 0.001 * 1.0         # 0.001999
     mhat = m2 / (1.0 - 0.9 ** 2)          # -0.052631578...
@@ -72,7 +74,7 @@ def test_adam_zero_gradient_is_identity():
     p = _param([[1.5, -2.5], [0.25, 4.0]])
     before = p.value.copy()
     opt = AdamOptimizer({"p": p})
-    opt.step({"p": p})
+    opt.step()
     np.testing.assert_array_equal(p.value, before)
     assert opt.t == 1
 
@@ -85,7 +87,7 @@ def test_adam_constant_gradient_moves_by_learning_rate():
     for _ in range(5):
         before = p.value[0]
         p.grad[:] = 3.0
-        opt.step({"p": p})
+        opt.step()
         assert before - p.value[0] == pytest.approx(0.05, rel=1e-7)
 
 
@@ -96,7 +98,7 @@ def test_adam_rejects_non_finite_gradient():
     p.grad[:] = 0.5
     q.grad[:] = np.nan
     with pytest.raises(TrainingDivergedError) as err:
-        opt.step({"good": p, "bad": q})
+        opt.step()
     assert "bad" in str(err.value)
     np.testing.assert_array_equal(p.value, [1.0])  # nothing was applied
 
@@ -107,7 +109,7 @@ def test_adam_global_norm_clipping():
     a.grad[:] = 3.0
     b.grad[:] = 4.0
     opt = AdamOptimizer({"a": a, "b": b}, clip_norm=1.0)
-    opt.step({"a": a, "b": b})
+    opt.step()
     assert a.grad[0] == pytest.approx(0.6, abs=1e-12)
     assert b.grad[0] == pytest.approx(0.8, abs=1e-12)
 
@@ -117,10 +119,113 @@ def test_adam_skip_set_freezes_parameter():
     b = _param([1.0])
     a.grad[:] = 1.0
     b.grad[:] = 1.0
-    opt = AdamOptimizer({"a": a, "b": b})
-    opt.step({"a": a, "b": b}, skip={"a"})
+    opt = AdamOptimizer({"a": a, "b": b}, skip={"a"})
+    opt.step()
     np.testing.assert_array_equal(a.value, [1.0])
     assert b.value[0] != 1.0
+
+
+def test_adam_clip_norm_counts_only_updated_parameters():
+    # The skipped parameter's gradient is never applied, so it must not
+    # shrink the others: b alone has norm 4 and is scaled to 1.
+    a = _param([0.0])
+    b = _param([0.0])
+    a.grad[:] = 3.0
+    b.grad[:] = 4.0
+    opt = AdamOptimizer({"a": a, "b": b}, clip_norm=1.0, skip={"a"})
+    opt.step()
+    assert b.grad[0] == 1.0
+    assert a.grad[0] == 3.0
+    np.testing.assert_array_equal(a.value, [0.0])
+
+
+class _ReferenceAdam:
+    """Adam as a loop over named arrays: the formula the packed optimizer
+    must reproduce bitwise."""
+
+    def __init__(self, values, learning_rate, beta1=0.9, beta2=0.999,
+                 epsilon=1e-8):
+        self.values = {name: v.copy() for name, v in values.items()}
+        self.m = {name: np.zeros_like(v) for name, v in values.items()}
+        self.v = {name: np.zeros_like(v) for name, v in values.items()}
+        self.lr, self.b1, self.b2, self.eps = learning_rate, beta1, beta2, epsilon
+        self.t = 0
+
+    def step(self, grads, skip):
+        self.t += 1
+        correct1 = 1.0 - self.b1 ** self.t
+        correct2 = 1.0 - self.b2 ** self.t
+        for name in self.values:
+            if name in skip:
+                continue
+            g = grads[name]
+            m = self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
+            v = self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
+            self.values[name] = self.values[name] - self.lr * (m / correct1) / (
+                np.sqrt(v / correct2) + self.eps)
+
+
+@pytest.mark.parametrize("shapes, skip", [
+    ({"a": (3, 4), "frozen": (50,), "c": (2, 2), "d": ()}, {"frozen"}),
+    ({"big": (130, 131), "small": (5,)}, set()),
+    ({"head": (ADAM_BLOCK - 5,), "straddle": (10, 3), "tail": (7,)}, {"tail"}),
+], ids=["skip-set", "larger-than-a-block", "straddles-a-block-boundary"])
+def test_packed_adam_matches_per_parameter_adam_bitwise(shapes, skip):
+    rng = np.random.default_rng(11)
+    params = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+    reference = _ReferenceAdam({n: p.value for n, p in params.items()},
+                               learning_rate=0.01)
+    opt = AdamOptimizer(params, learning_rate=0.01, skip=skip)
+    for _ in range(6):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        for name, p in params.items():
+            p.grad[...] = grads[name]
+        opt.step()
+        reference.step(grads, skip)
+        for name, p in params.items():
+            sl = opt.slices[name]
+            # Bytes, not ==: bitwise also tells -0.0 from 0.0.
+            assert p.value.tobytes() == reference.values[name].tobytes(), name
+            assert opt.m[sl].tobytes() == reference.m[name].tobytes(), name
+            assert opt.v[sl].tobytes() == reference.v[name].tobytes(), name
+
+
+def _assert_views_of(params, opt):
+    for name, p in params.items():
+        assert np.shares_memory(p.value, opt.values), name
+        assert np.shares_memory(p.grad, opt.grads), name
+
+
+def test_parameters_stay_views_of_the_flat_buffers(tmp_path, monkeypatch):
+    made = []
+
+    class Recording(AdamOptimizer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(trainer_module, "AdamOptimizer", Recording)
+    utts = _utterances()
+    # A dev set, so the best-dev parameters are restored at the end.
+    result = train(utts, _tiny_config(dev_fraction=0.34, epochs=2))
+    assert result.best_dev_f1 is not None and len(made) == 1
+    result.model.zero_grad()
+    _assert_views_of(result.model.params(), made[0])
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(result.model, path)
+    loaded = load_checkpoint(path)
+    params = loaded.params()
+    opt = AdamOptimizer(params, learning_rate=0.01)
+    for name, p in result.model.params().items():
+        np.testing.assert_array_equal(params[name].value, p.value)
+    vocab = loaded.vocab
+    loaded.loss(vocab.encode_tokens(utts[0].tokens), vocab.encode_tags(utts[0].tags),
+                substructures_with_fallback(None, len(utts[0].tokens))).backward()
+    opt.step()
+    loaded.zero_grad()
+    assert not opt.grads.any()
+    _assert_views_of(params, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +304,7 @@ def test_single_utterance_can_be_memorized(encoder, cell):
         model.zero_grad()
         loss = model.loss(token_ids, tag_ids, subs)
         loss.backward()
-        optimizer.step(params)
+        optimizer.step()
         loss_value = float(loss.value)
         if loss_value < 0.01:
             break
