@@ -1,8 +1,9 @@
 """Reverse-mode differentiation over dense numpy arrays.
 
 Every graph op is a forward value plus a closure routing the upstream
-gradient to the operands. The two recurrences are fused ops in `cells.py`
-with a hand-written backpropagation through time. Tensors are rank 0..2,
+gradient to the operands. Fused ops live next to the layer they compute:
+the two recurrences in `cells.py` (a hand-written backpropagation through
+time) and the nn and cnn encoders in `encoders.py`. Tensors are rank 0..2,
 stored row-major as float64. A graph and its tensors belong to one
 thread; independent graphs are safe in parallel.
 """
@@ -195,25 +196,6 @@ def softmax(a: Tensor) -> Tensor:
 # shape ops
 
 
-def hstack(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate matrices side by side (same row count)."""
-    _require(len(parts) > 0, "hstack: no operands")
-    rows = parts[0].shape[0]
-    for p in parts:
-        _require(p.value.ndim == 2 and p.shape[0] == rows,
-                 f"hstack: expected matrices with {rows} rows, got {p.shape}")
-    out = Tensor(np.hstack([p.value for p in parts]), "hstack", tuple(parts))
-    widths = [p.shape[1] for p in parts]
-
-    def bw(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            p._accumulate(g[:, offset:offset + w])
-            offset += w
-    out._backward = bw
-    return out
-
-
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack vectors as the rows of a matrix."""
     _require(len(parts) > 0, "stack_rows: no operands")
@@ -260,67 +242,16 @@ def row(a: Tensor, i: int) -> Tensor:
     return out
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    _require(a.value.ndim == 2, f"slice_rows: expected a matrix, got {a.shape}")
-    _require(0 <= start < stop <= a.shape[0],
-             f"slice_rows: bad range [{start}:{stop}] for {a.shape}")
-    out = Tensor(a.value[start:stop], "slice_rows", (a,))
-
-    def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[start:stop] += g
-    out._backward = bw
-    return out
-
-
-def pad_rows(a: Tensor, before: int, after: int) -> Tensor:
-    """Add zero rows above and below a matrix (convolution padding)."""
-    _require(a.value.ndim == 2, f"pad_rows: expected a matrix, got {a.shape}")
-    out = Tensor(np.pad(a.value, ((before, after), (0, 0))), "pad_rows", (a,))
-
-    def bw(g):
-        a._accumulate(g[before:before + a.shape[0]])
-    out._backward = bw
-    return out
-
-
-# ---------------------------------------------------------------------------
-# reductions over rows
-
-
-def max_over_rows(a: Tensor) -> Tensor:
-    """Columnwise max of a matrix; gradient goes to the first maximal row."""
-    _require(a.value.ndim == 2, f"max_over_rows: expected a matrix, got {a.shape}")
-    winners = a.value.argmax(axis=0)
-    out = Tensor(a.value.max(axis=0), "max_over_rows", (a,))
-
-    def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[winners, np.arange(a.shape[1])] += g
-    out._backward = bw
-    return out
-
-
-def mean_over_rows(a: Tensor) -> Tensor:
-    _require(a.value.ndim == 2, f"mean_over_rows: expected a matrix, got {a.shape}")
-    n = a.shape[0]
-    out = Tensor(a.value.mean(axis=0), "mean_over_rows", (a,))
-
-    def bw(g):
-        a._accumulate(np.tile(g / n, (n, 1)))
-    out._backward = bw
-    return out
-
-
 # ---------------------------------------------------------------------------
 # training-only ops
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: mask and rescale, so evaluation needs no change."""
-    if rate <= 0.0:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: mask and rescale, so evaluation needs no change.
+
+    Returns `a` itself when `rate <= 0` or no `rng` is given (evaluation).
+    """
+    if rate <= 0.0 or rng is None:
         return a
     _require(rate < 1.0, f"dropout: rate must be < 1, got {rate}")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)

@@ -1,8 +1,9 @@
 """Command-line entry points: train, eval, inspect-attention,
 gen-synthetic, stats.
 
-Exit codes: 0 success, 1 usage or configuration problems, 2 unreadable
-or malformed data files, 3 checkpoint problems.
+Exit codes: 0 success, 1 usage, configuration or training problems
+(any other toolkit error too), 2 unreadable or malformed data files,
+3 checkpoint problems. Every toolkit error ends in one `error:` line.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from pathlib import Path
 
 from .corpus import fractional_split, load_corpus, write_split_manifest
 from .errors import (CheckpointError, ConfigError, CorpusFormatError,
-                     DataError, ParseFileError)
+                     DataError, ParseFileError, StructagError)
 from .evaluator import format_report, save_report
-from .knowledge import load_amr, load_dependency, substructure_stats
+from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, load_amr, load_dependency,
+                        substructure_stats)
 from .seeding import derive_seed
 from .synthetic import SyntheticConfig, generate
 from .trainer import (TrainConfig, evaluate_model, load_checkpoint,
@@ -77,6 +79,9 @@ def _load_train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    if args.dev_parses and not args.dev:
+        raise ConfigError("--dev-parses needs --dev (without --dev the dev set "
+                          "is held out of --train and uses --parses)")
     config = _load_train_config(args)
     utterances = load_corpus(args.train)
     if not utterances:
@@ -92,10 +97,7 @@ def cmd_train(args) -> int:
             print("note: no parse file given; each utterance falls back to "
                   "a single whole-sentence substructure", file=sys.stderr)
     dev_utterances = load_corpus(args.dev, id_prefix="d") if args.dev else None
-    dev_parses = (_load_parses(args.dev_parses, args.parse_kind, id_prefix="d")
-                  if args.dev_parses else None)
-    if dev_utterances is not None and dev_parses is None:
-        dev_parses = {}
+    dev_parses = _load_parses(args.dev_parses, args.parse_kind, id_prefix="d")
     result = train(utterances, config, parses=parses,
                    dev_utterances=dev_utterances, dev_parses=dev_parses,
                    log_path=args.log, quiet=args.quiet)
@@ -256,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parses", required=True)
     p.add_argument("--parse-kind", choices=("dependency", "amr"),
                    default="dependency")
-    p.add_argument("--max-substructures", type=int, default=64)
+    p.add_argument("--max-substructures", type=int,
+                   default=DEFAULT_MAX_SUBSTRUCTURES)
     p.set_defaults(func=cmd_stats)
     return parser
 
@@ -266,18 +269,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusFormatError, ParseFileError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_DATA
-    except CheckpointError as exc:
+    except StructagError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, (CorpusFormatError, ParseFileError, DataError)):
+            return EXIT_DATA
+        return EXIT_CHECKPOINT if isinstance(exc, CheckpointError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

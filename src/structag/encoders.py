@@ -31,9 +31,19 @@ class LinearEncoder:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
     def encode(self, embedded: Tensor) -> Tensor:
-        _check_nonempty(embedded)
-        return ad.add(ad.matmul(ad.mean_over_rows(embedded), self.weight),
-                      self.bias)
+        """One graph node: mean of the rows, then `@ weight + bias`."""
+        x, w, b = embedded, self.weight, self.bias
+        _check_input(x, w.shape[0])
+        n = x.shape[0]
+        mean = x.value.mean(axis=0)
+        out = Tensor(mean @ w.value + b.value, "nn_encoder", (x, w, b))
+
+        def bw(g):
+            b._accumulate(g)
+            w._accumulate(np.outer(mean, g))
+            x._accumulate(np.tile((w.value @ g) / n, (n, 1)))
+        out._backward = bw
+        return out
 
 
 class RecurrentEncoder:
@@ -69,14 +79,29 @@ class ConvolutionalEncoder:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
     def encode(self, embedded: Tensor) -> Tensor:
-        _check_nonempty(embedded)
-        n = embedded.shape[0]
-        padded = ad.pad_rows(embedded, 1, 1)
-        windows = ad.hstack([ad.slice_rows(padded, 0, n),
-                             ad.slice_rows(padded, 1, n + 1),
-                             ad.slice_rows(padded, 2, n + 2)])
-        activations = ad.tanh(ad.add(ad.matmul(windows, self.weight), self.bias))
-        return ad.max_over_rows(activations)
+        """One graph node: pad, window, `tanh(windows @ weight + bias)`, pool."""
+        x, w, b = embedded, self.weight, self.bias
+        _check_input(x, w.shape[0] // CNN_WINDOW)
+        n, e = x.shape
+        padded = np.pad(x.value, ((1, 1), (0, 0)))
+        windows = np.hstack([padded[k:k + n] for k in range(CNN_WINDOW)])
+        act = np.tanh(windows @ w.value + b.value)
+        winners, cols = act.argmax(axis=0), np.arange(act.shape[1])
+        out = Tensor(act.max(axis=0), "cnn_encoder", (x, w, b))
+
+        def bw(g):
+            d_pre = np.zeros_like(act)
+            d_pre[winners, cols] = g
+            d_pre *= 1.0 - act * act
+            b._accumulate(d_pre.sum(axis=0))
+            w._accumulate(windows.T @ d_pre)
+            d_windows = d_pre @ w.value.T
+            d_padded = np.zeros((n + 2, e))
+            for k in range(CNN_WINDOW):
+                d_padded[k:k + n] += d_windows[:, k * e:(k + 1) * e]
+            x._accumulate(d_padded[1:n + 1])
+        out._backward = bw
+        return out
 
 
 class OutputNetwork:
@@ -104,8 +129,9 @@ def make_encoder(kind: str, rng: np.random.Generator, embed_dim: int,
     raise ValueError(f"unknown encoder kind {kind!r}; expected one of {ENCODER_KINDS}")
 
 
-def _check_nonempty(embedded: Tensor):
-    if embedded.value.ndim != 2 or embedded.shape[0] < 1:
+def _check_input(embedded: Tensor, embed_dim: int):
+    if (embedded.value.ndim != 2 or embedded.shape[0] < 1
+            or embedded.shape[1] != embed_dim):
         raise DimensionError(
-            f"encoder input must be a non-empty (length, embed) matrix, "
+            f"encoder input must be a non-empty (length, {embed_dim}) matrix, "
             f"got {embedded.shape}")

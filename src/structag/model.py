@@ -58,10 +58,8 @@ class SlotModel:
 
     def _embed(self, token_ids: list[int], dropout_rate: float,
                rng: np.random.Generator | None) -> Tensor:
-        emb = ad.take_rows(self.embedding, token_ids)
-        if dropout_rate > 0.0 and rng is not None:
-            emb = ad.dropout(emb, dropout_rate, rng)
-        return emb
+        return ad.dropout(ad.take_rows(self.embedding, token_ids),
+                          dropout_rate, rng)
 
     def forward(self, token_ids: list[int],
                 substructures: list[Substructure] | None,

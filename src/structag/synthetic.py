@@ -12,7 +12,7 @@ while parse-guided taggers can resolve it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -263,8 +263,6 @@ class SyntheticCorpus:
     amr_text: str
     n_utterances: int
     n_ambiguous: int
-    files: dict = field(default_factory=lambda: {
-        "corpus": CORPUS_FILE, "dependency": DEPENDENCY_FILE, "amr": AMR_FILE})
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
         out = Path(out_dir)

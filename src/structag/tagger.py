@@ -99,9 +99,8 @@ class Tagger:
                       dropout_rate: float = 0.0,
                       rng: np.random.Generator | None = None) -> Tensor:
         """Per-token distributions as a (tokens, tags) matrix."""
-        states = self.hidden_states(embedded, guided)
-        if dropout_rate > 0.0 and rng is not None:
-            states = ad.dropout(states, dropout_rate, rng)
+        states = ad.dropout(self.hidden_states(embedded, guided),
+                            dropout_rate, rng)
         logits = ad.add(ad.matmul(states, self.out_weight), self.out_bias)
         return ad.softmax(logits)
 

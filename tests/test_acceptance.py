@@ -20,6 +20,7 @@ from structag.attention import attend, KnowledgeMemory
 from structag.autodiff import Tensor
 from structag.cells import make_cell
 from structag.corpus import Utterance, Vocabulary, load_corpus
+from structag.encoders import ENCODER_KINDS, make_encoder
 from structag.evaluator import evaluate
 from structag.knowledge import (KnowledgeParse, ParseNode, Substructure,
                                 extract_substructures, load_amr,
@@ -27,7 +28,7 @@ from structag.knowledge import (KnowledgeParse, ParseNode, Substructure,
 from structag.model import SlotModel
 from structag.seeding import derive_seed
 from structag.synthetic import SyntheticConfig, generate
-from structag.tagger import CELL_KINDS, Tagger
+from structag.tagger import CELL_KINDS, TAGGER_MODES, Tagger
 from structag.trainer import TrainConfig, evaluate_model, train
 
 _CACHE: dict = {}
@@ -45,13 +46,37 @@ def _weighted(expr: Tensor, w) -> Tensor:
 # ---------------------------------------------------------------------------
 # criterion 1: analytic gradients match central differences
 
+# Every graph op that a model's training loss can contain. Criterion 1
+# gradient-checks exactly these, and the test after it shows that the
+# losses of the whole mode x encoder x cell grid use exactly these.
+CHECKED_OPS = frozenset({
+    "add", "add_rows", "affine", "matmul", "tanh", "softmax", "stack_rows",
+    "take_rows", "row", "dropout", "cross_entropy", "elman_sequence",
+    "gru_sequence", "nn_encoder", "cnn_encoder"})
 
-def _per_op_worst() -> float:
+
+def _graph_ops(root: Tensor) -> set:
+    """Names of the non-leaf ops reachable from `root`."""
+    ops, seen, stack = set(), {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        ops.add(node.op)
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return ops - {"leaf"}
+
+
+def _per_op_worst() -> tuple[float, set]:
+    """Worst relative error over the per-op checks, and the ops checked."""
     rng = np.random.default_rng(7)
     worst = 0.0
+    checked = set()
 
     def check(build_loss, tensors):
         nonlocal worst
+        checked.update(_graph_ops(build_loss()))
         worst = max(worst,
                     assert_grads_match(build_loss, tensors, tol=float("inf")))
 
@@ -92,9 +117,6 @@ def _per_op_worst() -> float:
     ws = rng.normal(size=(2, 4))
     check(lambda: _weighted(ad.softmax(s), ws), [s])
 
-    va, vb = mat(2, 2), mat(2, 3)
-    wv = rng.normal(size=(2, 5))
-    check(lambda: _weighted(ad.hstack([va, vb]), wv), [va, vb])
     wa, wb = mat(3), mat(3)
     ww = rng.normal(size=(2, 3))
     check(lambda: _weighted(ad.stack_rows([wa, wb]), ww), [wa, wb])
@@ -105,18 +127,6 @@ def _per_op_worst() -> float:
     y = mat(4, 3)
     wy = rng.normal(size=3)
     check(lambda: _weighted(ad.row(y, 1), wy), [y])
-    z = mat(5, 2)
-    wz = rng.normal(size=(3, 2))
-    check(lambda: _weighted(ad.slice_rows(z, 1, 4), wz), [z])
-    aa = mat(3, 2)
-    waa = rng.normal(size=(6, 2))
-    check(lambda: _weighted(ad.pad_rows(aa, 1, 2), waa), [aa])
-    ab = mat(4, 3)
-    wab = rng.normal(size=3)
-    check(lambda: _weighted(ad.max_over_rows(ab), wab), [ab])
-    ac = mat(4, 3)
-    wac = rng.normal(size=3)
-    check(lambda: _weighted(ad.mean_over_rows(ac), wac), [ac])
 
     dd = mat(4, 3)
     wdd = rng.normal(size=(4, 3))
@@ -137,12 +147,30 @@ def _per_op_worst() -> float:
             check(lambda: _weighted(cell.sequence(xs), wh), tensors)
             check(lambda: _weighted(cell.sequence(xs, know), wh),
                   tensors + list(know.values()))
-    return worst
+
+    # The fused nn and cnn encoders over one token and over several.
+    for kind in ("nn", "cnn"):
+        enc = make_encoder(kind, rng, 3, 4)
+        for length in (1, 5):
+            xs = mat(length, 3)
+            we = rng.normal(size=4)
+            check(lambda: _weighted(enc.encode(xs), we),
+                  [enc.weight, enc.bias, xs])
+    # A pooled column where all five positions tie: its weights are zero,
+    # so it reads tanh(bias) everywhere. Only one position may pass the
+    # gradient on, or the bias gradient is counted five times. (The tied
+    # column's weight gradient has no derivative to compare against.)
+    enc = make_encoder("cnn", rng, 3, 4)
+    enc.weight.value[:, 2] = 0.0
+    xs = mat(5, 3)
+    we = rng.normal(size=4)
+    check(lambda: _weighted(enc.encode(xs), we), [enc.bias, xs])
+    return worst, checked - {"sum", "mul"}
 
 
 def test_criterion_1_gradients():
     started = time.monotonic()
-    op_worst = _per_op_worst()
+    op_worst, checked = _per_op_worst()
 
     utt = Utterance(id="u0", tokens=("which", "flights", "leave"),
                     tags=("O", "B-day", "O"))
@@ -160,10 +188,36 @@ def test_criterion_1_gradients():
         lambda: model.loss(token_ids, tag_ids, subs),
         list(model.params().values()), tol=float("inf"))
     elapsed = time.monotonic() - started
-    ok = op_worst < 1e-4 and full_worst < 1e-3 and elapsed < 30.0
-    _report(1, ok, f"per-op worst rel err {op_worst:.2e} < 1e-4, "
+    ok = (op_worst < 1e-4 and full_worst < 1e-3 and elapsed < 30.0
+          and checked == CHECKED_OPS)
+    _report(1, ok, f"{len(checked)} ops checked, "
+                   f"per-op worst rel err {op_worst:.2e} < 1e-4, "
                    f"full-model worst {full_worst:.2e} < 1e-3, "
                    f"{elapsed:.1f}s < 30s")
+
+
+def test_criterion_1_checks_every_op_a_training_loss_builds():
+    utt = Utterance(id="u0", tokens=("which", "flights", "leave", "today"),
+                    tags=("O", "O", "O", "B-day"))
+    vocab = Vocabulary.build([utt])
+    token_ids = vocab.encode_tokens(utt.tokens)
+    tag_ids = vocab.encode_tags(utt.tags)
+    subs = [Substructure(positions=(0, 1), forms=("which", "flights"), leaf=1),
+            Substructure(positions=(2, 3), forms=("leave", "today"), leaf=3)]
+    built = set()
+    for mode in TAGGER_MODES:
+        for encoder in ENCODER_KINDS:
+            for cell in CELL_KINDS:
+                config = TrainConfig(mode=mode, encoder=encoder, cell=cell,
+                                     embed_dim=3, hidden_size=3)
+                assert config.dropout > 0.0
+                model = SlotModel(config, vocab, np.random.default_rng(1))
+                built |= _graph_ops(model.loss(token_ids, tag_ids, subs,
+                                               config.dropout,
+                                               np.random.default_rng(2)))
+    assert built == CHECKED_OPS, (
+        f"built but unchecked: {sorted(built - CHECKED_OPS)}, "
+        f"checked but never built: {sorted(CHECKED_OPS - built)}")
 
 
 # ---------------------------------------------------------------------------

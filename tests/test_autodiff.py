@@ -167,15 +167,14 @@ def test_shared_node_gradient_sums_over_uses():
     assert np.allclose(x.grad, expected, atol=1e-12)
 
 
-def test_max_over_rows_tie_goes_to_first_row():
-    a = Tensor([[1.0, 5.0], [1.0, 5.0]])
-    sum_all(ad.max_over_rows(a)).backward()
-    assert np.array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0]])
-
-
 def test_dropout_zero_rate_is_identity():
     x = Tensor([1.0, 2.0])
     assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
+
+
+def test_dropout_without_rng_is_identity():
+    x = Tensor([1.0, 2.0])
+    assert ad.dropout(x, 0.5, None) is x
 
 
 def test_dropout_masks_and_rescales():
@@ -244,11 +243,8 @@ def test_grad_softmax_vector_and_rows():
     assert_grads_match(lambda: _weighted_sum(ad.softmax(m), wm), [m])
 
 
-def test_grad_hstack_stack():
+def test_grad_stack_rows():
     rng = np.random.default_rng(17)
-    m1, m2 = _t(rng, 2, 3), _t(rng, 2, 2)
-    wm = _const(rng, 2, 5)
-    assert_grads_match(lambda: _weighted_sum(ad.hstack([m1, m2]), wm), [m1, m2])
     v1, v2, v3 = _t(rng, 4), _t(rng, 4), _t(rng, 4)
     ws = _const(rng, 3, 4)
     assert_grads_match(
@@ -260,21 +256,9 @@ def test_grad_row_ops():
     a = _t(rng, 5, 3)
     wv = _const(rng, 3)
     assert_grads_match(lambda: _weighted_sum(ad.row(a, 2), wv), [a])
-    wm = _const(rng, 2, 3)
-    assert_grads_match(lambda: _weighted_sum(ad.slice_rows(a, 1, 3), wm), [a])
-    wp = _const(rng, 8, 3)
-    assert_grads_match(lambda: _weighted_sum(ad.pad_rows(a, 1, 2), wp), [a])
     wt = _const(rng, 4, 3)
     assert_grads_match(
         lambda: _weighted_sum(ad.take_rows(a, [0, 0, 4, 2]), wt), [a])
-
-
-def test_grad_reductions():
-    rng = np.random.default_rng(19)
-    a = _t(rng, 6, 4)  # generic values, so the argmax is locally stable
-    w = _const(rng, 4)
-    assert_grads_match(lambda: _weighted_sum(ad.max_over_rows(a), w), [a])
-    assert_grads_match(lambda: _weighted_sum(ad.mean_over_rows(a), w), [a])
 
 
 def test_grad_cross_entropy():

@@ -271,3 +271,29 @@ def test_unknown_config_field_exits_1(workspace, tmp_path, capsys):
     assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
                  "--config", str(cfg), "--quiet"]) == 1
     assert "unknown config fields" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_diverged_training_exits_1_without_traceback(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", "--out", str(data), "--count", "20"]) == 0
+    capsys.readouterr()
+    code = main(["train", "--train", str(data / "corpus.tsv"),
+                 "--parses", str(data / "dependencies.tsv"),
+                 "--out", str(tmp_path / "model.json"),
+                 "--mode", "joint", "--encoder", "nn", "--cell", "elman",
+                 "--embed-dim", "8", "--hidden-size", "8", "--epochs", "2",
+                 "--learning-rate", "1e308", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: loss became non-finite" in err
+    assert "Traceback" not in err
+
+
+def test_dev_parses_without_dev_exits_1(workspace, capsys):
+    assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                 "--dev-parses", str(workspace["data"] / "dependencies.tsv"),
+                 "--epochs", "1", "--embed-dim", "8", "--hidden-size", "8",
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "--dev-parses" in err and "--dev " in err

@@ -154,8 +154,28 @@ def test_cnn_dominant_window_survives_appended_token():
     np.testing.assert_array_equal(short.value, longer.value)
 
 
+def test_cnn_pool_tie_goes_to_first_row():
+    # Only the centre tap is live, so both windows read 1.0 and tie.
+    enc = make_encoder("cnn", RNG(22), 1, 1)
+    enc.weight.value[:] = [[0.0], [1.0], [0.0]]
+    enc.bias.value[:] = 0.0
+    x = _embed([[1.0], [1.0]])
+    sum_all(enc.encode(x)).backward()
+    assert np.array_equal(x.grad, [[1.0 - np.tanh(1.0) ** 2], [0.0]])
+
+
 # ---------------------------------------------------------------------------
 # shared behavior
+
+
+@pytest.mark.parametrize("kind", ("nn", "cnn"))
+def test_encode_adds_one_graph_node(kind):
+    enc = make_encoder(kind, RNG(21), 3, 4)
+    x = Tensor(RNG(210).normal(size=(4, 3)))
+    out = enc.encode(x)
+    assert out.op == f"{kind}_encoder"
+    assert out.parents == (x, enc.weight, enc.bias)
+    assert all(p.op == "leaf" for p in out.parents)
 
 
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
