@@ -3,15 +3,17 @@
 The sentence vector is matched against each stored substructure vector
 by inner product; the softmax of those scores weights the memory sum,
 and the output network turns (memory sum + sentence vector) into the
-knowledge-guided representation fed to the tagger.
+knowledge-guided representation fed to the tagger. The whole step is
+one graph op with a hand-written backward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import autodiff as ad
-from .autodiff import Tensor
+import numpy as np
+
+from .autodiff import Tensor, softmax_array, softmax_array_grad
 from .encoders import OutputNetwork
 from .errors import DimensionError
 from .knowledge import Substructure
@@ -38,33 +40,38 @@ class KnowledgeMemory:
         return self.vectors.shape[0]
 
 
-def attend(u: Tensor, memory: KnowledgeMemory) -> Tensor:
-    """Attention distribution over memory rows: softmax of inner products.
-
-    The raw inner product is used, with no scaling factor.
-    """
-    if u.shape != (memory.vectors.shape[1],):
-        raise DimensionError(
-            f"sentence vector {u.shape} does not match memory row "
-            f"dimension {memory.vectors.shape[1]}")
-    return ad.softmax(ad.matmul(memory.vectors, u))
-
-
-def compose(memory: KnowledgeMemory, p: Tensor) -> Tensor:
-    """Sum of memory rows weighted by the attention distribution."""
-    if p.shape != (memory.size,):
-        raise DimensionError(
-            f"attention weights {p.shape} do not match memory size {memory.size}")
-    return ad.matmul(p, memory.vectors)
-
-
 def knowledge_representation(u: Tensor, memory: KnowledgeMemory,
                              output_net: OutputNetwork) -> tuple[Tensor, Tensor]:
-    """Full attention step: returns (guided representation o, weights p)."""
-    p = attend(u, memory)
-    h = compose(memory, p)
-    o = output_net.apply(ad.add(h, u))
-    return o, p
+    """Full attention step as one graph node: (guided representation o, weights p).
+
+    p = softmax(M u) over raw inner products (no scaling factor), and
+    o = tanh(W (pᵀM + u) + b). The weights come back as a constant
+    tensor; gradients reach M and u through o.
+    """
+    m, w, b = memory.vectors, output_net.weight, output_net.bias
+    if u.shape != (m.shape[1],):
+        raise DimensionError(
+            f"sentence vector {u.shape} does not match memory row "
+            f"dimension {m.shape[1]}")
+    p = softmax_array(m.value @ u.value)
+    s = p @ m.value + u.value
+    o = np.tanh(w.value @ s + b.value)
+    # Memory before u: the backward pass reaches the substructure encodings
+    # first, the order in which the shared encoder and embedding sum.
+    out = Tensor(o, "attention", (m, u, w, b))
+
+    def bw(g):
+        d_pre = g * (1.0 - o * o)
+        b._accumulate(d_pre)
+        w._accumulate(np.outer(d_pre, s))
+        d_s = w.value.T @ d_pre
+        u._accumulate(d_s)
+        m._accumulate(np.outer(p, d_s))
+        d_scores = softmax_array_grad(p, m.value @ d_s)
+        m._accumulate(np.outer(d_scores, u.value))
+        u._accumulate(m.value.T @ d_scores)
+    out._backward = bw
+    return out, Tensor(p)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Reverse-mode differentiation over dense numpy arrays.
 
 Every graph op is a forward value plus a closure routing the upstream
-gradient to the operands. Fused ops live next to the layer they compute:
-the two recurrences in `cells.py` (a hand-written backpropagation through
-time) and the nn and cnn encoders in `encoders.py`. Tensors are rank 0..2,
-stored row-major as float64. A graph and its tensors belong to one
-thread; independent graphs are safe in parallel.
+gradient to the operands. Each model stage is one fused op beside the
+layer it computes (`embed` in model.py, the encoders, the recurrences
+in cells.py, `attention`, `tag_output` in tagger.py); here live the
+tensor, the backward pass, the ops joining the stages, the loss and the
+numpy helpers the fused ops share. Tensors are rank 0..2, stored
+row-major as float64. A graph and its tensors belong to one thread;
+independent graphs are safe in parallel.
 """
 
 from __future__ import annotations
@@ -101,99 +103,7 @@ def _require(cond: bool, msg: str):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a vector b broadcast over rows of a."""
-    if a.shape == b.shape:
-        out = Tensor(a.value + b.value, "add", (a, b))
-
-        def bw(g):
-            a._accumulate(g)
-            b._accumulate(g)
-    elif a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor(a.value + b.value, "add_rows", (a, b))
-
-        def bw(g):
-            a._accumulate(g)
-            b._accumulate(g.sum(axis=0))
-    else:
-        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out._backward = bw
-    return out
-
-
-def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
-    """scale * a + shift with constant coefficients."""
-    out = Tensor(scale * a.value + shift, "affine", (a,))
-
-    def bw(g):
-        a._accumulate(scale * g)
-    out._backward = bw
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product following numpy matmul rank rules (ranks 1-2)."""
-    ra, rb = a.value.ndim, b.value.ndim
-    _require(1 <= ra <= 2 and 1 <= rb <= 2,
-             f"matmul: ranks must be 1 or 2, got shapes {a.shape} and {b.shape}")
-    _require(a.shape[-1] == b.shape[0],
-             f"matmul: inner dimensions differ for {a.shape} and {b.shape}")
-    out = Tensor(a.value @ b.value, "matmul", (a, b))
-
-    def bw(g):
-        if ra == 2 and rb == 2:
-            a._accumulate(g @ b.value.T)
-            b._accumulate(a.value.T @ g)
-        elif ra == 2 and rb == 1:
-            a._accumulate(np.outer(g, b.value))
-            b._accumulate(a.value.T @ g)
-        elif ra == 1 and rb == 2:
-            a._accumulate(b.value @ g)
-            b._accumulate(np.outer(a.value, g))
-        else:
-            a._accumulate(g * b.value)
-            b._accumulate(g * a.value)
-    out._backward = bw
-    return out
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.value)
-    out = Tensor(y, "tanh", (a,))
-
-    def bw(g):
-        a._accumulate(g * (1.0 - y * y))
-    out._backward = bw
-    return out
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis (a vector, or each row of a matrix).
-
-    Max-subtracted before exponentiation, so shifted logits are stable.
-    """
-    _require(a.value.ndim in (1, 2), f"softmax: rank must be 1 or 2, got {a.shape}")
-    z = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, "softmax", (a,))
-
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a._accumulate(y * (g - dot))
-    out._backward = bw
-    return out
-
-
-# ---------------------------------------------------------------------------
-# shape ops
+# ops joining the fused stages, and the loss
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -212,22 +122,6 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows by index (repeats allowed; used for embedding lookup)."""
-    _require(a.value.ndim == 2, f"take_rows: expected a matrix, got {a.shape}")
-    idx = list(indices)
-    _require(all(0 <= i < a.shape[0] for i in idx),
-             f"take_rows: index out of range for {a.shape}")
-    out = Tensor(a.value[idx], "take_rows", (a,))
-
-    def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, idx, g)
-    out._backward = bw
-    return out
-
-
 def row(a: Tensor, i: int) -> Tensor:
     """Select one row of a matrix as a vector."""
     _require(a.value.ndim == 2, f"row: expected a matrix, got {a.shape}")
@@ -238,27 +132,6 @@ def row(a: Tensor, i: int) -> Tensor:
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
         a.grad[i] += g
-    out._backward = bw
-    return out
-
-
-# ---------------------------------------------------------------------------
-# training-only ops
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: mask and rescale, so evaluation needs no change.
-
-    Returns `a` itself when `rate <= 0` or no `rng` is given (evaluation).
-    """
-    if rate <= 0.0 or rng is None:
-        return a
-    _require(rate < 1.0, f"dropout: rate must be < 1, got {rate}")
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    out = Tensor(a.value * mask, "dropout", (a,))
-
-    def bw(g):
-        a._accumulate(g * mask)
     out._backward = bw
     return out
 
@@ -290,3 +163,28 @@ def cross_entropy(probs: Tensor, gold: Sequence[int]) -> Tensor:
         probs.grad[t_idx[live], np.asarray(gold)[live]] += -g / clamped[live]
     out._backward = bw
     return out
+
+
+# ---------------------------------------------------------------------------
+# numpy helpers of the fused ops
+
+
+def softmax_array(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted so large inputs are stable."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_array_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the softmax input, given its output `y` and upstream `g`."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def dropout_mask(shape: tuple, rate: float,
+                 rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout mask (kept entries 1 / (1 - rate), so evaluation needs
+    no rescaling), or None when `rate <= 0` or no `rng` is given."""
+    if rate <= 0.0 or rng is None:
+        return None
+    _require(rate < 1.0, f"dropout: rate must be < 1, got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)

@@ -36,40 +36,46 @@ class _Recurrence:
     gate builds `X @ [W_1; ...; W_k]ᵀ` without a stacked weight copy.
     """
 
-    def sequence(self, x: Tensor,
-                 extra: dict[str, Tensor] | None = None) -> Tensor:
+    def sequence(self, x: Tensor, guided: Tensor | None = None,
+                 know: dict[str, Tensor] | None = None) -> Tensor:
         """All hidden states (T, H) of a run from the zero state over x (T, E).
 
-        `extra` maps any subset of GATES to that gate's knowledge term.
+        `know` maps any subset of GATES to a (H, K) projection of the
+        guided vector (K,) into that gate's pre-activation at every step.
         """
         if x.value.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.input_dim:
             raise DimensionError(
                 f"recurrence input must be a non-empty (length, "
                 f"{self.input_dim}) matrix, got {x.shape}")
         hd, weights = self.hidden_dim, self.input_weights
-        extras = [(extra or {}).get(g) for g in self.GATES]
+        know = (know or {}) if guided is not None else {}
+        projs = [know.get(g) for g in self.GATES]
         proj = np.hstack([x.value @ w.value.T for w in weights])
-        for i, e in enumerate(extras):
-            if e is not None:
-                proj[:, i * hd:(i + 1) * hd] += e.value
+        for i, k in enumerate(projs):
+            if k is not None:
+                proj[:, i * hd:(i + 1) * hd] += k.value @ guided.value
         states, bptt = self._recur(proj)
+        used = [k for k in projs if k is not None]
+        # guided after x: the backward pass reaches x's embedding first.
         out = Tensor(states[1:], self.OP, (x, *self.params("").values(),
-                                           *(e for e in extras if e is not None)))
+                                           *([guided, *used] if used else [])))
 
         def bw(g):
             d_pre = bptt(g)
-            for i, (w, e) in enumerate(zip(weights, extras)):
+            for i, (w, k) in enumerate(zip(weights, projs)):
                 d_gate = d_pre[:, i * hd:(i + 1) * hd]
                 w._accumulate(d_gate.T @ x.value)
                 x._accumulate(d_gate @ w.value)
-                if e is not None:
-                    e._accumulate(d_gate.sum(axis=0))
+                if k is not None:
+                    d_term = d_gate.sum(axis=0)
+                    k._accumulate(np.outer(d_term, guided.value))
+                    guided._accumulate(k.value.T @ d_term)
         out._backward = bw
         return out
 
 
 class ElmanCell(_Recurrence):
-    """h_t = tanh(W x_t + U h_{t-1} [+ extra_cand]); no bias in the recurrence."""
+    """h_t = tanh(W x_t + U h_{t-1} [+ K_cand g]); no bias in the recurrence."""
 
     GATES = ("cand",)
     OP = "elman_sequence"
@@ -103,13 +109,13 @@ class ElmanCell(_Recurrence):
 class GruCell(_Recurrence):
     """Gated recurrent unit: reset and update gates, interpolated state.
 
-        r   = sigmoid(W_r x_t + U_r h_{t-1} [+ extra_r])
-        z   = sigmoid(W_z x_t + U_z h_{t-1} [+ extra_z])
-        h~  = tanh(W_h x_t + U_h (h_{t-1} * r) [+ extra_h])
+        r   = sigmoid(W_r x_t + U_r h_{t-1} [+ K_r g])
+        z   = sigmoid(W_z x_t + U_z h_{t-1} [+ K_z g])
+        h~  = tanh(W_h x_t + U_h (h_{t-1} * r) [+ K_h g])
         h_t = (1 - z) * h~ + z * h_{t-1}
 
-    The optional extras are per-utterance knowledge terms added to each
-    gate's pre-activation.
+    The optional K g terms project the per-utterance guided vector g into
+    each gate's pre-activation.
     """
 
     GATES = ("reset", "update", "cand")

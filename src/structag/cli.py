@@ -3,13 +3,15 @@ gen-synthetic, stats.
 
 Exit codes: 0 success, 1 usage, configuration or training problems
 (any other toolkit error too), 2 unreadable or malformed data files,
-3 checkpoint problems. Every toolkit error ends in one `error:` line.
+3 checkpoint problems. Every toolkit error ends in one `error:` line; a
+reader that closes stdout early (`| head -1`) ends the command quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -268,7 +270,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()    # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_DATA

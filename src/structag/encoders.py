@@ -105,7 +105,8 @@ class ConvolutionalEncoder:
 
 
 class OutputNetwork:
-    """Dense map applied to the summed sentence and memory vectors."""
+    """Weights of the dense tanh layer that `attention.knowledge_representation`
+    applies to the summed sentence and memory vectors."""
 
     def __init__(self, rng: np.random.Generator, dim: int):
         self.weight = glorot_uniform(rng, dim, dim)
@@ -113,9 +114,6 @@ class OutputNetwork:
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
-
-    def apply(self, vec: Tensor) -> Tensor:
-        return ad.tanh(ad.add(ad.matmul(self.weight, vec), self.bias))
 
 
 def make_encoder(kind: str, rng: np.random.Generator, embed_dim: int,

@@ -9,12 +9,31 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (AttentionRecord, KnowledgeMemory,
                         build_attention_record, knowledge_representation)
-from .autodiff import Tensor
+from .autodiff import Tensor, dropout_mask
 from .corpus import Utterance, Vocabulary
 from .encoders import OutputNetwork, make_encoder
-from .errors import DataError
+from .errors import DataError, DimensionError
 from .knowledge import KnowledgeParse, Substructure, substructures_with_fallback
 from .tagger import Tagger, decode_greedy
+
+
+def embed(table: Tensor, token_ids: list[int], dropout_rate: float = 0.0,
+          rng: np.random.Generator | None = None) -> Tensor:
+    """One graph node: the rows of `table` for `token_ids` (repeats
+    allowed), dropout applied."""
+    idx = list(token_ids)
+    if not all(0 <= i < table.shape[0] for i in idx):
+        raise DimensionError(f"embedding id out of range for {table.shape}")
+    rows = table.value[idx]
+    mask = dropout_mask(rows.shape, dropout_rate, rng)
+    out = Tensor(rows if mask is None else rows * mask, "embed", (table,))
+
+    def bw(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+        np.add.at(table.grad, idx, g if mask is None else g * mask)
+    out._backward = bw
+    return out
 
 
 class SlotModel:
@@ -56,11 +75,6 @@ class SlotModel:
         for p in self.params().values():
             p.zero_grad()
 
-    def _embed(self, token_ids: list[int], dropout_rate: float,
-               rng: np.random.Generator | None) -> Tensor:
-        return ad.dropout(ad.take_rows(self.embedding, token_ids),
-                          dropout_rate, rng)
-
     def forward(self, token_ids: list[int],
                 substructures: list[Substructure] | None,
                 dropout_rate: float = 0.0,
@@ -73,7 +87,7 @@ class SlotModel:
         given; evaluation passes neither.
         """
         if self.config.mode == "chain":
-            embedded = self._embed(token_ids, dropout_rate, rng)
+            embedded = embed(self.embedding, token_ids, dropout_rate, rng)
             return self.tagger.distributions(embedded, None, dropout_rate, rng), \
                 None, []
 
@@ -84,16 +98,14 @@ class SlotModel:
                 raise DataError(
                     f"substructure position out of range for a "
                     f"{len(token_ids)}-token utterance: {sub.positions}")
-        memory_rows = []
-        for sub in subs:
-            sub_ids = [token_ids[pos] for pos in sub.positions]
-            memory_rows.append(self.encoder.encode(
-                self._embed(sub_ids, dropout_rate, rng)))
+        memory_rows = [self.encoder.encode(embed(
+            self.embedding, [token_ids[pos] for pos in sub.positions],
+            dropout_rate, rng)) for sub in subs]
         memory = KnowledgeMemory(vectors=ad.stack_rows(memory_rows),
                                  substructures=list(subs))
-        u = self.encoder.encode(self._embed(token_ids, dropout_rate, rng))
+        u = self.encoder.encode(embed(self.embedding, token_ids, dropout_rate, rng))
         guided, weights = knowledge_representation(u, memory, self.output_net)
-        embedded = self._embed(token_ids, dropout_rate, rng)
+        embedded = embed(self.embedding, token_ids, dropout_rate, rng)
         dist = self.tagger.distributions(embedded, guided, dropout_rate, rng)
         return dist, weights, list(subs)
 

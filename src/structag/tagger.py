@@ -4,15 +4,14 @@ All variants run left to right and emit one tag distribution per token
 via a shared output layer. The knowledge-guided variants add a projected
 per-utterance representation into every step's pre-activations; the
 joint variant blends a chain tower and a knowledge tower before the
-output softmax.
+output softmax. The output layer, blend included, is one graph op.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, dropout_mask, softmax_array, softmax_array_grad
 from .cells import glorot_uniform, make_cell, zero_vector
 from .errors import DimensionError
 
@@ -40,11 +39,35 @@ class TaggerTower:
 
     def run(self, embedded: Tensor, guided: Tensor | None = None) -> Tensor:
         """(tokens, hidden) states; `guided` enters every step of a knowledge tower."""
-        extra = None
-        if self.knowledge_proj is not None and guided is not None:
-            extra = {gate: ad.matmul(mat, guided)
-                     for gate, mat in self.knowledge_proj.items()}
-        return self.cell.sequence(embedded, extra)
+        return self.cell.sequence(embedded, guided, self.knowledge_proj)
+
+
+def tag_output(states: list[Tensor], alpha: float, weight: Tensor,
+               bias: Tensor, dropout_rate: float = 0.0,
+               rng: np.random.Generator | None = None) -> Tensor:
+    """One graph node from tower states to (tokens, tags) distributions:
+    the blend `alpha * s1 + (1 - alpha) * s2` of two towers (one passes
+    through), the dropout mask, `@ weight + bias` and a row softmax."""
+    scales = (alpha, 1.0 - alpha) if len(states) == 2 else (1.0,)
+    hidden = states[0].value if len(states) == 1 else (
+        alpha * states[0].value + (1.0 - alpha) * states[1].value)
+    mask = dropout_mask(hidden.shape, dropout_rate, rng)
+    if mask is not None:
+        hidden = hidden * mask
+    y = softmax_array(hidden @ weight.value + bias.value)
+    out = Tensor(y, "tag_output", (*states, weight, bias))
+
+    def bw(g):
+        d_logits = softmax_array_grad(y, g)
+        bias._accumulate(d_logits.sum(axis=0))
+        weight._accumulate(hidden.T @ d_logits)
+        d_hidden = d_logits @ weight.value.T
+        if mask is not None:
+            d_hidden = d_hidden * mask
+        for state, scale in zip(states, scales):
+            state._accumulate(scale * d_hidden)
+    out._backward = bw
+    return out
 
 
 class Tagger:
@@ -84,25 +107,16 @@ class Tagger:
         out[f"{prefix}.out_bias"] = self.out_bias
         return out
 
-    def hidden_states(self, embedded: Tensor,
-                      guided: Tensor | None = None) -> Tensor:
-        """(tokens, hidden) states; a chain tower ignores `guided`."""
-        if self.mode != "chain" and guided is None:
-            raise DimensionError(f"{self.mode} tagger needs a guided representation")
-        states = [tower.run(embedded, guided) for tower in self.towers]
-        if self.mode != "joint":
-            return states[0]
-        return ad.add(ad.affine(states[0], self.alpha),
-                      ad.affine(states[1], 1.0 - self.alpha))
-
     def distributions(self, embedded: Tensor, guided: Tensor | None = None,
                       dropout_rate: float = 0.0,
                       rng: np.random.Generator | None = None) -> Tensor:
-        """Per-token distributions as a (tokens, tags) matrix."""
-        states = ad.dropout(self.hidden_states(embedded, guided),
-                            dropout_rate, rng)
-        logits = ad.add(ad.matmul(states, self.out_weight), self.out_bias)
-        return ad.softmax(logits)
+        """Per-token distributions as a (tokens, tags) matrix; a chain
+        tower ignores `guided`."""
+        if self.mode != "chain" and guided is None:
+            raise DimensionError(f"{self.mode} tagger needs a guided representation")
+        return tag_output([tower.run(embedded, guided) for tower in self.towers],
+                          self.alpha, self.out_weight, self.out_bias,
+                          dropout_rate, rng)
 
 
 def decode_greedy(distributions: Tensor) -> list[int]:

@@ -134,8 +134,8 @@ class AdamOptimizer:
     `Tensor.value` and `.grad` becomes a view of its slice (`slices`
     maps names to slices), so backward passes, checkpoints and the
     optimizer share memory. The moments `m` and `v` are flat as well.
-    Parameters named in `skip` are never updated and do not count
-    toward the clip norm. `step` updates in place, block by block, with
+    Parameters named in `skip` are never updated or checked and do not
+    count toward the clip norm. `step` updates in place, block by block, with
     the elementwise operation order of the per-parameter formula, so its
     results are bitwise those of a loop over the named arrays.
     """
@@ -165,13 +165,15 @@ class AdamOptimizer:
                         for lo in range(start, stop, ADAM_BLOCK)]
         self._scratch = np.empty((2, min(ADAM_BLOCK, self.values.size)))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self):
-        """Apply one update from the current gradients."""
+        """Apply one update from the current gradients.
+
+        A block whose update is non-finite, from a non-finite gradient or
+        an overflow, is not written: TrainingDivergedError names the
+        parameter instead. numpy's overflow warnings are silenced.
+        """
         grads = self.grads
-        if not np.isfinite(grads).all():
-            bad = next(name for name, sl in self.slices.items()
-                       if not np.isfinite(grads[sl]).all())
-            raise TrainingDivergedError(f"non-finite gradient in parameter {bad!r}")
         if self.clip_norm is not None:
             total = math.sqrt(sum(float(np.dot(grads[lo:hi], grads[lo:hi]))
                                   for lo, hi in self._blocks))
@@ -202,7 +204,14 @@ class AdamOptimizer:
             np.sqrt(s2, out=s2)
             s2 += self.epsilon
             s1 /= s2
+            if not np.isfinite(s1).all():
+                self._diverged(lo + int(np.flatnonzero(~np.isfinite(s1))[0]))
             self.values[lo:hi] -= s1
+
+    def _diverged(self, index: int):
+        name = next(n for n, sl in self.slices.items() if sl.start <= index < sl.stop)
+        what = "update for" if np.isfinite(self.grads[index]) else "gradient in"
+        raise TrainingDivergedError(f"non-finite {what} parameter {name!r}")
 
 
 @dataclass

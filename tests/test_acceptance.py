@@ -16,19 +16,19 @@ import numpy as np
 import conlleval_reference as ref
 from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag import autodiff as ad
-from structag.attention import attend, KnowledgeMemory
+from structag.attention import KnowledgeMemory, knowledge_representation
 from structag.autodiff import Tensor
 from structag.cells import make_cell
 from structag.corpus import Utterance, Vocabulary, load_corpus
-from structag.encoders import ENCODER_KINDS, make_encoder
+from structag.encoders import ENCODER_KINDS, OutputNetwork, make_encoder
 from structag.evaluator import evaluate
 from structag.knowledge import (KnowledgeParse, ParseNode, Substructure,
                                 extract_substructures, load_amr,
                                 load_dependency)
-from structag.model import SlotModel
+from structag.model import SlotModel, embed
 from structag.seeding import derive_seed
 from structag.synthetic import SyntheticConfig, generate
-from structag.tagger import CELL_KINDS, TAGGER_MODES, Tagger
+from structag.tagger import CELL_KINDS, TAGGER_MODES, Tagger, tag_output
 from structag.trainer import TrainConfig, evaluate_model, train
 
 _CACHE: dict = {}
@@ -50,9 +50,8 @@ def _weighted(expr: Tensor, w) -> Tensor:
 # gradient-checks exactly these, and the test after it shows that the
 # losses of the whole mode x encoder x cell grid use exactly these.
 CHECKED_OPS = frozenset({
-    "add", "add_rows", "affine", "matmul", "tanh", "softmax", "stack_rows",
-    "take_rows", "row", "dropout", "cross_entropy", "elman_sequence",
-    "gru_sequence", "nn_encoder", "cnn_encoder"})
+    "embed", "nn_encoder", "cnn_encoder", "elman_sequence", "gru_sequence",
+    "row", "stack_rows", "attention", "tag_output", "cross_entropy"})
 
 
 def _graph_ops(root: Tensor) -> set:
@@ -85,68 +84,56 @@ def _per_op_worst() -> tuple[float, set]:
 
     # Every weight array is drawn once, outside the loss closure, so the
     # loss is a fixed function during the finite-difference sweeps.
-    a, b = mat(3, 2), mat(3, 2)
-    w32 = rng.normal(size=(3, 2))
-    check(lambda: _weighted(ad.add(a, b), w32), [a, b])
-
-    c, v = mat(3, 2), mat(2)
-    check(lambda: _weighted(ad.add(c, v), w32), [c, v])  # row broadcast
-
-    f = mat(4)
-    wf = rng.normal(size=4)
-    check(lambda: _weighted(ad.affine(f, -1.7, 0.3), wf), [f])
-
-    g, h = mat(2, 3), mat(3, 4)
-    wg = rng.normal(size=(2, 4))
-    check(lambda: _weighted(ad.matmul(g, h), wg), [g, h])
-    i, j = mat(2, 3), mat(3)
-    wi = rng.normal(size=2)
-    check(lambda: _weighted(ad.matmul(i, j), wi), [i, j])
-    k, l = mat(3), mat(3, 2)
-    wk = rng.normal(size=2)
-    check(lambda: _weighted(ad.matmul(k, l), wk), [k, l])
-    m, n = mat(3), mat(3)
-    check(lambda: ad.matmul(m, n), [m, n])
-
-    p = mat(3, 2)
-    check(lambda: _weighted(ad.tanh(p), w32), [p])
-    r = mat(4)
-    wr = rng.normal(size=4)
-    check(lambda: _weighted(ad.softmax(r), wr), [r])
-    s = mat(2, 4)
-    ws = rng.normal(size=(2, 4))
-    check(lambda: _weighted(ad.softmax(s), ws), [s])
-
     wa, wb = mat(3), mat(3)
     ww = rng.normal(size=(2, 3))
     check(lambda: _weighted(ad.stack_rows([wa, wb]), ww), [wa, wb])
-
-    x = mat(4, 3)
-    wx = rng.normal(size=(4, 3))
-    check(lambda: _weighted(ad.take_rows(x, [0, 2, 0, 3]), wx), [x])
     y = mat(4, 3)
     wy = rng.normal(size=3)
     check(lambda: _weighted(ad.row(y, 1), wy), [y])
+    probs = Tensor(rng.uniform(0.1, 1.0, size=(4, 3)))
+    check(lambda: ad.cross_entropy(probs, [0, 2, 1, 2]), [probs])
 
-    dd = mat(4, 3)
-    wdd = rng.normal(size=(4, 3))
-    check(lambda: _weighted(
-        ad.dropout(dd, 0.5, np.random.default_rng(3)), wdd), [dd])
-    ae = mat(4, 3)
-    check(lambda: ad.cross_entropy(ad.softmax(ae), [0, 2, 1, 2]), [ae])
+    # The embedding lookup with a repeated id, without and with dropout
+    # (a fresh generator per call keeps the mask fixed).
+    table = mat(5, 3)
+    wt = rng.normal(size=(4, 3))
+    check(lambda: _weighted(embed(table, [0, 2, 0, 4]), wt), [table])
+    check(lambda: _weighted(embed(table, [0, 2, 0, 4], 0.5,
+                                  np.random.default_rng(3)), wt), [table])
+
+    # The attention step over one memory row and over three.
+    net = OutputNetwork(rng, 4)
+    for n_rows in (1, 3):
+        rows, u = mat(n_rows, 4), mat(4)
+        wo = rng.normal(size=4)
+        memory = KnowledgeMemory(rows, [Substructure((i,), (), i)
+                                        for i in range(n_rows)])
+        check(lambda: _weighted(knowledge_representation(u, memory, net)[0], wo),
+              [rows, u, net.weight, net.bias])
+
+    # The output layer over one tower and over two, without and with a
+    # dropout mask.
+    out_w, out_b = mat(4, 5), mat(5)
+    for n_towers in (1, 2):
+        states = [mat(3, 4) for _ in range(n_towers)]
+        wd = rng.normal(size=(3, 5))
+        for rate in (0.0, 0.5):
+            check(lambda: _weighted(tag_output(states, 0.3, out_w, out_b, rate,
+                                               np.random.default_rng(4)), wd),
+                  states + [out_w, out_b])
 
     # The fused recurrences, with and without knowledge terms, over one
     # step and over several.
     for kind in CELL_KINDS:
         cell = make_cell(kind, rng, 3, 4)
-        know = {g: mat(4) for g in cell.GATES}
+        guided, know = mat(2), {g: mat(4, 2) for g in cell.GATES}
         for length in (1, 6):
             xs = mat(length, 3)
             wh = rng.normal(size=(length, 4))
             tensors = list(cell.params("c").values()) + [xs]
             check(lambda: _weighted(cell.sequence(xs), wh), tensors)
-            check(lambda: _weighted(cell.sequence(xs, know), wh),
-                  tensors + list(know.values()))
+            check(lambda: _weighted(cell.sequence(xs, guided, know), wh),
+                  tensors + list(know.values()) + [guided])
 
     # The fused nn and cnn encoders over one token and over several.
     for kind in ("nn", "cnn"):
@@ -222,6 +209,12 @@ def test_criterion_1_checks_every_op_a_training_loss_builds():
 
 # ---------------------------------------------------------------------------
 # criterion 2: attention weight properties
+
+
+def attend(u: Tensor, memory: KnowledgeMemory) -> Tensor:
+    """The attention weights of one step, output network drawn at random."""
+    net = OutputNetwork(np.random.default_rng(0), memory.vectors.shape[1])
+    return knowledge_representation(u, memory, net)[1]
 
 
 def test_criterion_2_attention():

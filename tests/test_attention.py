@@ -1,4 +1,10 @@
-"""Inner-product attention over the substructure memory."""
+"""Inner-product attention over the substructure memory.
+
+The attention step is one op, `knowledge_representation`; the weights p
+are its second output and the memory sum pᵀM is read off the first with
+an output network whose weights make o = tanh(W (pᵀM + u) + b) easy to
+invert.
+"""
 
 import json
 import math
@@ -7,8 +13,8 @@ import numpy as np
 import pytest
 
 from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
-from structag.attention import (KnowledgeMemory, attend, build_attention_record,
-                                compose, knowledge_representation)
+from structag.attention import (KnowledgeMemory, build_attention_record,
+                                knowledge_representation)
 from structag.autodiff import Tensor
 from structag.encoders import OutputNetwork
 from structag.errors import DimensionError
@@ -21,6 +27,22 @@ def _memory(rows, n_subs=None):
     subs = [Substructure(positions=(i,), forms=(f"w{i}",), leaf=i)
             for i in range(n)]
     return KnowledgeMemory(vectors=Tensor(rows), substructures=subs)
+
+
+def attend(u: Tensor, memory: KnowledgeMemory) -> Tensor:
+    """The attention weights of one step, output network drawn at random."""
+    net = OutputNetwork(np.random.default_rng(0), memory.vectors.shape[1])
+    return knowledge_representation(u, memory, net)[1]
+
+
+def compose(rows, u, scale=1.0):
+    """(p, o) of one step whose output network is `scale` times identity."""
+    rows = np.array(rows, dtype=float)
+    net = OutputNetwork(np.random.default_rng(0), rows.shape[1])
+    net.weight.value[:] = scale * np.eye(rows.shape[1])
+    o, p = knowledge_representation(Tensor(np.array(u, dtype=float)),
+                                    _memory(rows), net)
+    return p.value, o.value
 
 
 def test_single_row_memory_gets_full_weight():
@@ -74,21 +96,31 @@ def test_permuting_memory_rows_permutes_weights():
 
 
 def test_compose_one_hot_selects_row():
-    rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    h = compose(_memory(rows), Tensor(np.array([0.0, 1.0, 0.0])))
-    np.testing.assert_array_equal(h.value, rows[1])
+    # Scores 0, -1000 and -2000 give weights exactly [0, 1, 0]; a small
+    # output weight keeps tanh out of saturation.
+    rows = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 3.0]])
+    u = np.array([0.0, -1000.0])
+    p, o = compose(rows, u, scale=1e-3)
+    np.testing.assert_array_equal(p, [0.0, 1.0, 0.0])
+    np.testing.assert_allclose(o, np.tanh(1e-3 * (rows[1] + u)), rtol=1e-12)
 
 
 def test_compose_equal_rows_reproduce_the_row():
     rows = np.array([[2.0, -1.0]] * 4)
-    h = compose(_memory(rows), Tensor(np.full(4, 0.25)))
-    np.testing.assert_allclose(h.value, rows[0], rtol=1e-12)
+    u = np.array([0.3, 0.1])
+    p, o = compose(rows, u)
+    np.testing.assert_allclose(p, np.full(4, 0.25), rtol=1e-12)
+    np.testing.assert_allclose(o, np.tanh(rows[0] + u), rtol=1e-12)
 
 
 def test_compose_hand_weights():
+    # Scores u0, u1 and u0 + u1 weight the rows 0.2, 0.3 and 0.5, so the
+    # memory sum is 0.2 [1, 0] + 0.3 [0, 1] + 0.5 [1, 1] = [0.7, 0.8].
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    h = compose(_memory(rows), Tensor(np.array([0.2, 0.3, 0.5])))
-    np.testing.assert_allclose(h.value, [0.7, 0.8], rtol=1e-12)
+    u = np.log([0.5 / 0.3, 0.5 / 0.2])
+    p, o = compose(rows, u)
+    np.testing.assert_allclose(p, [0.2, 0.3, 0.5], rtol=1e-12)
+    np.testing.assert_allclose(o, np.tanh(np.array([0.7, 0.8]) + u), rtol=1e-12)
 
 
 def test_representation_with_memory_equal_to_sentence():
@@ -133,8 +165,6 @@ def test_dimension_mismatches_rejected():
     mem = _memory([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DimensionError):
         attend(Tensor(np.array([1.0, 2.0, 3.0])), mem)
-    with pytest.raises(DimensionError):
-        compose(mem, Tensor(np.array([0.5, 0.3, 0.2])))
     with pytest.raises(DimensionError):
         KnowledgeMemory(vectors=Tensor(np.zeros((0, 2))), substructures=[])
     with pytest.raises(DimensionError):

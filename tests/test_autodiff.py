@@ -1,4 +1,9 @@
-"""Forward values and gradients of every graph op."""
+"""Forward values and gradients of the graph ops.
+
+Sums, products, tanh, softmax and dropout run inside the fused stage ops
+(`attention`, `tag_output`, `embed` and the recurrences), so their tests
+go through those ops.
+"""
 
 import math
 
@@ -6,9 +11,14 @@ import numpy as np
 import pytest
 
 import structag.autodiff as ad
-from structag.autodiff import PROB_EPS, Tensor
-from structag.cells import GruCell
+from structag.attention import KnowledgeMemory, knowledge_representation
+from structag.autodiff import PROB_EPS, Tensor, dropout_mask
+from structag.cells import ElmanCell, GruCell
+from structag.encoders import OutputNetwork
 from structag.errors import DimensionError
+from structag.knowledge import Substructure
+from structag.model import embed
+from structag.tagger import tag_output
 
 from gradcheck_util import (assert_grads_match, elementwise_mul, numeric_grad,
                             rel_err, sum_all)
@@ -27,86 +37,144 @@ def _weighted_sum(expr, weights):
     return sum_all(elementwise_mul(expr, weights))
 
 
+def _memory(rows) -> KnowledgeMemory:
+    vectors = rows if isinstance(rows, Tensor) else Tensor(np.asarray(rows, float))
+    return KnowledgeMemory(vectors, [Substructure((i,), (), i)
+                                     for i in range(vectors.shape[0])])
+
+
+def _net(dim, weight=None, bias=None, seed=0) -> OutputNetwork:
+    net = OutputNetwork(np.random.default_rng(seed), dim)
+    if weight is not None:
+        net.weight.value[:] = weight
+    if bias is not None:
+        net.bias.value[:] = bias
+    return net
+
+
+def _attend(u, rows, net=None):
+    """Attention weights p of `u` over the memory `rows`."""
+    rows = np.asarray(rows, float)
+    return knowledge_representation(Tensor(np.asarray(u, float)), _memory(rows),
+                                    net or _net(rows.shape[1]))[1].value
+
+
+def _softmax_rows(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # forward values
 
 
 def test_add_same_shape():
-    out = ad.add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0, 1.0], [2.0, 2.0]]))
-    assert np.array_equal(out.value, [[2.0, 3.0], [5.0, 6.0]])
+    # The attention step adds the memory sum to the sentence vector: one
+    # memory row m gets all the weight, so o = tanh(W (m + u) + b).
+    net = _net(2, weight=np.eye(2), bias=0.0)
+    o, _ = knowledge_representation(Tensor([0.1, 0.2]), _memory([[0.3, -0.5]]), net)
+    np.testing.assert_allclose(o.value, np.tanh([0.4, -0.3]), rtol=1e-12)
 
 
 def test_add_broadcast_rows():
-    out = ad.add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0]))
-    assert np.array_equal(out.value, [[11.0, 22.0], [13.0, 24.0]])
+    # The output layer adds its bias to every row: with zero weights each
+    # row is softmax(bias).
+    bias = np.array([1.0, 2.0, 3.0])
+    y = tag_output([Tensor(np.ones((2, 2)))], 0.5, Tensor(np.zeros((2, 3))),
+                   Tensor(bias.copy())).value
+    np.testing.assert_allclose(y, np.tile(_softmax_rows(bias), (2, 1)), rtol=1e-12)
 
 
 def test_add_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError) as err:
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-    assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
+        knowledge_representation(Tensor(np.zeros(3)), _memory(np.zeros((2, 2))),
+                                 _net(2))
+    assert "(3,)" in str(err.value) and "dimension 2" in str(err.value)
 
 
 def test_matmul_hand_case():
-    out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
-    assert np.array_equal(out.value, [[17.0], [39.0]])
+    # Attention scores are the product M u: rows [1, 2] and [3, 4] against
+    # u = [5, 6] score 17 and 39.
+    p = _attend([5.0, 6.0], [[1.0, 2.0], [3.0, 4.0]])
+    gap = math.exp(-22.0)
+    np.testing.assert_allclose(p, [gap / (1 + gap), 1 / (1 + gap)], rtol=1e-12)
 
 
 def test_matmul_inner_dim_mismatch():
+    # x @ W_inᵀ needs the input width to equal the cell's input dimension.
     with pytest.raises(DimensionError):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+        ElmanCell(np.random.default_rng(0), 3, 2).sequence(Tensor(np.zeros((2, 2))))
 
 
 def test_tanh_and_sigmoid_identities():
-    assert float(ad.tanh(Tensor(0.0)).value) == 0.0
-    assert float(ad.tanh(Tensor(50.0)).value) == pytest.approx(1.0)
+    # An Elman cell without recurrence is tanh(W x): 0 at 0, ~1 at 50.
+    elman = ElmanCell(np.random.default_rng(0), 1, 1)
+    elman.w_in.value[:] = 1.0
+    elman.u_rec.value[:] = 0.0
+    h = elman.sequence(Tensor([[0.0], [50.0]])).value
+    assert h[0, 0] == 0.0 and h[1, 0] == pytest.approx(1.0)
     # The sigmoid lives inside the fused GRU. Zero weights put every gate
     # at sigmoid(0) = 1/2, so each state is the mean of its predecessor
-    # and tanh(extra_cand).
+    # and tanh(K_cand g); an identity K passes g through.
     cell = GruCell(np.random.default_rng(0), 2, 2)
     for g in cell.GATES:
         cell.w[g].value[:] = 0.0
         cell.u[g].value[:] = 0.0
     cand = np.array([0.3, -2.0])
-    h = cell.sequence(Tensor(np.ones((2, 2))), {"cand": Tensor(cand)}).value
+    h = cell.sequence(Tensor(np.ones((2, 2))), Tensor(cand),
+                      {"cand": Tensor(np.eye(2))}).value
     np.testing.assert_array_equal(h[0], 0.5 * np.tanh(cand))
     np.testing.assert_array_equal(h[1], 0.5 * np.tanh(cand) + 0.5 * h[0])
     # Pre-activations of +-1000 saturate the gates without overflow: an
     # update gate at 0 passes the candidate through, one at 1 keeps the
-    # zero initial state.
+    # zero initial state. The guided vector feeds each gate through its
+    # own projection: reset by +1000, update by `update`, cand by cand.
     for update, expected in ((-1000.0, np.tanh(cand)), (1000.0, np.zeros(2))):
-        big = cell.sequence(Tensor(np.ones((1, 2))), {
-            "reset": Tensor(np.full(2, 1000.0)),
-            "update": Tensor(np.full(2, update)),
-            "cand": Tensor(cand)})
+        know = {"reset": Tensor([[1000.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]),
+                "update": Tensor([[update, 0.0, 0.0], [update, 0.0, 0.0]]),
+                "cand": Tensor([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])}
+        big = cell.sequence(Tensor(np.ones((1, 2))),
+                            Tensor(np.array([1.0, *cand])), know)
         assert np.all(np.isfinite(big.value))
         np.testing.assert_array_equal(big.value[0], expected)
 
 
 def test_softmax_uniform():
-    out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(out.value, [1 / 3] * 3, atol=1e-12)
+    p = _attend(np.zeros(3), np.eye(3))
+    assert np.allclose(p, [1 / 3] * 3, atol=1e-12)
+    y = tag_output([Tensor(np.ones((2, 2)))], 0.5, Tensor(np.zeros((2, 4))),
+                   Tensor(np.zeros(4))).value
+    assert np.allclose(y, 0.25, atol=1e-12)
 
 
 def test_softmax_large_inputs_stable():
-    out = ad.softmax(Tensor([1000.0, 1000.0]))
-    assert np.all(np.isfinite(out.value))
-    assert np.allclose(out.value, [0.5, 0.5], atol=1e-12)
+    for big in (1000.0, -1000.0):
+        p = _attend([1.0], [[big], [big]])
+        assert np.all(np.isfinite(p))
+        assert np.allclose(p, [0.5, 0.5], atol=1e-12)
+        y = tag_output([Tensor(np.ones((3, 2)))], 0.5, Tensor(np.zeros((2, 2))),
+                       Tensor(np.full(2, big))).value
+        assert np.all(np.isfinite(y))
+        assert np.allclose(y, 0.5, atol=1e-12)
 
 
 def test_softmax_shift_invariance():
+    # Shifting every output bias by one constant shifts each row's logits.
     rng = np.random.default_rng(0)
-    v = rng.normal(size=7)
-    a = ad.softmax(Tensor(v)).value
-    b = ad.softmax(Tensor(v + 123.456)).value
-    assert np.max(np.abs(a - b)) < 1e-6
+    states, w, b = _t(rng, 3, 4), _t(rng, 4, 7), rng.normal(size=7)
+    a = tag_output([states], 0.5, w, Tensor(b.copy())).value
+    shifted = tag_output([states], 0.5, w, Tensor(b + 123.456)).value
+    assert np.max(np.abs(a - shifted)) < 1e-6
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
-    out = ad.softmax(Tensor(rng.normal(size=(4, 5))))
-    assert np.allclose(out.value.sum(axis=1), 1.0, atol=1e-6)
-    assert np.all(out.value > 0) and np.all(out.value < 1)
+    y = tag_output([_t(rng, 4, 3), _t(rng, 4, 3)], 0.3, _t(rng, 3, 5),
+                   _t(rng, 5)).value
+    assert np.allclose(y.sum(axis=1), 1.0, atol=1e-6)
+    assert np.all(y > 0) and np.all(y < 1)
+    p = _attend(rng.normal(size=3), rng.normal(size=(6, 3)))
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_entropy_uniform_two_tokens():
@@ -138,11 +206,15 @@ def test_cross_entropy_gold_out_of_range():
         ad.cross_entropy(Tensor([[0.5, 0.5]]), [2])
 
 
-def test_take_rows_repeated_indices_accumulate():
+def test_embed_repeated_ids_accumulate():
     e = Tensor(np.ones((3, 2)))
-    loss = sum_all(ad.take_rows(e, [0, 0, 2]))
-    loss.backward()
+    sum_all(embed(e, [0, 0, 2])).backward()
     assert np.array_equal(e.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+def test_embed_rejects_ids_out_of_range():
+    with pytest.raises(DimensionError):
+        embed(Tensor(np.ones((3, 2))), [0, 3])
 
 
 def test_backward_requires_scalar():
@@ -159,33 +231,36 @@ def test_constant_loss_gives_zero_gradients():
 
 
 def test_shared_node_gradient_sums_over_uses():
-    x = Tensor([0.3, -0.2])
-    y = ad.tanh(x)
-    loss = sum_all(ad.add(y, y))
-    loss.backward()
-    expected = 2.0 * (1.0 - np.tanh(x.value) ** 2)
-    assert np.allclose(x.grad, expected, atol=1e-12)
+    # y feeds both operands of one product: d/dx sum((c x)^2) = 2 c^2 x.
+    x, c = Tensor([0.3, -0.2]), Tensor([1.5, 2.0])
+    y = elementwise_mul(x, c)
+    sum_all(elementwise_mul(y, y)).backward()
+    np.testing.assert_allclose(x.grad, 2.0 * c.value ** 2 * x.value, rtol=1e-12)
 
 
 def test_dropout_zero_rate_is_identity():
-    x = Tensor([1.0, 2.0])
-    assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
+    table = Tensor(np.arange(6.0).reshape(3, 2))
+    assert dropout_mask((3, 2), 0.0, np.random.default_rng(0)) is None
+    out = embed(table, [2, 0], 0.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(out.value, table.value[[2, 0]])
 
 
 def test_dropout_without_rng_is_identity():
-    x = Tensor([1.0, 2.0])
-    assert ad.dropout(x, 0.5, None) is x
+    table = Tensor(np.arange(6.0).reshape(3, 2))
+    assert dropout_mask((3, 2), 0.5, None) is None
+    np.testing.assert_array_equal(embed(table, [1], 0.5, None).value,
+                                  table.value[[1]])
 
 
 def test_dropout_masks_and_rescales():
     rng = np.random.default_rng(5)
-    x = Tensor(np.ones((40, 3)))
-    out = ad.dropout(x, 0.5, rng)
+    table = Tensor(np.ones((40, 3)))
+    out = embed(table, list(range(40)), 0.5, rng)
     kept = out.value != 0.0
     assert np.all(out.value[kept] == 2.0)
-    assert 0 < kept.sum() < x.value.size
+    assert 0 < kept.sum() < out.value.size
     sum_all(out).backward()
-    assert np.array_equal(x.grad, out.value)  # grad equals mask/(1-rate)
+    assert np.array_equal(table.grad, out.value)  # grad equals mask/(1-rate)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +268,21 @@ def test_dropout_masks_and_rescales():
 
 
 def test_grad_add_same_shape():
+    # With one memory row the weight is constant, so u and the row reach
+    # o only through their sum.
     rng = np.random.default_rng(10)
-    a, b, w = _t(rng, 3, 4), _t(rng, 3, 4), _const(rng, 3, 4)
-    assert_grads_match(lambda: _weighted_sum(ad.add(a, b), w), [a, b])
+    u, rows, w = _t(rng, 4), _t(rng, 1, 4), _const(rng, 4)
+    net = _net(4, seed=10)
+    assert_grads_match(
+        lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], w),
+        [u, rows])
 
 
 def test_grad_add_broadcast():
     rng = np.random.default_rng(11)
-    a, b, w = _t(rng, 3, 4), _t(rng, 4), _const(rng, 3, 4)
-    assert_grads_match(lambda: _weighted_sum(ad.add(a, b), w), [a, b])
+    states, wo, b, w = _t(rng, 3, 4), _t(rng, 4, 5), _t(rng, 5), _const(rng, 3, 5)
+    assert_grads_match(
+        lambda: _weighted_sum(tag_output([states], 0.5, wo, b), w), [b, states])
 
 
 def test_grad_elementwise_mul():
@@ -211,36 +292,59 @@ def test_grad_elementwise_mul():
 
 
 def test_grad_affine():
+    # The joint blend alpha * s1 + (1 - alpha) * s2 scales each tower.
     rng = np.random.default_rng(13)
-    a, w = _t(rng, 4), _const(rng, 4)
-    assert_grads_match(lambda: _weighted_sum(ad.affine(a, -1.0, 1.0), w), [a])
+    s1, s2, wo, b, w = (_t(rng, 3, 4), _t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2),
+                        _const(rng, 3, 2))
+    assert_grads_match(
+        lambda: _weighted_sum(tag_output([s1, s2], 0.3, wo, b), w), [s1, s2])
 
 
 def test_grad_matmul_all_rank_combinations():
     rng = np.random.default_rng(14)
-    m1, m2 = _t(rng, 3, 4), _t(rng, 4, 2)
-    v1, v2 = _t(rng, 4), _t(rng, 3)
-    w_mm, w_v2, w_v4 = _const(rng, 3, 2), _const(rng, 3), _const(rng, 4)
-    assert_grads_match(lambda: _weighted_sum(ad.matmul(m1, m2), w_mm), [m1, m2])
-    assert_grads_match(lambda: _weighted_sum(ad.matmul(m1, v1), w_v2), [m1, v1])
-    assert_grads_match(lambda: _weighted_sum(ad.matmul(v2, m1), w_v4), [v2, m1])
-    assert_grads_match(lambda: ad.matmul(v1, v1), [v1])
+    # matrix @ matrix: states @ W of the output layer
+    states, wo, b, w_out = _t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2), _const(rng, 3, 2)
+    assert_grads_match(
+        lambda: _weighted_sum(tag_output([states], 0.5, wo, b), w_out), [states, wo])
+    # matrix @ vector (M u, W s) and vector @ matrix (pᵀM) in attention
+    u, rows, w_att = _t(rng, 4), _t(rng, 3, 4), _const(rng, 4)
+    net = _net(4, seed=14)
+    assert_grads_match(
+        lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], w_att),
+        [u, rows, net.weight])
+    # matrix @ vector: the knowledge projections K g of a recurrence
+    cell = ElmanCell(rng, 2, 3)
+    x, guided, know, w_h = _t(rng, 2, 2), _t(rng, 5), {"cand": _t(rng, 3, 5)}, \
+        _const(rng, 2, 3)
+    assert_grads_match(
+        lambda: _weighted_sum(cell.sequence(x, guided, know), w_h),
+        [guided, know["cand"]])
 
 
 def test_grad_sum_tanh():
     rng = np.random.default_rng(15)
     a = _t(rng, 3, 3)
     assert_grads_match(lambda: sum_all(a), [a])
-    w = _const(rng, 3, 3)
-    assert_grads_match(lambda: _weighted_sum(ad.tanh(a), w), [a])
+    # tanh(W s + b) closes the attention step: its derivative reaches b.
+    u, rows, w = _t(rng, 3), _t(rng, 2, 3), _const(rng, 3)
+    net = _net(3, seed=15)
+    assert_grads_match(
+        lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], w),
+        [net.bias])
 
 
 def test_grad_softmax_vector_and_rows():
     rng = np.random.default_rng(16)
-    v, wv = _t(rng, 5), _const(rng, 5)
-    assert_grads_match(lambda: _weighted_sum(ad.softmax(v), wv), [v])
-    m, wm = _t(rng, 3, 4), _const(rng, 3, 4)
-    assert_grads_match(lambda: _weighted_sum(ad.softmax(m), wm), [m])
+    # Vector softmax: the attention weights, reached through the scores.
+    u, rows, wv = _t(rng, 3), _t(rng, 5, 3), _const(rng, 3)
+    net = _net(3, seed=16)
+    assert_grads_match(
+        lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], wv),
+        [u, rows])
+    # Row softmax: the output layer's per-token distributions.
+    states, wo, b, wm = _t(rng, 3, 2), _t(rng, 2, 4), _t(rng, 4), _const(rng, 3, 4)
+    assert_grads_match(
+        lambda: _weighted_sum(tag_output([states], 0.5, wo, b), wm), [states, wo, b])
 
 
 def test_grad_stack_rows():
@@ -257,30 +361,35 @@ def test_grad_row_ops():
     wv = _const(rng, 3)
     assert_grads_match(lambda: _weighted_sum(ad.row(a, 2), wv), [a])
     wt = _const(rng, 4, 3)
-    assert_grads_match(
-        lambda: _weighted_sum(ad.take_rows(a, [0, 0, 4, 2]), wt), [a])
+    assert_grads_match(lambda: _weighted_sum(embed(a, [0, 0, 4, 2]), wt), [a])
 
 
 def test_grad_cross_entropy():
     rng = np.random.default_rng(20)
-    logits = _t(rng, 4, 5)
+    states, wo, b = _t(rng, 4, 3), _t(rng, 3, 5), _t(rng, 5)
     gold = [1, 0, 4, 2]
     assert_grads_match(
-        lambda: ad.cross_entropy(ad.softmax(logits), gold), [logits])
+        lambda: ad.cross_entropy(tag_output([states], 0.5, wo, b), gold),
+        [states, wo, b])
 
 
 def test_grad_composed_chain():
-    # A deeper composition with parameter reuse, checked end to end.
+    # A deeper composition with parameter reuse, checked end to end: one
+    # embedding table and one cell serve three recurrences, the input
+    # embedding feeds two of them, and the last state of the third guides
+    # one of them.
     rng = np.random.default_rng(21)
-    w1, w2, x = _t(rng, 4, 3), _t(rng, 4, 4), _t(rng, 3)
+    table, cell = _t(rng, 4, 2), ElmanCell(rng, 2, 3)
+    know = {"cand": _t(rng, 3, 3)}
+    wo, b = _t(rng, 3, 4), _t(rng, 4)
 
     def loss():
-        h1 = ad.tanh(ad.matmul(w1, x))
-        h2 = ad.tanh(ad.matmul(w2, h1))
-        both = ad.stack_rows([h1, h2])
-        return sum_all(elementwise_mul(both, both))
+        x = embed(table, [0, 2, 0])
+        guided = ad.row(cell.sequence(embed(table, [1, 3])), 1)
+        states = [cell.sequence(x), cell.sequence(x, guided, know)]
+        return ad.cross_entropy(tag_output(states, 0.4, wo, b), [0, 1, 3])
 
-    assert_grads_match(loss, [w1, w2, x])
+    assert_grads_match(loss, [table, cell.w_in, cell.u_rec, know["cand"], wo, b])
 
 
 def test_numeric_grad_helper_on_known_derivative():

@@ -1,12 +1,30 @@
-"""End-to-end command-line workflows, run in process via main()."""
+"""End-to-end command-line workflows, run in process via main().
+
+The tests of exactly what reaches stderr run `python -m structag.cli` in
+a fresh interpreter, where numpy warnings and interpreter-exit messages
+show up as a shell user sees them.
+"""
 
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import structag
 from structag.cli import main
+
+
+def _run_cli(args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    src = str(Path(structag.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "structag.cli", *args],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -277,17 +295,32 @@ def test_unknown_config_field_exits_1(workspace, tmp_path, capsys):
 def test_diverged_training_exits_1_without_traceback(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["gen-synthetic", "--out", str(data), "--count", "20"]) == 0
-    capsys.readouterr()
-    code = main(["train", "--train", str(data / "corpus.tsv"),
-                 "--parses", str(data / "dependencies.tsv"),
-                 "--out", str(tmp_path / "model.json"),
-                 "--mode", "joint", "--encoder", "nn", "--cell", "elman",
-                 "--embed-dim", "8", "--hidden-size", "8", "--epochs", "2",
-                 "--learning-rate", "1e308", "--quiet"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error: loss became non-finite" in err
-    assert "Traceback" not in err
+    proc = _run_cli(["train", "--train", str(data / "corpus.tsv"),
+                     "--parses", str(data / "dependencies.tsv"),
+                     "--out", str(tmp_path / "model.json"),
+                     "--mode", "joint", "--encoder", "nn", "--cell", "elman",
+                     "--embed-dim", "8", "--hidden-size", "8", "--epochs", "2",
+                     "--learning-rate", "1e308", "--quiet"])
+    assert proc.returncode == 1
+    # One error line: no traceback and no numpy overflow warnings.
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: non-finite update for parameter")
+
+
+def test_closed_stdout_ends_quietly(workspace):
+    # The read end is closed before the command starts, so its first
+    # write fails, as in `structag stats ... | head -1` once head exits.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(["stats", "--parses",
+                         str(workspace["data"] / "dependencies.tsv")],
+                        stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 def test_dev_parses_without_dev_exits_1(workspace, capsys):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
+from structag.attention import KnowledgeMemory, knowledge_representation
 from structag.autodiff import Tensor
 from structag.encoders import (CNN_WINDOW, ENCODER_KINDS, OutputNetwork,
                                make_encoder)
 from structag.errors import DimensionError
+from structag.knowledge import Substructure
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -219,10 +221,19 @@ def test_unknown_kind_rejected():
 # output network
 
 
+def _apply(net, v):
+    """The output network's response to v: a one-row memory holding v
+    gets weight 1 and a zero sentence vector adds nothing, so the
+    attention step returns tanh(W v + b)."""
+    memory = KnowledgeMemory(Tensor(np.array([v], dtype=float)),
+                             [Substructure((0,), ("w",), 0)])
+    return knowledge_representation(Tensor(np.zeros(len(v))), memory, net)[0]
+
+
 def test_output_network_zero_weights():
     net = OutputNetwork(RNG(17), 3)
     net.weight.value[:] = 0.0
-    out = net.apply(Tensor(np.array([1.0, 2.0, 3.0])))
+    out = _apply(net, np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(out.value, np.zeros(3))
 
 
@@ -230,7 +241,7 @@ def test_output_network_identity_weights():
     net = OutputNetwork(RNG(18), 3)
     net.weight.value[:] = np.eye(3)
     v = np.array([0.5, -0.5, 2.0])
-    out = net.apply(Tensor(v.copy()))
+    out = _apply(net, v.copy())
     np.testing.assert_allclose(out.value, np.tanh(v), rtol=1e-12)
 
 
@@ -238,7 +249,7 @@ def test_output_network_oracle():
     net = OutputNetwork(RNG(19), 4)
     net.bias.value[:] = RNG(190).normal(size=4)
     v = RNG(191).normal(size=4)
-    out = net.apply(Tensor(v.copy()))
+    out = _apply(net, v.copy())
     expected = np.tanh(net.weight.value @ v + net.bias.value)
     np.testing.assert_allclose(out.value, expected, rtol=1e-12)
 

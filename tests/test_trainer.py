@@ -1,6 +1,7 @@
 """Optimizer math, the training loop, and checkpointing."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def test_adam_rejects_non_finite_gradient():
         opt.step()
     assert "bad" in str(err.value)
     np.testing.assert_array_equal(p.value, [1.0])  # nothing was applied
+
+
+def test_adam_rejects_overflowing_update_without_warnings():
+    # At learning rate 1e308 a gradient of 10 moves its parameter by
+    # 1e309, which overflows; a gradient of 0.5 stays finite.
+    p = _param([1.0])
+    q = _param([2.0, 3.0])
+    opt = AdamOptimizer({"finite": p, "overflows": q}, learning_rate=1e308)
+    p.grad[:] = 0.5
+    q.grad[:] = [1.0, 10.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # any numpy warning fails the test
+        with pytest.raises(TrainingDivergedError) as err:
+            opt.step()
+    assert "non-finite update" in str(err.value)
+    assert "'overflows'" in str(err.value) and "'finite'" not in str(err.value)
+    # Both share one block, which was not written.
+    np.testing.assert_array_equal(opt.values, [1.0, 2.0, 3.0])
 
 
 def test_adam_global_norm_clipping():
