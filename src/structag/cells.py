@@ -1,12 +1,14 @@
 """Recurrent cells and parameter initialization shared by encoders and taggers.
 
 Each cell runs a whole sequence as one fused graph op. The forward pass
-projects all inputs before the loop (one matmul per gate matrix), adds
-the knowledge terms to that projection as a constant bias, and loops
-over the steps with one recurrent matvec per gate group. The backward
-pass is a hand-written backpropagation through time over the stored
-gate values, with one matmul or sum per weight and input after the
-loop. Parameters stay one matrix per gate, as checkpoints store them.
+projects all inputs before the loop (one matmul per gate matrix, into
+one preallocated matrix), adds the knowledge terms to that projection
+as a constant bias, and loops over the steps with one recurrent matvec
+per gate group, writing every gate and state into its preallocated row.
+The backward pass is a hand-written backpropagation through time over
+the stored gate values, with one matmul or sum per weight and input
+after the loop. Parameters stay one matrix per gate, as checkpoints
+store them; the GRU stacks [U_r; U_z] once per call, for both passes.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ class _Recurrence:
         hd, weights = self.hidden_dim, self.input_weights
         know = (know or {}) if guided is not None else {}
         projs = [know.get(g) for g in self.GATES]
-        proj = np.hstack([x.value @ w.value.T for w in weights])
-        for i, k in enumerate(projs):
+        proj = np.empty((x.shape[0], len(weights) * hd))
+        for i, (w, k) in enumerate(zip(weights, projs)):
+            block = np.matmul(x.value, w.value.T, out=proj[:, i * hd:(i + 1) * hd])
             if k is not None:
-                proj[:, i * hd:(i + 1) * hd] += k.value @ guided.value
+                block += k.value @ guided.value
         states, bptt = self._recur(proj)
         used = [k for k in projs if k is not None]
         # guided after x: the backward pass reaches x's embedding first.
@@ -115,7 +118,8 @@ class GruCell(_Recurrence):
         h_t = (1 - z) * h~ + z * h_{t-1}
 
     The optional K g terms project the per-utterance guided vector g into
-    each gate's pre-activation.
+    each gate's pre-activation. sigmoid(a) = 1 / (1 + exp(-a)), computed
+    in place; it saturates to exactly 0 (exp overflows) and 1.
     """
 
     GATES = ("reset", "update", "cand")
@@ -141,17 +145,20 @@ class GruCell(_Recurrence):
         states = np.zeros((n + 1, hd))
         rz = np.empty((n, 2 * hd))    # reset and update gate values
         cand = np.empty((n, hd))
-        for t in range(n):
-            h = states[t]
-            a = proj[t, :2 * hd] + u_rz @ h
-            e = np.exp(-np.abs(a))    # sigmoid split by sign: exp cannot overflow
-            gates = np.divide(np.where(a >= 0, 1.0, e), 1.0 + e, out=rz[t])
-            z = gates[hd:]
-            c = np.tanh(proj[t, 2 * hd:] + u_c @ (gates[:hd] * h), out=cand[t])
-            np.add((1.0 - z) * c, z * h, out=states[t + 1])
+        keep = np.empty(hd)           # (1 - z) * h~, the candidate's share
+        with np.errstate(over="ignore"):    # exp(-a) = inf for a < -709
+            for h, h_next, gates, c, p in zip(states[:-1], states[1:], rz, cand, proj):
+                np.add(np.matmul(u_rz, h, out=gates), p[:2 * hd], out=gates)
+                np.exp(np.negative(gates, out=gates), out=gates)
+                np.divide(1.0, np.add(gates, 1.0, out=gates), out=gates)
+                z = gates[hd:]
+                # h_next holds r * h until the new state overwrites it.
+                np.matmul(u_c, np.multiply(gates[:hd], h, out=h_next), out=c)
+                np.tanh(np.add(c, p[2 * hd:], out=c), out=c)
+                np.multiply(np.subtract(1.0, z, out=keep), c, out=keep)
+                np.add(np.multiply(z, h, out=h_next), keep, out=h_next)
 
         def bptt(g):
-            u_rz = np.vstack([self.u["reset"].value, self.u["update"].value])
             h_prev, r, z = states[:-1], rz[:, :hd], rz[:, hd:]
             # Per-step factors that do not depend on the incoming gradient.
             to_cand = (1.0 - z) * (1.0 - cand * cand)

@@ -64,9 +64,9 @@ class RecurrentEncoder:
 class ConvolutionalEncoder:
     """Window-3 convolution, tanh, then max-pooling over positions.
 
-    The sequence is zero-padded by one position on both ends so every
-    token anchors a window; pooling ties break toward the earliest
-    position.
+    Row t of the (n, 3E) window matrix is [x_{t-1}, x_t, x_{t+1}], zero
+    past either end, so every token anchors a window; pooling ties break
+    toward the earliest position.
     """
 
     kind = "cnn"
@@ -78,13 +78,19 @@ class ConvolutionalEncoder:
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
+    @staticmethod
+    def windows(x: np.ndarray) -> np.ndarray:
+        """Window matrix of x (n, E): three slice writes, no padded copy."""
+        out = np.zeros((x.shape[0], CNN_WINDOW, x.shape[1]))
+        out[1:, 0], out[:, 1], out[:-1, 2] = x[:-1], x, x[1:]
+        return out.reshape(x.shape[0], -1)
+
     def encode(self, embedded: Tensor) -> Tensor:
-        """One graph node: pad, window, `tanh(windows @ weight + bias)`, pool."""
+        """One graph node: window, `tanh(windows @ weight + bias)`, pool."""
         x, w, b = embedded, self.weight, self.bias
         _check_input(x, w.shape[0] // CNN_WINDOW)
         n, e = x.shape
-        padded = np.pad(x.value, ((1, 1), (0, 0)))
-        windows = np.hstack([padded[k:k + n] for k in range(CNN_WINDOW)])
+        windows = self.windows(x.value)
         act = np.tanh(windows @ w.value + b.value)
         winners, cols = act.argmax(axis=0), np.arange(act.shape[1])
         out = Tensor(act.max(axis=0), "cnn_encoder", (x, w, b))

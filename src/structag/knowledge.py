@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseFileError
+from .errors import DataError, ParseFileError
 
 DEFAULT_MAX_SUBSTRUCTURES = 64
 
@@ -236,10 +236,16 @@ def substructures_with_fallback(parse: KnowledgeParse | None, n_tokens: int,
 
     A missing parse, or one whose paths align to no tokens, yields a
     single substructure covering the full token sequence so downstream
-    attention always has at least one memory entry.
+    attention always has at least one memory entry. A parse aligned past
+    the utterance's end raises DataError naming the utterance.
     """
     if parse is not None:
         subs = extract_substructures(parse, max_substructures)
+        for sub in subs:
+            if max(sub.positions) >= n_tokens:
+                raise DataError(
+                    f"{parse.id}: substructure position out of range for a "
+                    f"{n_tokens}-token utterance: {sub.positions}")
         if subs:
             return subs
     return [Substructure(positions=tuple(range(n_tokens)), forms=(), leaf=None)]

@@ -12,7 +12,7 @@ from .attention import (AttentionRecord, KnowledgeMemory,
 from .autodiff import Tensor, dropout_mask
 from .corpus import Utterance, Vocabulary
 from .encoders import OutputNetwork, make_encoder
-from .errors import DataError, DimensionError
+from .errors import DimensionError
 from .knowledge import KnowledgeParse, Substructure, substructures_with_fallback
 from .tagger import Tagger, decode_greedy
 
@@ -93,11 +93,6 @@ class SlotModel:
 
         subs = substructures if substructures else substructures_with_fallback(
             None, len(token_ids))
-        for sub in subs:
-            if any(pos >= len(token_ids) for pos in sub.positions):
-                raise DataError(
-                    f"substructure position out of range for a "
-                    f"{len(token_ids)}-token utterance: {sub.positions}")
         memory_rows = [self.encoder.encode(embed(
             self.embedding, [token_ids[pos] for pos in sub.positions],
             dropout_rate, rng)) for sub in subs]

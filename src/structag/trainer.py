@@ -69,8 +69,11 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0.0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.unk_replace_prob <= 1.0:
             raise ConfigError("unk_replace_prob must be in [0, 1], "
                               f"got {self.unk_replace_prob}")
@@ -242,6 +245,7 @@ def evaluate_model(model: SlotModel, utterances: list[Utterance],
     return evaluate(gold, predicted, ids=[u.id for u in utterances])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(train_utterances: list[Utterance], config: TrainConfig,
           parses: dict[str, KnowledgeParse] | None = None,
           dev_utterances: list[Utterance] | None = None,
@@ -253,6 +257,7 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
     With no dev utterances and dev_fraction > 0, a seeded slice of the
     training set is held out. Passing an explicit dev set disables the
     holdout. The log, when requested, gets one JSON line per epoch.
+    Floating-point warnings are off: the non-finite checks report instead.
     """
     config.validate()
     if not train_utterances:

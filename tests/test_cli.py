@@ -308,6 +308,47 @@ def test_diverged_training_exits_1_without_traceback(tmp_path, capsys):
     assert lines[0].startswith("error: non-finite update for parameter")
 
 
+@pytest.mark.parametrize("rate", ("1e100", "1e300"))
+def test_overflowing_training_prints_one_error_line(tmp_path, rate):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", "--out", str(data), "--count", "20"]) == 0
+    proc = _run_cli(["train", "--train", str(data / "corpus.tsv"),
+                     "--parses", str(data / "dependencies.tsv"),
+                     "--out", str(tmp_path / "model.json"),
+                     "--mode", "joint", "--encoder", "nn", "--cell", "elman",
+                     "--embed-dim", "8", "--hidden-size", "8", "--epochs", "2",
+                     "--learning-rate", rate, "--quiet"])
+    assert proc.returncode == 1
+    # The forward pass overflows; only the non-finite loss check speaks.
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: loss became non-finite")
+
+
+def test_non_finite_learning_rate_exits_1_naming_it(workspace, capsys):
+    assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                 "--learning-rate", "nan", "--epochs", "1", "--embed-dim", "8",
+                 "--hidden-size", "8", "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "learning_rate" in lines[0]
+
+
+def test_parse_longer_than_utterance_exits_2_naming_it(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("flights\tO\nto\tO\nboston\tB-to_city\n", encoding="utf-8")
+    parses = tmp_path / "dependencies.tsv"
+    parses.write_text("1\tflights\t0\n2\tto\t5\n3\tboston\t5\n"
+                      "4\ton\t5\n5\tmonday\t1\n", encoding="utf-8")
+    assert main(["train", "--train", str(corpus), "--parses", str(parses),
+                 "--out", str(tmp_path / "model.json"), "--dev-fraction", "0",
+                 "--epochs", "1", "--embed-dim", "8", "--hidden-size", "8",
+                 "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "u0000" in lines[0]
+
+
 def test_closed_stdout_ends_quietly(workspace):
     # The read end is closed before the command starts, so its first
     # write fails, as in `structag stats ... | head -1` once head exits.

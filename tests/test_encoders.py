@@ -6,8 +6,8 @@ import pytest
 from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.attention import KnowledgeMemory, knowledge_representation
 from structag.autodiff import Tensor
-from structag.encoders import (CNN_WINDOW, ENCODER_KINDS, OutputNetwork,
-                               make_encoder)
+from structag.encoders import (CNN_WINDOW, ENCODER_KINDS, ConvolutionalEncoder,
+                               OutputNetwork, make_encoder)
 from structag.errors import DimensionError
 from structag.knowledge import Substructure
 
@@ -164,6 +164,16 @@ def test_cnn_pool_tie_goes_to_first_row():
     x = _embed([[1.0], [1.0]])
     sum_all(enc.encode(x)).backward()
     assert np.array_equal(x.grad, [[1.0 - np.tanh(1.0) ** 2], [0.0]])
+
+
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_cnn_windows_equal_padded_construction(n):
+    rows = RNG(120 + n).normal(size=(n, 3))
+    padded = np.pad(rows, ((1, 1), (0, 0)))
+    expected = np.hstack([padded[k:k + n] for k in range(CNN_WINDOW)])
+    windows = ConvolutionalEncoder.windows(rows)
+    assert windows.shape == expected.shape
+    assert windows.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Recurrent cells and the chain / knowledge-guided / joint taggers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ RNG = lambda seed=0: np.random.default_rng(seed)
 
 
 def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-v))
+    with np.errstate(over="ignore"):    # exp(1000) = inf gives exactly 0
+        return 1.0 / (1.0 + np.exp(-v))
 
 
 def _copy_matching(src: dict, dst: dict, rename=None):
@@ -118,6 +121,36 @@ def test_gru_step_oracle_with_extras():
                        + cell.u["cand"].value @ (h_prev * r) + extras["cand"])
         h_prev = (1 - z) * cand + z * h_prev
         np.testing.assert_allclose(state, h_prev, rtol=1e-12)
+
+
+def test_gru_saturated_gates_match_oracle_without_warnings():
+    cell = GruCell(RNG(9), 2, 2)
+    # Steps 0 and 1 put every reset and update pre-activation at +-1000;
+    # step 2 leaves them unsaturated.
+    cell.w["reset"].value[:] = [[1000.0, 1000.0], [-1000.0, -1000.0]]
+    cell.w["update"].value[:] = [[-1000.0, 1000.0], [1000.0, -1000.0]]
+    cell.u["reset"].value[:] = 0.0
+    cell.u["update"].value[:] = 0.0
+    xs = np.array([[1.0, 0.0], [0.0, 1.0], [1e-3, -2e-3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = cell.sequence(Tensor(xs.copy())).value
+    h_prev, gates = np.zeros(2), []
+    for t, x in enumerate(xs):
+        r = _sigmoid(cell.w["reset"].value @ x)
+        z = _sigmoid(cell.w["update"].value @ x)
+        cand = np.tanh(cell.w["cand"].value @ x
+                       + cell.u["cand"].value @ (h_prev * r))
+        h_prev = (1 - z) * cand + z * h_prev
+        np.testing.assert_allclose(h[t], h_prev, rtol=1e-12)
+        gates.append((r, z))
+    for r, z in gates[:2]:
+        assert set(r) | set(z) == {0.0, 1.0}
+    # z is exactly 1: unit 1 keeps the zero state at step 0, and unit 0
+    # copies its state bitwise at step 1.
+    assert h[0, 1] == 0.0
+    assert h[1, 0] == h[0, 0]
+    assert 0.0 < gates[2][1].min() and gates[2][1].max() < 1.0
 
 
 def test_gru_state_is_convex_combination():

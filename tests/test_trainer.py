@@ -269,6 +269,13 @@ def test_config_validation_failures():
             _tiny_config(**overrides).validate()
 
 
+@pytest.mark.parametrize("name", ("learning_rate", "beta1", "beta2", "epsilon"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf")))
+def test_config_rejects_non_finite_optimizer_settings(name, value):
+    with pytest.raises(ConfigError, match=name):
+        _tiny_config(**{name: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
