@@ -3,11 +3,12 @@
 Every graph op is a forward value plus a closure routing the upstream
 gradient to the operands. Each model stage is one fused op beside the
 layer it computes (`embed` in model.py, the encoders, the recurrences
-in cells.py, `attention`, `tag_output` in tagger.py); here live the
-tensor, the backward pass, the ops joining the stages, the loss and the
-numpy helpers the fused ops share. Tensors are rank 0..2, stored
-row-major as float64. A graph and its tensors belong to one thread;
-independent graphs are safe in parallel.
+in cells.py, `attention`, and `tag_output` in tagger.py, which ends in
+the loss); here live the tensor, the backward pass, `stack_rows`
+joining the encodings into the attention memory, and the numpy helpers
+the fused ops share. Tensors are rank 0..2, stored row-major as
+float64. A graph and its tensors belong to one thread; independent
+graphs are safe in parallel.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError
-
-# Floor applied to probabilities inside log so a zero never becomes -inf.
-PROB_EPS = 1e-12
-
 
 class Tensor:
     """A node in the computation graph: cached value plus gradient slot.
@@ -103,7 +100,7 @@ def _require(cond: bool, msg: str):
 
 
 # ---------------------------------------------------------------------------
-# ops joining the fused stages, and the loss
+# the op joining the encoder to the attention step
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -118,49 +115,6 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     def bw(g):
         for i, p in enumerate(parts):
             p._accumulate(g[i])
-    out._backward = bw
-    return out
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    """Select one row of a matrix as a vector."""
-    _require(a.value.ndim == 2, f"row: expected a matrix, got {a.shape}")
-    _require(0 <= i < a.shape[0], f"row: index {i} out of range for {a.shape}")
-    out = Tensor(a.value[i], "row", (a,))
-
-    def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[i] += g
-    out._backward = bw
-    return out
-
-
-def cross_entropy(probs: Tensor, gold: Sequence[int]) -> Tensor:
-    """Negative log-likelihood of gold tag indices under per-token rows.
-
-    `probs` is (T, n_tags) of distributions; probabilities are floored at
-    PROB_EPS inside the log so the loss is never NaN or -inf.
-    """
-    _require(probs.value.ndim == 2,
-             f"cross_entropy: expected a (tokens, tags) matrix, got {probs.shape}")
-    gold = list(gold)
-    _require(len(gold) == probs.shape[0],
-             f"cross_entropy: {len(gold)} gold tags for {probs.shape[0]} rows")
-    if not all(0 <= g < probs.shape[1] for g in gold):
-        raise DimensionError(
-            f"cross_entropy: gold index out of range for {probs.shape[1]} tags")
-    t_idx = np.arange(len(gold))
-    picked = probs.value[t_idx, gold]
-    clamped = np.maximum(picked, PROB_EPS)
-    out = Tensor(-np.log(clamped).sum(), "cross_entropy", (probs,))
-
-    def bw(g):
-        if probs.grad is None:
-            probs.grad = np.zeros_like(probs.value)
-        # Below the floor the clamped log is constant, so no gradient there.
-        live = picked >= PROB_EPS
-        probs.grad[t_idx[live], np.asarray(gold)[live]] += -g / clamped[live]
     out._backward = bw
     return out
 

@@ -39,8 +39,10 @@ class _Recurrence:
     """
 
     def sequence(self, x: Tensor, guided: Tensor | None = None,
-                 know: dict[str, Tensor] | None = None) -> Tensor:
-        """All hidden states (T, H) of a run from the zero state over x (T, E).
+                 know: dict[str, Tensor] | None = None,
+                 last: bool = False) -> Tensor:
+        """All hidden states (T, H) of a run from the zero state over x (T, E),
+        or with `last` only the final state (H,).
 
         `know` maps any subset of GATES to a (H, K) projection of the
         guided vector (K,) into that gate's pre-activation at every step.
@@ -60,11 +62,12 @@ class _Recurrence:
         states, bptt = self._recur(proj)
         used = [k for k in projs if k is not None]
         # guided after x: the backward pass reaches x's embedding first.
-        out = Tensor(states[1:], self.OP, (x, *self.params("").values(),
-                                           *([guided, *used] if used else [])))
+        out = Tensor(states[-1] if last else states[1:], self.OP,
+                     (x, *self.params("").values(), *([guided, *used] if used else [])))
 
         def bw(g):
-            d_pre = bptt(g)
+            # With `last`, the other states get no gradient from outside.
+            d_pre = bptt(np.vstack([np.zeros((x.shape[0] - 1, hd)), g]) if last else g)
             for i, (w, k) in enumerate(zip(weights, projs)):
                 d_gate = d_pre[:, i * hd:(i + 1) * hd]
                 w._accumulate(d_gate.T @ x.value)

@@ -39,13 +39,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_parses(path: str | None, kind: str, id_prefix: str = "u") -> dict | None:
+def _load_parses(path: str | None, kind: str, n_utterances: int | None,
+                 id_prefix: str = "u") -> dict | None:
+    """Parses by utterance id. Blocks align to a corpus by ordinal, so
+    given its size `n_utterances`, the block count must equal it."""
     if path is None:
         return None
     if not Path(path).is_file():
         raise DataError(f"parse file not found: {path}")
     loader = load_dependency if kind == "dependency" else load_amr
-    return {p.id: p for p in loader(path, id_prefix=id_prefix)}
+    parses = loader(path, id_prefix=id_prefix)
+    if n_utterances is not None and len(parses) != n_utterances:
+        raise DataError(f"{path}: {len(parses)} parse blocks for a corpus of "
+                        f"{n_utterances} utterances")
+    return {p.id: p for p in parses}
 
 
 def _load_train_config(args) -> TrainConfig:
@@ -88,18 +95,19 @@ def cmd_train(args) -> int:
     utterances = load_corpus(args.train)
     if not utterances:
         raise DataError(f"{args.train}: empty corpus")
-    if config.train_fraction < 1.0:
-        utterances = fractional_split(utterances, config.train_fraction,
-                                      derive_seed(config.seed, "split"))
     parses = None
     if config.mode != "chain":
         if args.parses:
-            parses = _load_parses(args.parses, args.parse_kind)
+            parses = _load_parses(args.parses, args.parse_kind, len(utterances))
         else:
             print("note: no parse file given; each utterance falls back to "
                   "a single whole-sentence substructure", file=sys.stderr)
+    if config.train_fraction < 1.0:
+        utterances = fractional_split(utterances, config.train_fraction,
+                                      derive_seed(config.seed, "split"))
     dev_utterances = load_corpus(args.dev, id_prefix="d") if args.dev else None
-    dev_parses = _load_parses(args.dev_parses, args.parse_kind, id_prefix="d")
+    dev_parses = _load_parses(args.dev_parses, args.parse_kind,
+                              len(dev_utterances or ()), id_prefix="d")
     result = train(utterances, config, parses=parses,
                    dev_utterances=dev_utterances, dev_parses=dev_parses,
                    log_path=args.log, quiet=args.quiet)
@@ -121,7 +129,7 @@ def cmd_eval(args) -> int:
     utterances = load_corpus(args.data)
     if not utterances:
         raise DataError(f"{args.data}: empty corpus")
-    parses = _load_parses(args.parses, args.parse_kind) or {}
+    parses = _load_parses(args.parses, args.parse_kind, len(utterances)) or {}
     known = model.vocab.token_index
     oov = sum(1 for u in utterances for t in u.tokens if t not in known)
     if oov:
@@ -141,7 +149,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.model)
     utterances = load_corpus(args.data)
-    parses = _load_parses(args.parses, args.parse_kind) or {}
+    parses = _load_parses(args.parses, args.parse_kind, len(utterances)) or {}
     if args.ids:
         by_id = {u.id: u for u in utterances}
         selected = []
@@ -183,7 +191,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    parses = _load_parses(args.parses, args.parse_kind)
+    parses = _load_parses(args.parses, args.parse_kind, None)
     stats = substructure_stats(list(parses.values()),
                                max_substructures=args.max_substructures)
     print(json.dumps(stats, indent=2))

@@ -2,14 +2,15 @@
 
 The same encoder instance embeds both the input sentence and every
 substructure, so their weights are tied by construction: there is only
-one set of parameter tensors.
+one set of parameter tensors. Each encoding is one graph op: the nn and
+cnn encoders are fused ops here, and the rnn encoder is its GRU run,
+which returns only the final state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .cells import GruCell, glorot_uniform, zero_vector
 from .errors import DimensionError
@@ -58,7 +59,7 @@ class RecurrentEncoder:
         return self.cell.params(prefix)
 
     def encode(self, embedded: Tensor) -> Tensor:
-        return ad.row(self.cell.sequence(embedded), embedded.shape[0] - 1)
+        return self.cell.sequence(embedded, last=True)
 
 
 class ConvolutionalEncoder:

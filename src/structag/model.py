@@ -78,21 +78,26 @@ class SlotModel:
     def forward(self, token_ids: list[int],
                 substructures: list[Substructure] | None,
                 dropout_rate: float = 0.0,
-                rng: np.random.Generator | None = None
+                rng: np.random.Generator | None = None,
+                gold: list[int] | None = None
                 ) -> tuple[Tensor, Tensor | None, list[Substructure]]:
-        """Tag distributions for one utterance.
+        """Tag distributions for one utterance, or with `gold` tag ids
+        their loss (see `tagger.tag_output`).
 
-        Returns (distributions, attention weights or None, substructures
-        actually used). Dropout is active only when a rate and rng are
-        given; evaluation passes neither.
+        Returns (distributions or loss, attention weights or None,
+        substructures actually used). Dropout is active only when a rate
+        and rng are given; evaluation passes neither.
         """
         if self.config.mode == "chain":
             embedded = embed(self.embedding, token_ids, dropout_rate, rng)
-            return self.tagger.distributions(embedded, None, dropout_rate, rng), \
-                None, []
+            return self.tagger.distributions(embedded, None, dropout_rate, rng,
+                                             gold), None, []
 
-        subs = substructures if substructures else substructures_with_fallback(
-            None, len(token_ids))
+        n = len(token_ids)
+        subs = substructures if substructures else substructures_with_fallback(None, n)
+        if not all(0 <= pos < n for sub in subs for pos in sub.positions):
+            raise DimensionError(f"substructure positions out of range for a {n}-"
+                                 f"token utterance: {[s.positions for s in subs]}")
         memory_rows = [self.encoder.encode(embed(
             self.embedding, [token_ids[pos] for pos in sub.positions],
             dropout_rate, rng)) for sub in subs]
@@ -101,15 +106,15 @@ class SlotModel:
         u = self.encoder.encode(embed(self.embedding, token_ids, dropout_rate, rng))
         guided, weights = knowledge_representation(u, memory, self.output_net)
         embedded = embed(self.embedding, token_ids, dropout_rate, rng)
-        dist = self.tagger.distributions(embedded, guided, dropout_rate, rng)
+        dist = self.tagger.distributions(embedded, guided, dropout_rate, rng, gold)
         return dist, weights, list(subs)
 
     def loss(self, token_ids: list[int], tag_ids: list[int],
              substructures: list[Substructure] | None,
              dropout_rate: float = 0.0,
              rng: np.random.Generator | None = None) -> Tensor:
-        dist, _, _ = self.forward(token_ids, substructures, dropout_rate, rng)
-        return ad.cross_entropy(dist, tag_ids)
+        return self.forward(token_ids, substructures, dropout_rate, rng,
+                            gold=tag_ids)[0]
 
     def tag_utterance(self, utt: Utterance, parse: KnowledgeParse | None
                       ) -> tuple[list[str], AttentionRecord | None]:

@@ -4,14 +4,15 @@ All variants run left to right and emit one tag distribution per token
 via a shared output layer. The knowledge-guided variants add a projected
 per-utterance representation into every step's pre-activations; the
 joint variant blends a chain tower and a knowledge tower before the
-output softmax. The output layer, blend included, is one graph op.
+output softmax. The output layer, blend included, is one graph op that
+ends in the training loss; inference reads its softmax as a constant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, dropout_mask, softmax_array, softmax_array_grad
+from .autodiff import Tensor, dropout_mask, softmax_array
 from .cells import glorot_uniform, make_cell, zero_vector
 from .errors import DimensionError
 
@@ -44,21 +45,36 @@ class TaggerTower:
 
 def tag_output(states: list[Tensor], alpha: float, weight: Tensor,
                bias: Tensor, dropout_rate: float = 0.0,
-               rng: np.random.Generator | None = None) -> Tensor:
-    """One graph node from tower states to (tokens, tags) distributions:
-    the blend `alpha * s1 + (1 - alpha) * s2` of two towers (one passes
-    through), the dropout mask, `@ weight + bias` and a row softmax."""
+               rng: np.random.Generator | None = None,
+               gold: list[int] | None = None) -> Tensor:
+    """The blend `alpha * s1 + (1 - alpha) * s2` of two towers (one passes
+    through), the dropout mask and `@ weight + bias` give (tokens, tags)
+    logits. Without `gold`, returns their row softmax as a constant; with
+    it, one graph node: the summed NLL of the gold tag indices from a
+    max-shifted log-sum-exp, with logit gradient `softmax - onehot(gold)`."""
+    n_tokens, n_tags = states[0].shape[0], weight.shape[1]
+    if gold is not None and (len(gold) != n_tokens
+                             or not all(0 <= t < n_tags for t in gold)):
+        raise DimensionError(f"tag_output: gold tags {list(gold)} are not "
+                             f"{n_tokens} indices below {n_tags}")
     scales = (alpha, 1.0 - alpha) if len(states) == 2 else (1.0,)
     hidden = states[0].value if len(states) == 1 else (
         alpha * states[0].value + (1.0 - alpha) * states[1].value)
     mask = dropout_mask(hidden.shape, dropout_rate, rng)
     if mask is not None:
         hidden = hidden * mask
-    y = softmax_array(hidden @ weight.value + bias.value)
-    out = Tensor(y, "tag_output", (*states, weight, bias))
+    logits = hidden @ weight.value + bias.value
+    if gold is None:
+        return Tensor(softmax_array(logits))
+    picked = (np.arange(n_tokens), list(gold))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    nll = (np.log(np.exp(shifted).sum(axis=1)) - shifted[picked]).sum()
+    out = Tensor(nll, "tag_output", (*states, weight, bias))
 
     def bw(g):
-        d_logits = softmax_array_grad(y, g)
+        d_logits = softmax_array(logits)
+        d_logits[picked] -= 1.0
+        d_logits *= g
         bias._accumulate(d_logits.sum(axis=0))
         weight._accumulate(hidden.T @ d_logits)
         d_hidden = d_logits @ weight.value.T
@@ -109,14 +125,16 @@ class Tagger:
 
     def distributions(self, embedded: Tensor, guided: Tensor | None = None,
                       dropout_rate: float = 0.0,
-                      rng: np.random.Generator | None = None) -> Tensor:
-        """Per-token distributions as a (tokens, tags) matrix; a chain
+                      rng: np.random.Generator | None = None,
+                      gold: list[int] | None = None) -> Tensor:
+        """Per-token distributions as a constant (tokens, tags) matrix, or
+        with `gold` the loss of those tags (see `tag_output`); a chain
         tower ignores `guided`."""
         if self.mode != "chain" and guided is None:
             raise DimensionError(f"{self.mode} tagger needs a guided representation")
         return tag_output([tower.run(embedded, guided) for tower in self.towers],
                           self.alpha, self.out_weight, self.out_bias,
-                          dropout_rate, rng)
+                          dropout_rate, rng, gold)
 
 
 def decode_greedy(distributions: Tensor) -> list[int]:

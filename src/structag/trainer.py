@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 import random
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -29,6 +30,9 @@ from .seeding import derive_seed
 from .tagger import CELL_KINDS, TAGGER_MODES
 
 CHECKPOINT_FORMAT = "structag-checkpoint"
+# Accepted per annotated type; a bool passes only as a bool, not a number.
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real,
+                "bool": bool}
 
 
 @dataclass
@@ -56,6 +60,12 @@ class TrainConfig:
     freeze_embeddings: bool = False
 
     def validate(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if (value is not None or kind == f.type) and (
+                    not isinstance(value, _FIELD_TYPES[kind])
+                    or isinstance(value, bool) != (kind == "bool")):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.mode not in TAGGER_MODES:
             raise ConfigError(f"unknown tagger mode {self.mode!r}")
         if self.cell not in CELL_KINDS:

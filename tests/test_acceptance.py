@@ -51,7 +51,7 @@ def _weighted(expr: Tensor, w) -> Tensor:
 # losses of the whole mode x encoder x cell grid use exactly these.
 CHECKED_OPS = frozenset({
     "embed", "nn_encoder", "cnn_encoder", "elman_sequence", "gru_sequence",
-    "row", "stack_rows", "attention", "tag_output", "cross_entropy"})
+    "stack_rows", "attention", "tag_output"})
 
 
 def _graph_ops(root: Tensor) -> set:
@@ -87,11 +87,6 @@ def _per_op_worst() -> tuple[float, set]:
     wa, wb = mat(3), mat(3)
     ww = rng.normal(size=(2, 3))
     check(lambda: _weighted(ad.stack_rows([wa, wb]), ww), [wa, wb])
-    y = mat(4, 3)
-    wy = rng.normal(size=3)
-    check(lambda: _weighted(ad.row(y, 1), wy), [y])
-    probs = Tensor(rng.uniform(0.1, 1.0, size=(4, 3)))
-    check(lambda: ad.cross_entropy(probs, [0, 2, 1, 2]), [probs])
 
     # The embedding lookup with a repeated id, without and with dropout
     # (a fresh generator per call keeps the mask fixed).
@@ -111,19 +106,18 @@ def _per_op_worst() -> tuple[float, set]:
         check(lambda: _weighted(knowledge_representation(u, memory, net)[0], wo),
               [rows, u, net.weight, net.bias])
 
-    # The output layer over one tower and over two, without and with a
-    # dropout mask.
+    # The output layer and its loss over one tower and over two, without
+    # and with a dropout mask.
     out_w, out_b = mat(4, 5), mat(5)
     for n_towers in (1, 2):
         states = [mat(3, 4) for _ in range(n_towers)]
-        wd = rng.normal(size=(3, 5))
         for rate in (0.0, 0.5):
-            check(lambda: _weighted(tag_output(states, 0.3, out_w, out_b, rate,
-                                               np.random.default_rng(4)), wd),
+            check(lambda: tag_output(states, 0.3, out_w, out_b, rate,
+                                     np.random.default_rng(4), gold=[4, 0, 2]),
                   states + [out_w, out_b])
 
     # The fused recurrences, with and without knowledge terms, over one
-    # step and over several.
+    # step and over several, and read at the final state only.
     for kind in CELL_KINDS:
         cell = make_cell(kind, rng, 3, 4)
         guided, know = mat(2), {g: mat(4, 2) for g in cell.GATES}
@@ -134,6 +128,8 @@ def _per_op_worst() -> tuple[float, set]:
             check(lambda: _weighted(cell.sequence(xs), wh), tensors)
             check(lambda: _weighted(cell.sequence(xs, guided, know), wh),
                   tensors + list(know.values()) + [guided])
+            check(lambda: _weighted(cell.sequence(xs, last=True), wh[-1]),
+                  tensors)
 
     # The fused nn and cnn encoders over one token and over several.
     for kind in ("nn", "cnn"):

@@ -1,8 +1,9 @@
 """Forward values and gradients of the graph ops.
 
-Sums, products, tanh, softmax and dropout run inside the fused stage ops
-(`attention`, `tag_output`, `embed` and the recurrences), so their tests
-go through those ops.
+Sums, products, tanh, softmax, dropout and the loss run inside the fused
+stage ops (`attention`, `tag_output`, `embed` and the recurrences), so
+their tests go through those ops. Gradients of the output layer are
+read through its loss, the only graph node it builds.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import structag.autodiff as ad
 from structag.attention import KnowledgeMemory, knowledge_representation
-from structag.autodiff import PROB_EPS, Tensor, dropout_mask
+from structag.autodiff import Tensor, dropout_mask
 from structag.cells import ElmanCell, GruCell
 from structag.encoders import OutputNetwork
 from structag.errors import DimensionError
@@ -178,32 +179,49 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_cross_entropy_uniform_two_tokens():
-    probs = Tensor(np.full((2, 4), 0.25))
-    loss = ad.cross_entropy(probs, [0, 3])
+    # Zero weights and bias put every token at the uniform distribution.
+    loss = tag_output([Tensor(np.ones((2, 2)))], 0.5, Tensor(np.zeros((2, 4))),
+                      Tensor(np.zeros(4)), gold=[0, 3])
     assert float(loss.value) == pytest.approx(2.0 * math.log(4.0))
 
 
 def test_cross_entropy_perfect_prediction():
-    probs = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    assert float(ad.cross_entropy(probs, [0, 1]).value) == pytest.approx(0.0)
+    loss = tag_output([Tensor(50.0 * np.eye(2))], 0.5, Tensor(np.eye(2)),
+                      Tensor(np.zeros(2)), gold=[0, 1])
+    assert float(loss.value) == pytest.approx(0.0)
 
 
 def test_cross_entropy_hand_case():
-    probs = Tensor([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]])
-    loss = ad.cross_entropy(probs, [0, 1])
+    # Logits log(p) of rows that sum to one give back p.
+    probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]])
+    loss = tag_output([Tensor(np.log(probs))], 0.5, Tensor(np.eye(3)),
+                      Tensor(np.zeros(3)), gold=[0, 1])
     assert float(loss.value) == pytest.approx(-(math.log(0.7) + math.log(0.6)))
 
 
-def test_cross_entropy_zero_probability_is_floored():
-    probs = Tensor([[0.0, 1.0]])
-    loss = ad.cross_entropy(probs, [0])
-    assert math.isfinite(float(loss.value))
-    assert float(loss.value) == pytest.approx(-math.log(PROB_EPS))
+def test_cross_entropy_extreme_logits_stay_finite():
+    # Logits of +-1e3 put the gold tags at probabilities that underflow to
+    # zero, and the others at one; the log-sum-exp keeps the loss exact.
+    logits = 1e3 * np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.0]])
+    states, bias = Tensor(logits.copy()), Tensor(np.zeros(3))
+    weight = Tensor(np.eye(3))
+    gold = [1, 0]
+    loss = tag_output([states], 0.5, weight, bias, gold=gold)
+    assert float(loss.value) == pytest.approx(4e3)
+    loss.backward()
+    for t in (states, weight, bias):
+        assert np.all(np.isfinite(t.grad))
+    expected = _softmax_rows(logits)
+    expected[[0, 1], gold] -= 1.0
+    np.testing.assert_array_equal(states.grad, expected)
+    np.testing.assert_array_equal(bias.grad, expected.sum(axis=0))
 
 
 def test_cross_entropy_gold_out_of_range():
-    with pytest.raises(DimensionError):
-        ad.cross_entropy(Tensor([[0.5, 0.5]]), [2])
+    states, weight, bias = Tensor([[0.5, 0.5]]), Tensor(np.eye(2)), Tensor(np.zeros(2))
+    for gold in ([2], [-1], [0, 1]):
+        with pytest.raises(DimensionError):
+            tag_output([states], 0.5, weight, bias, gold=gold)
 
 
 def test_embed_repeated_ids_accumulate():
@@ -280,9 +298,9 @@ def test_grad_add_same_shape():
 
 def test_grad_add_broadcast():
     rng = np.random.default_rng(11)
-    states, wo, b, w = _t(rng, 3, 4), _t(rng, 4, 5), _t(rng, 5), _const(rng, 3, 5)
+    states, wo, b = _t(rng, 3, 4), _t(rng, 4, 5), _t(rng, 5)
     assert_grads_match(
-        lambda: _weighted_sum(tag_output([states], 0.5, wo, b), w), [b, states])
+        lambda: tag_output([states], 0.5, wo, b, gold=[4, 0, 2]), [b, states])
 
 
 def test_grad_elementwise_mul():
@@ -294,18 +312,17 @@ def test_grad_elementwise_mul():
 def test_grad_affine():
     # The joint blend alpha * s1 + (1 - alpha) * s2 scales each tower.
     rng = np.random.default_rng(13)
-    s1, s2, wo, b, w = (_t(rng, 3, 4), _t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2),
-                        _const(rng, 3, 2))
+    s1, s2, wo, b = _t(rng, 3, 4), _t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2)
     assert_grads_match(
-        lambda: _weighted_sum(tag_output([s1, s2], 0.3, wo, b), w), [s1, s2])
+        lambda: tag_output([s1, s2], 0.3, wo, b, gold=[1, 0, 1]), [s1, s2])
 
 
 def test_grad_matmul_all_rank_combinations():
     rng = np.random.default_rng(14)
     # matrix @ matrix: states @ W of the output layer
-    states, wo, b, w_out = _t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2), _const(rng, 3, 2)
+    states, wo, b = _t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2)
     assert_grads_match(
-        lambda: _weighted_sum(tag_output([states], 0.5, wo, b), w_out), [states, wo])
+        lambda: tag_output([states], 0.5, wo, b, gold=[0, 1, 1]), [states, wo])
     # matrix @ vector (M u, W s) and vector @ matrix (pᵀM) in attention
     u, rows, w_att = _t(rng, 4), _t(rng, 3, 4), _const(rng, 4)
     net = _net(4, seed=14)
@@ -341,10 +358,11 @@ def test_grad_softmax_vector_and_rows():
     assert_grads_match(
         lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], wv),
         [u, rows])
-    # Row softmax: the output layer's per-token distributions.
-    states, wo, b, wm = _t(rng, 3, 2), _t(rng, 2, 4), _t(rng, 4), _const(rng, 3, 4)
+    # Row softmax: the output layer's per-token distributions, read
+    # through the log-likelihood of the gold tags.
+    states, wo, b = _t(rng, 3, 2), _t(rng, 2, 4), _t(rng, 4)
     assert_grads_match(
-        lambda: _weighted_sum(tag_output([states], 0.5, wo, b), wm), [states, wo, b])
+        lambda: tag_output([states], 0.5, wo, b, gold=[3, 3, 0]), [states, wo, b])
 
 
 def test_grad_stack_rows():
@@ -358,8 +376,10 @@ def test_grad_stack_rows():
 def test_grad_row_ops():
     rng = np.random.default_rng(18)
     a = _t(rng, 5, 3)
-    wv = _const(rng, 3)
-    assert_grads_match(lambda: _weighted_sum(ad.row(a, 2), wv), [a])
+    # A recurrence read at its final row only: the rnn encoder's output.
+    cell, wv = GruCell(rng, 3, 2), _const(rng, 2)
+    assert_grads_match(lambda: _weighted_sum(cell.sequence(a, last=True), wv),
+                       [a, *cell.params("").values()])
     wt = _const(rng, 4, 3)
     assert_grads_match(lambda: _weighted_sum(embed(a, [0, 0, 4, 2]), wt), [a])
 
@@ -369,8 +389,7 @@ def test_grad_cross_entropy():
     states, wo, b = _t(rng, 4, 3), _t(rng, 3, 5), _t(rng, 5)
     gold = [1, 0, 4, 2]
     assert_grads_match(
-        lambda: ad.cross_entropy(tag_output([states], 0.5, wo, b), gold),
-        [states, wo, b])
+        lambda: tag_output([states], 0.5, wo, b, gold=gold), [states, wo, b])
 
 
 def test_grad_composed_chain():
@@ -385,9 +404,9 @@ def test_grad_composed_chain():
 
     def loss():
         x = embed(table, [0, 2, 0])
-        guided = ad.row(cell.sequence(embed(table, [1, 3])), 1)
+        guided = cell.sequence(embed(table, [1, 3]), last=True)
         states = [cell.sequence(x), cell.sequence(x, guided, know)]
-        return ad.cross_entropy(tag_output(states, 0.4, wo, b), [0, 1, 3])
+        return tag_output(states, 0.4, wo, b, gold=[0, 1, 3])
 
     assert_grads_match(loss, [table, cell.w_in, cell.u_rec, know["cand"], wo, b])
 

@@ -87,10 +87,13 @@ def test_train_writes_checkpoint_summary_and_split_manifest(workspace, capsys):
 
 
 def test_train_fraction_shrinks_training_split(workspace, capsys):
+    # The parses align with the whole corpus file, so their block count
+    # is checked before the fraction is drawn.
     ckpt = workspace["root"] / "half.json"
     code = main(["train",
                  "--train", str(workspace["data"] / "corpus.tsv"),
-                 "--out", str(ckpt), "--mode", "chain",
+                 "--parses", str(workspace["data"] / "dependencies.tsv"),
+                 "--out", str(ckpt), "--mode", "knowledge", "--encoder", "nn",
                  "--train-fraction", "0.5", "--dev-fraction", "0",
                  "--epochs", "1", "--embed-dim", "8", "--hidden-size", "8",
                  "--quiet"])
@@ -371,3 +374,55 @@ def test_dev_parses_without_dev_exits_1(workspace, capsys):
                  "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "--dev-parses" in err and "--dev " in err
+
+
+@pytest.mark.parametrize("field,value", [("learning_rate", "0.01"),
+                                         ("embed_dim", 8.5)])
+def test_mistyped_config_field_exits_1_naming_it(workspace, tmp_path, field,
+                                                 value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({field: value}))
+    proc = _run_cli(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "model.json"),
+                     "--epochs", "1", "--quiet"])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert field in lines[0]
+
+
+def _drop_last_block(path: Path, out: Path) -> Path:
+    blocks = path.read_text(encoding="utf-8").strip().split("\n\n")
+    out.write_text("\n\n".join(blocks[:-1]) + "\n", encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("command", ("train", "train-dev", "eval",
+                                     "inspect-attention"))
+def test_parse_file_missing_a_block_exits_2(workspace, tmp_path, capsys,
+                                            command):
+    data = workspace["data"]
+    short = _drop_last_block(data / "dependencies.tsv", tmp_path / "short.tsv")
+    corpus = str(data / "corpus.tsv")
+    args = {
+        "train": ["train", "--train", corpus, "--parses", str(short)],
+        "train-dev": ["train", "--train", corpus, "--dev", corpus,
+                      "--parses", str(data / "dependencies.tsv"),
+                      "--dev-parses", str(short)],
+        "eval": ["eval", "--model", str(workspace["ckpt"]), "--data", corpus,
+                 "--parses", str(short)],
+        "inspect-attention": ["inspect-attention", "--model",
+                              str(workspace["ckpt"]), "--data", corpus,
+                              "--parses", str(short)],
+    }[command]
+    if command.startswith("train"):
+        args += ["--out", str(tmp_path / "model.json"), "--epochs", "1",
+                 "--embed-dim", "8", "--hidden-size", "8", "--quiet"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert str(short) in lines[0] and "11 parse blocks" in lines[0]
+    assert "12 utterances" in lines[0]
+    assert not captured.out
+

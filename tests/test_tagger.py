@@ -390,16 +390,15 @@ def _graph_size(root) -> int:
 
 
 @pytest.mark.parametrize("mode,encoder,cell,nodes", [
-    ("joint", "rnn", "gru", 42), ("chain", "nn", "elman", 9)])
+    ("joint", "rnn", "gru", 38), ("chain", "nn", "elman", 8)])
 def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                                                         nodes):
     # Each model stage is one graph node however many tokens it runs over,
     # so a 12-token loss graph is exactly as large as a 3-token one. The
-    # chain graph is 5 parameters, embed, elman_sequence, tag_output and
-    # cross_entropy. The joint graph over two substructures is 26
-    # parameters, 4 embeds, 5 GRU runs (3 encodings, 2 towers), the 3
-    # encodings' last rows, stack_rows, attention, tag_output and
-    # cross_entropy.
+    # chain graph is 5 parameters, embed, elman_sequence and tag_output.
+    # The joint graph over two substructures is 26 parameters, 4 embeds,
+    # 5 GRU runs (3 encodings, 2 towers), stack_rows, attention and
+    # tag_output.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -417,3 +416,45 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                                     vocab.encode_tags(("O",) * n), subs))
              for n in (3, 12)]
     assert sizes[0] == sizes[1] == nodes
+
+
+def _small_model(mode="joint", encoder="cnn", cell="gru"):
+    from structag.corpus import Utterance, Vocabulary
+    from structag.model import SlotModel
+    from structag.trainer import TrainConfig
+
+    utt = Utterance(id="u", tokens=("w0", "w1", "w2"), tags=("O", "B-x", "O"))
+    vocab = Vocabulary.build([utt])
+    config = TrainConfig(mode=mode, encoder=encoder, cell=cell, embed_dim=3,
+                         hidden_size=2, dropout=0.0)
+    model = SlotModel(config, vocab, RNG(29))
+    return model, vocab.encode_tokens(utt.tokens), vocab.encode_tags(utt.tags)
+
+
+@pytest.mark.parametrize("mode,encoder,cell", [
+    ("joint", "rnn", "gru"), ("chain", "nn", "elman")])
+def test_loss_is_the_nll_of_the_inference_distributions(mode, encoder, cell):
+    from structag.knowledge import Substructure
+
+    model, token_ids, tag_ids = _small_model(mode, encoder, cell)
+    subs = [Substructure(positions=(0, 2), forms=("w0", "w2"), leaf=2)]
+    dist, _, _ = model.forward(token_ids, subs)
+    # Inference builds no graph node for the output layer.
+    assert dist.op == "leaf" and dist.parents == ()
+    expected = -np.log(dist.value[np.arange(3), tag_ids]).sum()
+    loss = model.loss(token_ids, tag_ids, subs)
+    assert loss.op == "tag_output"
+    assert float(loss.value) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("positions", [(0, 7), (-1, -4), (3,)])
+def test_forward_rejects_substructure_positions_out_of_range(positions):
+    from structag.knowledge import Substructure
+
+    model, token_ids, tag_ids = _small_model()
+    subs = [Substructure(positions=(0, 1), forms=(), leaf=1),
+            Substructure(positions=positions, forms=(), leaf=None)]
+    with pytest.raises(DimensionError, match=r"3-token"):
+        model.forward(token_ids, subs)
+    with pytest.raises(DimensionError, match=r"3-token"):
+        model.loss(token_ids, tag_ids, subs)

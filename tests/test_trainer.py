@@ -276,6 +276,23 @@ def test_config_rejects_non_finite_optimizer_settings(name, value):
         _tiny_config(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("name,value", [
+    ("learning_rate", "0.01"), ("embed_dim", 8.5), ("embed_dim", True),
+    ("dropout", False), ("epochs", None), ("mode", 1), ("clip_norm", "1"),
+    ("freeze_embeddings", 1), ("seed", np.float64(3.0))])
+def test_config_rejects_mistyped_fields(name, value):
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig.from_dict({name: value})
+
+
+def test_config_accepts_ints_for_floats_and_numpy_scalars():
+    config = TrainConfig.from_dict({"learning_rate": 1, "dropout": 0,
+                                    "clip_norm": None})
+    assert config.learning_rate == 1
+    _tiny_config(embed_dim=np.int64(4), alpha=np.float64(0.3),
+                 clip_norm=2).validate()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
