@@ -5,7 +5,7 @@ gradient to the operands. Each model stage is one fused op beside the
 layer it computes (`embed` in model.py, the encoders, the recurrences
 in cells.py, `attention`, and `tag_output` in tagger.py, which ends in
 the loss); here live the tensor, the backward pass, `stack_rows`
-joining the encodings into the attention memory, and the numpy helpers
+joining the nn and cnn encodings into the attention memory, and the numpy helpers
 the fused ops share. Tensors are rank 0..2, stored row-major as
 float64. A graph and its tensors belong to one thread; independent
 graphs are safe in parallel.

@@ -1,14 +1,16 @@
 """Recurrent cells and parameter initialization shared by encoders and taggers.
 
-Each cell runs a whole sequence as one fused graph op. The forward pass
-projects all inputs before the loop (one matmul per gate matrix, into
-one preallocated matrix), adds the knowledge terms to that projection
-as a constant bias, and loops over the steps with one recurrent matvec
-per gate group, writing every gate and state into its preallocated row.
-The backward pass is a hand-written backpropagation through time over
-the stored gate values, with one matmul or sum per weight and input
-after the loop. Parameters stay one matrix per gate, as checkpoints
-store them; the GRU stacks [U_r; U_z] once per call, for both passes.
+Each cell runs a whole sequence as one fused graph op, and the GRU also
+a ragged batch of sequences, read at their final states. The forward
+pass projects all inputs before the loop (one matmul per gate matrix,
+into one preallocated matrix), adds the knowledge terms to that
+projection as a constant bias, and loops over the steps with one
+recurrent product per gate group, writing every gate and state into its
+preallocated rows. The backward pass is a hand-written backpropagation
+through time over the stored gate values, with one matmul or sum per
+weight and input after the loop. Parameters stay one matrix per gate, as
+checkpoints store them; the GRU stacks [U_r; U_z] once per call, for
+both passes.
 """
 
 from __future__ import annotations
@@ -33,19 +35,21 @@ class _Recurrence:
     """Input projection and its gradients, shared by both fused cells.
 
     A cell sets GATES, OP and `input_weights` (one per gate) and defines
-    `_recur(proj)`, returning the T + 1 states from the zero state and a
-    closure from state to pre-activation gradients. Projecting gate by
-    gate builds `X @ [W_1; ...; W_k]ᵀ` without a stacked weight copy.
+    `_recur(proj)`, returning the states from the zero state and a
+    closure from the gradients of the states after the initial ones to
+    the pre-activation gradients. Projecting gate by gate builds
+    `X @ [W_1; ...; W_k]ᵀ` without a stacked weight copy.
     """
 
     def sequence(self, x: Tensor, guided: Tensor | None = None,
                  know: dict[str, Tensor] | None = None,
-                 last: bool = False) -> Tensor:
-        """All hidden states (T, H) of a run from the zero state over x (T, E),
-        or with `last` only the final state (H,).
+                 sizes: list[int] | None = None) -> Tensor:
+        """All hidden states (T, H) of a run from the zero state over x (T, E).
 
         `know` maps any subset of GATES to a (H, K) projection of the
         guided vector (K,) into that gate's pre-activation at every step.
+        With `sizes` (GRU only), x and the states pack a batch of runs
+        time-major, `sizes[t]` rows at step t (see `GruCell.final_states`).
         """
         if x.value.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.input_dim:
             raise DimensionError(
@@ -59,15 +63,14 @@ class _Recurrence:
             block = np.matmul(x.value, w.value.T, out=proj[:, i * hd:(i + 1) * hd])
             if k is not None:
                 block += k.value @ guided.value
-        states, bptt = self._recur(proj)
+        states, bptt = self._recur(proj) if sizes is None else self._recur(proj, sizes)
         used = [k for k in projs if k is not None]
         # guided after x: the backward pass reaches x's embedding first.
-        out = Tensor(states[-1] if last else states[1:], self.OP,
+        out = Tensor(states[-x.shape[0]:], self.OP,
                      (x, *self.params("").values(), *([guided, *used] if used else [])))
 
         def bw(g):
-            # With `last`, the other states get no gradient from outside.
-            d_pre = bptt(np.vstack([np.zeros((x.shape[0] - 1, hd)), g]) if last else g)
+            d_pre = bptt(g)
             for i, (w, k) in enumerate(zip(weights, projs)):
                 d_gate = d_pre[:, i * hd:(i + 1) * hd]
                 w._accumulate(d_gate.T @ x.value)
@@ -141,41 +144,97 @@ class GruCell(_Recurrence):
             out[f"{prefix}.u_{g}"] = self.u[g]
         return out
 
-    def _recur(self, proj: np.ndarray):
+    def final_states(self, xs: Tensor | list[Tensor]) -> Tensor:
+        """Final states (n, H) of independent runs from the zero state over
+        xs (each (T_i, E)) as one graph node; one Tensor x gives (H,). The
+        runs are packed time-major, longest first, so step t updates only
+        the rows of runs longer than t (no masks), and each final state is
+        read at its run's own length."""
+        single = isinstance(xs, Tensor)
+        xs = [xs] if single else list(xs)
+        if not xs or any(x.value.ndim != 2 or x.shape[0] < 1
+                         or x.shape[1] != self.input_dim for x in xs):
+            raise DimensionError(f"final_states: needs non-empty (length, "
+                                 f"{self.input_dim}) matrices, got {[x.shape for x in xs]}")
+        lengths = np.array([x.shape[0] for x in xs])
+        if len(xs) == 1:    # nothing to pack
+            run, ends = self.sequence(xs[0]), lengths - 1
+        else:
+            order = np.argsort(-lengths, kind="stable")
+            step, rank = np.nonzero(lengths[order] > np.arange(lengths.max())[:, None])
+            # The concatenated row of each packed row, and the inverse.
+            gather = (np.cumsum(lengths) - lengths)[order][rank] + step
+            where = np.argsort(gather)
+            packed = Tensor(np.concatenate([x.value for x in xs])[gather])
+            run = self.sequence(packed, sizes=np.bincount(step).tolist())
+            ends = where[np.cumsum(lengths) - 1]
+        finals = run.value[ends]
+        out = Tensor(finals[0] if single else finals, self.OP,
+                     (*xs, *self.params("").values()))
+
+        def bw(g):
+            d_run = np.zeros_like(run.value)
+            d_run[ends] = g
+            if len(xs) == 1:
+                return run._backward(d_run)
+            packed.grad = None
+            run._backward(d_run)
+            for x, d_x in zip(xs, np.split(packed.grad[where], np.cumsum(lengths)[:-1])):
+                x._accumulate(d_x)
+        out._backward = bw
+        return out
+
+    def _recur(self, proj: np.ndarray, sizes: list[int] | None = None):
+        """`sizes[t]` (non-increasing, default 1) rows run at step t, reading
+        the first rows of step t - 1's states. With one row per step the
+        loops iterate the arrays themselves, with no slicing."""
         hd, n = self.hidden_dim, proj.shape[0]
+        b0, rows, prevs = sizes[0] if sizes else 1, None, None
+        if b0 > 1:
+            starts = [0, *np.cumsum(sizes).tolist()]
+            rows = [slice(a, a + b) for a, b in zip(starts, sizes)]
+            prevs = [slice(a, a + b) for a, b in zip([0] + [b0 + a for a in starts[:-2]], sizes)]
+
+        def at(steps, *arrays):    # the arrays' rows at each step
+            return arrays if b0 == 1 else [[a[i] for i in steps] for a in arrays]
+
         u_rz = np.vstack([self.u["reset"].value, self.u["update"].value])
         u_c = self.u["cand"].value
-        states = np.zeros((n + 1, hd))
+        u_rz_t, u_c_t = u_rz.T, u_c.T
+        states = np.zeros((b0 + n, hd))
         rz = np.empty((n, 2 * hd))    # reset and update gate values
         cand = np.empty((n, hd))
-        keep = np.empty(hd)           # (1 - z) * h~, the candidate's share
+        keep = np.empty((n, hd))      # (1 - z) * h~, the candidate's share
         with np.errstate(over="ignore"):    # exp(-a) = inf for a < -709
-            for h, h_next, gates, c, p in zip(states[:-1], states[1:], rz, cand, proj):
-                np.add(np.matmul(u_rz, h, out=gates), p[:2 * hd], out=gates)
+            for h, h_next, gates, c, k, p in zip(
+                    *at(prevs, states[:-1]), *at(rows, states[b0:], rz, cand, keep, proj)):
+                np.add(np.matmul(h, u_rz_t, out=gates), p[..., :2 * hd], out=gates)
                 np.exp(np.negative(gates, out=gates), out=gates)
                 np.divide(1.0, np.add(gates, 1.0, out=gates), out=gates)
-                z = gates[hd:]
+                z = gates[..., hd:]
                 # h_next holds r * h until the new state overwrites it.
-                np.matmul(u_c, np.multiply(gates[:hd], h, out=h_next), out=c)
-                np.tanh(np.add(c, p[2 * hd:], out=c), out=c)
-                np.multiply(np.subtract(1.0, z, out=keep), c, out=keep)
-                np.add(np.multiply(z, h, out=h_next), keep, out=h_next)
+                np.matmul(np.multiply(gates[..., :hd], h, out=h_next), u_c_t, out=c)
+                np.tanh(np.add(c, p[..., 2 * hd:], out=c), out=c)
+                np.multiply(np.subtract(1.0, z, out=k), c, out=k)
+                np.add(np.multiply(z, h, out=h_next), k, out=h_next)
 
         def bptt(g):
-            h_prev, r, z = states[:-1], rz[:, :hd], rz[:, hd:]
+            h_prev = states[:-1] if b0 == 1 else np.vstack(*at(prevs, states[:-1]))
+            r, z = rz[:, :hd], rz[:, hd:]
             # Per-step factors that do not depend on the incoming gradient.
             to_cand = (1.0 - z) * (1.0 - cand * cand)
             to_update = (h_prev - cand) * z * (1.0 - z)
             to_reset = h_prev * r * (1.0 - r)
             d_pre = np.empty_like(proj)
-            dh = np.zeros(hd)
-            for t in reversed(range(n)):
-                dh = dh + g[t]
-                d_step = d_pre[t]
-                d_reset_h = np.multiply(dh, to_cand[t], out=d_step[2 * hd:]) @ u_c
-                np.multiply(d_reset_h, to_reset[t], out=d_step[:hd])
-                np.multiply(dh, to_update[t], out=d_step[hd:2 * hd])
-                dh = dh * z[t] + d_reset_h * r[t] + d_step[:2 * hd] @ u_rz
+            d_states = np.zeros_like(states)
+            d_states[b0:] = g
+            for d_prev, dh, d_step, z_t, r_t, t_cand, t_update, t_reset in zip(*(
+                    a[::-1] for a in (*at(prevs, d_states[:-1]), *at(
+                        rows, d_states[b0:], d_pre, z, r, to_cand, to_update, to_reset)))):
+                d_reset_h = np.multiply(dh, t_cand, out=d_step[..., 2 * hd:]) @ u_c
+                np.multiply(d_reset_h, t_reset, out=d_step[..., :hd])
+                np.multiply(dh, t_update, out=d_step[..., hd:2 * hd])
+                d_prev += dh * z_t + d_reset_h * r_t + d_step[..., :2 * hd] @ u_rz
             d_u_rz = d_pre[:, :2 * hd].T @ h_prev
             self.u["reset"]._accumulate(d_u_rz[:hd])
             self.u["update"]._accumulate(d_u_rz[hd:])

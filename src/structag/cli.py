@@ -39,19 +39,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_parses(path: str | None, kind: str, n_utterances: int | None,
+def _load_parses(path: str | None, kind: str, utterances: list | None,
                  id_prefix: str = "u") -> dict | None:
     """Parses by utterance id. Blocks align to a corpus by ordinal, so
-    given its size `n_utterances`, the block count must equal it."""
+    given its `utterances`, each block must fit its utterance: a
+    dependency tree has one node per token, with the token as its
+    lowercased form; a concept graph aligns only to its positions."""
     if path is None:
         return None
     if not Path(path).is_file():
         raise DataError(f"parse file not found: {path}")
     loader = load_dependency if kind == "dependency" else load_amr
     parses = loader(path, id_prefix=id_prefix)
-    if n_utterances is not None and len(parses) != n_utterances:
+    if utterances is not None and len(parses) != len(utterances):
         raise DataError(f"{path}: {len(parses)} parse blocks for a corpus of "
-                        f"{n_utterances} utterances")
+                        f"{len(utterances)} utterances")
+    for parse, utt in zip(parses, utterances or ()):
+        n, nodes = len(utt.tokens), parse.nodes
+        if kind == "amr":
+            wrong = [f"node {k!r} is aligned to token {v.token + 1} of {n}"
+                     for k, v in nodes.items() if v.token is not None and v.token >= n]
+        elif len(nodes) != n:
+            wrong = [f"{len(nodes)} parse nodes for {n} tokens"]
+        else:
+            wrong = [f"token {i} is {t!r} but its parse node is {nodes[i].form!r}"
+                     for i, t in enumerate(utt.tokens, 1) if nodes[i].form.lower() != t]
+        if wrong:
+            raise DataError(f"{path}: block {parse.id} does not fit utterance "
+                            f"{utt.id}: {wrong[0]}")
     return {p.id: p for p in parses}
 
 
@@ -98,7 +113,7 @@ def cmd_train(args) -> int:
     parses = None
     if config.mode != "chain":
         if args.parses:
-            parses = _load_parses(args.parses, args.parse_kind, len(utterances))
+            parses = _load_parses(args.parses, args.parse_kind, utterances)
         else:
             print("note: no parse file given; each utterance falls back to "
                   "a single whole-sentence substructure", file=sys.stderr)
@@ -107,7 +122,7 @@ def cmd_train(args) -> int:
                                       derive_seed(config.seed, "split"))
     dev_utterances = load_corpus(args.dev, id_prefix="d") if args.dev else None
     dev_parses = _load_parses(args.dev_parses, args.parse_kind,
-                              len(dev_utterances or ()), id_prefix="d")
+                              dev_utterances or [], id_prefix="d")
     result = train(utterances, config, parses=parses,
                    dev_utterances=dev_utterances, dev_parses=dev_parses,
                    log_path=args.log, quiet=args.quiet)
@@ -129,7 +144,7 @@ def cmd_eval(args) -> int:
     utterances = load_corpus(args.data)
     if not utterances:
         raise DataError(f"{args.data}: empty corpus")
-    parses = _load_parses(args.parses, args.parse_kind, len(utterances)) or {}
+    parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
     known = model.vocab.token_index
     oov = sum(1 for u in utterances for t in u.tokens if t not in known)
     if oov:
@@ -149,7 +164,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.model)
     utterances = load_corpus(args.data)
-    parses = _load_parses(args.parses, args.parse_kind, len(utterances)) or {}
+    parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
     if args.ids:
         by_id = {u.id: u for u in utterances}
         selected = []

@@ -28,9 +28,6 @@ class Utterance:
     tokens: tuple[str, ...]
     tags: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 def validate_iob(tags: tuple[str, ...] | list[str]) -> str | None:
     """Return a description of the first IOB violation, or None if valid."""

@@ -4,14 +4,15 @@ The same encoder instance embeds both the input sentence and every
 substructure, so their weights are tied by construction: there is only
 one set of parameter tensors. Each encoding is one graph op: the nn and
 cnn encoders are fused ops here, and the rnn encoder is its GRU run,
-which returns only the final state.
+which returns only the final state. `encode_many` gives the knowledge
+memory: one batched GRU op for rnn, stacked encodings for nn and cnn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, stack_rows
 from .cells import GruCell, glorot_uniform, zero_vector
 from .errors import DimensionError
 
@@ -19,7 +20,13 @@ ENCODER_KINDS = ("nn", "rnn", "cnn")
 CNN_WINDOW = 3
 
 
-class LinearEncoder:
+class _PerSequence:
+    def encode_many(self, embedded: list[Tensor]) -> Tensor:
+        """(n, d): one `encode` node per sequence, joined by `stack_rows`."""
+        return stack_rows([self.encode(x) for x in embedded])
+
+
+class LinearEncoder(_PerSequence):
     """Mean of the embeddings followed by a linear layer (no nonlinearity)."""
 
     kind = "nn"
@@ -48,7 +55,8 @@ class LinearEncoder:
 
 
 class RecurrentEncoder:
-    """Final hidden state of a gated recurrent pass over the sequence."""
+    """Final hidden state of a gated recurrent pass over the sequence;
+    `encode_many` runs all the sequences as one batched GRU op."""
 
     kind = "rnn"
 
@@ -59,10 +67,12 @@ class RecurrentEncoder:
         return self.cell.params(prefix)
 
     def encode(self, embedded: Tensor) -> Tensor:
-        return self.cell.sequence(embedded, last=True)
+        return self.cell.final_states(embedded)
+
+    encode_many = encode    # final_states also takes a list of sequences
 
 
-class ConvolutionalEncoder:
+class ConvolutionalEncoder(_PerSequence):
     """Window-3 convolution, tanh, then max-pooling over positions.
 
     Row t of the (n, 3E) window matrix is [x_{t-1}, x_t, x_{t+1}], zero

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .attention import (AttentionRecord, KnowledgeMemory,
                         build_attention_record, knowledge_representation)
 from .autodiff import Tensor, dropout_mask
@@ -98,11 +97,9 @@ class SlotModel:
         if not all(0 <= pos < n for sub in subs for pos in sub.positions):
             raise DimensionError(f"substructure positions out of range for a {n}-"
                                  f"token utterance: {[s.positions for s in subs]}")
-        memory_rows = [self.encoder.encode(embed(
+        memory = KnowledgeMemory(vectors=self.encoder.encode_many([embed(
             self.embedding, [token_ids[pos] for pos in sub.positions],
-            dropout_rate, rng)) for sub in subs]
-        memory = KnowledgeMemory(vectors=ad.stack_rows(memory_rows),
-                                 substructures=list(subs))
+            dropout_rate, rng) for sub in subs]), substructures=list(subs))
         u = self.encoder.encode(embed(self.embedding, token_ids, dropout_rate, rng))
         guided, weights = knowledge_representation(u, memory, self.output_net)
         embedded = embed(self.embedding, token_ids, dropout_rate, rng)

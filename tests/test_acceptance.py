@@ -117,7 +117,7 @@ def _per_op_worst() -> tuple[float, set]:
                   states + [out_w, out_b])
 
     # The fused recurrences, with and without knowledge terms, over one
-    # step and over several, and read at the final state only.
+    # step and over several.
     for kind in CELL_KINDS:
         cell = make_cell(kind, rng, 3, 4)
         guided, know = mat(2), {g: mat(4, 2) for g in cell.GATES}
@@ -128,8 +128,18 @@ def _per_op_worst() -> tuple[float, set]:
             check(lambda: _weighted(cell.sequence(xs), wh), tensors)
             check(lambda: _weighted(cell.sequence(xs, guided, know), wh),
                   tensors + list(know.values()) + [guided])
-            check(lambda: _weighted(cell.sequence(xs, last=True), wh[-1]),
-                  tensors)
+
+    # The GRU's final states: of one sequence (the rnn sentence vector)
+    # and of a ragged batch with a length-1 run and a tie (the memory).
+    cell = make_cell("gru", rng, 3, 4)
+    xs = mat(6, 3)
+    wv = rng.normal(size=4)
+    check(lambda: _weighted(cell.final_states(xs), wv),
+          list(cell.params("c").values()) + [xs])
+    batch = [mat(n, 3) for n in (2, 4, 1, 4)]
+    wb = rng.normal(size=(4, 4))
+    check(lambda: _weighted(cell.final_states(batch), wb),
+          list(cell.params("c").values()) + batch)
 
     # The fused nn and cnn encoders over one token and over several.
     for kind in ("nn", "cnn"):

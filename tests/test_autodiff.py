@@ -378,7 +378,7 @@ def test_grad_row_ops():
     a = _t(rng, 5, 3)
     # A recurrence read at its final row only: the rnn encoder's output.
     cell, wv = GruCell(rng, 3, 2), _const(rng, 2)
-    assert_grads_match(lambda: _weighted_sum(cell.sequence(a, last=True), wv),
+    assert_grads_match(lambda: _weighted_sum(cell.final_states(a), wv),
                        [a, *cell.params("").values()])
     wt = _const(rng, 4, 3)
     assert_grads_match(lambda: _weighted_sum(embed(a, [0, 0, 4, 2]), wt), [a])
@@ -395,20 +395,21 @@ def test_grad_cross_entropy():
 def test_grad_composed_chain():
     # A deeper composition with parameter reuse, checked end to end: one
     # embedding table and one cell serve three recurrences, the input
-    # embedding feeds two of them, and the last state of the third guides
+    # embedding feeds two of them, and the final state of the third guides
     # one of them.
     rng = np.random.default_rng(21)
-    table, cell = _t(rng, 4, 2), ElmanCell(rng, 2, 3)
-    know = {"cand": _t(rng, 3, 3)}
+    table, cell = _t(rng, 4, 2), GruCell(rng, 2, 3)
+    know = {g: _t(rng, 3, 3) for g in cell.GATES}
     wo, b = _t(rng, 3, 4), _t(rng, 4)
 
     def loss():
         x = embed(table, [0, 2, 0])
-        guided = cell.sequence(embed(table, [1, 3]), last=True)
+        guided = cell.final_states(embed(table, [1, 3]))
         states = [cell.sequence(x), cell.sequence(x, guided, know)]
         return tag_output(states, 0.4, wo, b, gold=[0, 1, 3])
 
-    assert_grads_match(loss, [table, cell.w_in, cell.u_rec, know["cand"], wo, b])
+    assert_grads_match(loss, [table, *cell.params("").values(), *know.values(),
+                              wo, b])
 
 
 def test_numeric_grad_helper_on_known_derivative():

@@ -391,10 +391,17 @@ def test_mistyped_config_field_exits_1_naming_it(workspace, tmp_path, field,
     assert field in lines[0]
 
 
-def _drop_last_block(path: Path, out: Path) -> Path:
-    blocks = path.read_text(encoding="utf-8").strip().split("\n\n")
-    out.write_text("\n\n".join(blocks[:-1]) + "\n", encoding="utf-8")
+def _blocks(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").strip().split("\n\n")
+
+
+def _write_blocks(blocks: list[str], out: Path) -> Path:
+    out.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
     return out
+
+
+def _drop_last_block(path: Path, out: Path) -> Path:
+    return _write_blocks(_blocks(path)[:-1], out)
 
 
 @pytest.mark.parametrize("command", ("train", "train-dev", "eval",
@@ -426,3 +433,58 @@ def test_parse_file_missing_a_block_exits_2(workspace, tmp_path, capsys,
     assert "12 utterances" in lines[0]
     assert not captured.out
 
+
+
+def _inspect(workspace, parses: Path, kind: str, utt_id: str) -> list:
+    return ["inspect-attention", "--model", str(workspace["ckpt"]),
+            "--data", str(workspace["data"] / "corpus.tsv"),
+            "--parses", str(parses), "--parse-kind", kind, "--ids", utt_id]
+
+
+@pytest.mark.parametrize("same_length", (False, True))
+def test_dependency_blocks_out_of_order_exit_2(workspace, tmp_path, capsys,
+                                               same_length):
+    # Blocks align to utterances by order, so a swapped block is another
+    # sentence's tree, of another length or of the same one. Either is
+    # an error before anything is tagged, not paths from the wrong words.
+    blocks = _blocks(workspace["data"] / "dependencies.tsv")
+    size = [len(b.splitlines()) for b in blocks]
+    j = next(j for j in range(2, len(blocks))
+             if (size[j] == size[1]) == same_length and blocks[j] != blocks[1])
+    blocks[1], blocks[j] = blocks[j], blocks[1]
+    swapped = _write_blocks(blocks, tmp_path / "swapped.tsv")
+    assert main(_inspect(workspace, swapped, "dependency", "u0001")) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert str(swapped) in lines[0] and "utterance u0001" in lines[0]
+    if same_length:
+        assert "token " in lines[0] and "but its parse node is" in lines[0]
+    else:
+        assert f"{size[j]} parse nodes for {size[1]} tokens" in lines[0]
+    assert not captured.out
+
+
+def test_concept_graph_aligned_past_its_utterance_exits_2(workspace, tmp_path,
+                                                          capsys):
+    # The bad block is the last one; the check runs before tagging, so
+    # inspecting only the first utterance still reports it.
+    blocks = _blocks(workspace["data"] / "graphs.tsv")
+    lines = blocks[-1].splitlines()
+    k = next(i for i, line in enumerate(lines)
+             if line.startswith("node\t") and not line.endswith("\t-"))
+    cols = lines[k].split("\t")
+    lines[k] = "\t".join(cols[:3] + ["99"])
+    blocks[-1] = "\n".join(lines)
+    bad = _write_blocks(blocks, tmp_path / "graphs.tsv")
+    assert main(_inspect(workspace, bad, "amr", "u0000")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(bad) in err[0]
+    assert f"utterance u{len(blocks) - 1:04d}" in err[0]
+    assert f"node {cols[1]!r} is aligned to token 99 of" in err[0]
+
+
+def test_generated_concept_graphs_pass_the_alignment_check(workspace, capsys):
+    assert main(_inspect(workspace, workspace["data"] / "graphs.tsv", "amr",
+                         "u0003")) == 0
+    assert json.loads(capsys.readouterr().out)["records"]

@@ -5,7 +5,7 @@ import pytest
 
 from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.attention import KnowledgeMemory, knowledge_representation
-from structag.autodiff import Tensor
+from structag.autodiff import Tensor, stack_rows
 from structag.encoders import (CNN_WINDOW, ENCODER_KINDS, ConvolutionalEncoder,
                                OutputNetwork, make_encoder)
 from structag.errors import DimensionError
@@ -104,6 +104,64 @@ def test_rnn_order_sensitive():
     a = enc.encode(Tensor(xs.copy())).value
     b = enc.encode(Tensor(xs[::-1].copy())).value
     assert np.abs(a - b).max() > 1e-6
+
+
+def _ragged(seed, lengths, dim=3):
+    rng = RNG(seed)
+    return [Tensor(rng.normal(size=(n, dim))) for n in lengths]
+
+
+def test_rnn_memory_matches_per_sequence_runs():
+    # One batched GRU node: ragged lengths, a length-1 run, a tie, and
+    # rows out of length order, each read at its own final state.
+    enc = make_encoder("rnn", RNG(30), 3, 4)
+    xs = _ragged(300, (3, 1, 4, 2, 4))
+    memory = enc.encode_many(xs)
+    assert memory.shape == (5, 4) and memory.op == "gru_sequence"
+    assert memory.parents[:5] == tuple(xs)
+    for row, x in zip(memory.value, xs):
+        np.testing.assert_allclose(row, enc.encode(x).value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, enc.cell.sequence(x).value[-1],
+                                   rtol=0, atol=1e-12)
+
+
+def test_rnn_memory_gradients_match_per_sequence_runs():
+    enc = make_encoder("rnn", RNG(31), 3, 4)
+    xs = _ragged(310, (2, 4, 1, 4))
+    const = Tensor(RNG(311).normal(size=(4, 4)))
+    tensors = list(enc.params("enc").values()) + xs
+
+    def grads(loss):
+        for t in tensors:
+            t.zero_grad()
+        loss.backward()
+        return [t.grad.copy() for t in tensors]
+
+    batched = grads(sum_all(elementwise_mul(enc.encode_many(xs), const)))
+    per_sequence = grads(sum_all(elementwise_mul(
+        stack_rows([enc.encode(x) for x in xs]), const)))
+    for a, b in zip(batched, per_sequence):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ENCODER_KINDS)
+def test_encode_many_stacks_one_row_per_sequence(kind):
+    enc = make_encoder(kind, RNG(32), 3, 4)
+    xs = _ragged(320, (2, 5, 1))
+    rows = enc.encode_many(xs).value
+    assert rows.shape == (3, 4)
+    for row, x in zip(rows, xs):
+        np.testing.assert_allclose(row, enc.encode(x).value, rtol=0, atol=1e-12)
+
+
+def test_rnn_memory_rejects_bad_sequences():
+    enc = make_encoder("rnn", RNG(33), 3, 4)
+    with pytest.raises(DimensionError):
+        enc.encode_many([])
+    with pytest.raises(DimensionError):
+        enc.encode_many(_ragged(330, (2,)) + [Tensor(np.zeros((0, 3)))])
+    with pytest.raises(DimensionError):
+        enc.encode_many(_ragged(331, (2,)) + _ragged(332, (2,), dim=2))
 
 
 # ---------------------------------------------------------------------------

@@ -379,26 +379,29 @@ def test_parameter_census_per_mode():
 # graph size
 
 
-def _graph_size(root) -> int:
-    seen, stack = {id(root)}, [root]
+def _graph_ops(root) -> list[str]:
+    """The op of every node reachable from `root`, each node once."""
+    ops, seen, stack = [], {id(root)}, [root]
     while stack:
-        for parent in stack.pop().parents:
+        node = stack.pop()
+        ops.append(node.op)
+        for parent in node.parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return len(seen)
+    return ops
 
 
 @pytest.mark.parametrize("mode,encoder,cell,nodes", [
-    ("joint", "rnn", "gru", 38), ("chain", "nn", "elman", 8)])
+    ("joint", "rnn", "gru", 36), ("chain", "nn", "elman", 8)])
 def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                                                         nodes):
     # Each model stage is one graph node however many tokens it runs over,
     # so a 12-token loss graph is exactly as large as a 3-token one. The
     # chain graph is 5 parameters, embed, elman_sequence and tag_output.
     # The joint graph over two substructures is 26 parameters, 4 embeds,
-    # 5 GRU runs (3 encodings, 2 towers), stack_rows, attention and
-    # tag_output.
+    # 4 GRU runs (the batched memory, the sentence vector, 2 towers),
+    # attention and tag_output.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -412,10 +415,33 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
     subs = None if mode == "chain" else [
         Substructure(positions=(0, 1), forms=("w0", "w1"), leaf=1),
         Substructure(positions=(0, 2), forms=("w0", "w2"), leaf=2)]
-    sizes = [_graph_size(model.loss(vocab.encode_tokens(tokens[:n]),
-                                    vocab.encode_tags(("O",) * n), subs))
+    sizes = [len(_graph_ops(model.loss(vocab.encode_tokens(tokens[:n]),
+                                        vocab.encode_tags(("O",) * n), subs)))
              for n in (3, 12)]
     assert sizes[0] == sizes[1] == nodes
+
+
+@pytest.mark.parametrize("n_subs", [2, 5])
+def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
+    # The memory batch, the sentence vector and the two towers, however
+    # many substructures the utterance has.
+    from structag.corpus import Utterance, Vocabulary
+    from structag.knowledge import Substructure
+    from structag.model import SlotModel
+    from structag.trainer import TrainConfig
+
+    tokens = tuple(f"w{i}" for i in range(6))
+    vocab = Vocabulary.build([Utterance(id="u", tokens=tokens, tags=("O",) * 6)])
+    config = TrainConfig(mode="joint", encoder="rnn", cell="gru", embed_dim=3,
+                         hidden_size=2)
+    model = SlotModel(config, vocab, RNG(27))
+    subs = [Substructure(positions=(0, *range(1 + i, 6)), forms=(), leaf=i)
+            for i in range(n_subs)]
+    loss = model.loss(vocab.encode_tokens(tokens), vocab.encode_tags(("O",) * 6),
+                      subs, 0.25, RNG(270))
+    ops = _graph_ops(loss)
+    assert ops.count("gru_sequence") == 4
+    assert ops.count("embed") == n_subs + 2 and "stack_rows" not in ops
 
 
 def _small_model(mode="joint", encoder="cnn", cell="gru"):
