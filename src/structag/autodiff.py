@@ -4,11 +4,12 @@ Every graph op is a forward value plus a closure routing the upstream
 gradient to the operands. Each model stage is one fused op beside the
 layer it computes (`embed` in model.py, the encoders, the recurrences
 in cells.py, `attention`, and `tag_output` in tagger.py, which ends in
-the loss); here live the tensor, the backward pass, `stack_rows`
-joining the nn and cnn encodings into the attention memory, and the numpy helpers
-the fused ops share. Tensors are rank 0..2, stored row-major as
-float64. A graph and its tensors belong to one thread; independent
-graphs are safe in parallel.
+the loss); here live the tensor, the backward pass, the two ops joining
+the encoder to the attention step (`stack_rows` for the nn and cnn
+encodings, `row_view` for the rows of the rnn encoder's batch), and the
+numpy helpers the fused ops share. Tensors are rank 0..2, stored
+row-major as float64. A graph and its tensors belong to one thread;
+independent graphs are safe in parallel.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _require(cond: bool, msg: str):
 
 
 # ---------------------------------------------------------------------------
-# the op joining the encoder to the attention step
+# the ops joining the encoder to the attention step
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -115,6 +116,18 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     def bw(g):
         for i, p in enumerate(parts):
             p._accumulate(g[i])
+    out._backward = bw
+    return out
+
+
+def row_view(t: Tensor, index: int | slice) -> Tensor:
+    """Row `index` (a vector) or rows `index` (a matrix) of t, as a view."""
+    out = Tensor(t.value[index], "row_view", (t,))
+
+    def bw(g):
+        if t.grad is None:
+            t.grad = np.zeros_like(t.value)
+        t.grad[index] += g
     out._backward = bw
     return out
 

@@ -144,43 +144,37 @@ class GruCell(_Recurrence):
             out[f"{prefix}.u_{g}"] = self.u[g]
         return out
 
-    def final_states(self, xs: Tensor | list[Tensor]) -> Tensor:
-        """Final states (n, H) of independent runs from the zero state over
-        xs (each (T_i, E)) as one graph node; one Tensor x gives (H,). The
-        runs are packed time-major, longest first, so step t updates only
-        the rows of runs longer than t (no masks), and each final state is
-        read at its run's own length."""
-        single = isinstance(xs, Tensor)
-        xs = [xs] if single else list(xs)
-        if not xs or any(x.value.ndim != 2 or x.shape[0] < 1
-                         or x.shape[1] != self.input_dim for x in xs):
-            raise DimensionError(f"final_states: needs non-empty (length, "
-                                 f"{self.input_dim}) matrices, got {[x.shape for x in xs]}")
-        lengths = np.array([x.shape[0] for x in xs])
-        if len(xs) == 1:    # nothing to pack
-            run, ends = self.sequence(xs[0]), lengths - 1
-        else:
-            order = np.argsort(-lengths, kind="stable")
-            step, rank = np.nonzero(lengths[order] > np.arange(lengths.max())[:, None])
-            # The concatenated row of each packed row, and the inverse.
-            gather = (np.cumsum(lengths) - lengths)[order][rank] + step
-            where = np.argsort(gather)
-            packed = Tensor(np.concatenate([x.value for x in xs])[gather])
-            run = self.sequence(packed, sizes=np.bincount(step).tolist())
-            ends = where[np.cumsum(lengths) - 1]
+    def final_states(self, x: Tensor, lengths: list[int] | None = None) -> Tensor:
+        """Final states (n, H) of independent runs from the zero state, run i
+        over the next `lengths[i]` rows of x (T, E), as one graph node;
+        without lengths, of one run over all of x, as (H,). The runs are
+        packed time-major, longest first, so step t updates only the rows
+        of runs longer than t (no masks), and each final state is read at
+        its run's own length."""
+        runs = np.array([x.shape[0]] if lengths is None else lengths, dtype=int)
+        if (x.value.ndim != 2 or x.shape[1] != self.input_dim or runs.size < 1
+                or runs.min() < 1 or runs.sum() != x.shape[0]):
+            raise DimensionError(f"final_states: needs runs of length >= 1 over "
+                                 f"all rows of a (T, {self.input_dim}) matrix, got "
+                                 f"{runs.tolist()} over {x.shape}")
+        order = np.argsort(-runs, kind="stable")
+        step, rank = np.nonzero(runs[order] > np.arange(runs.max())[:, None])
+        # The row of x of each packed row, and the inverse.
+        gather = (np.cumsum(runs) - runs)[order][rank] + step
+        where = np.argsort(gather)
+        packed = Tensor(x.value[gather])
+        run = self.sequence(packed, sizes=np.bincount(step).tolist())
+        ends = where[np.cumsum(runs) - 1]
         finals = run.value[ends]
-        out = Tensor(finals[0] if single else finals, self.OP,
-                     (*xs, *self.params("").values()))
+        out = Tensor(finals[0] if lengths is None else finals, self.OP,
+                     (x, *self.params("").values()))
 
         def bw(g):
             d_run = np.zeros_like(run.value)
             d_run[ends] = g
-            if len(xs) == 1:
-                return run._backward(d_run)
             packed.grad = None
             run._backward(d_run)
-            for x, d_x in zip(xs, np.split(packed.grad[where], np.cumsum(lengths)[:-1])):
-                x._accumulate(d_x)
+            x._accumulate(packed.grad[where])
         out._backward = bw
         return out
 
@@ -200,21 +194,21 @@ class GruCell(_Recurrence):
 
         u_rz = np.vstack([self.u["reset"].value, self.u["update"].value])
         u_c = self.u["cand"].value
-        u_rz_t, u_c_t = u_rz.T, u_c.T
+        # h (-U) - p is bitwise -(h U + p), the -a that exp(-a) needs.
+        neg_u_rz_t, u_c_t = np.negative(u_rz).T, u_c.T
         states = np.zeros((b0 + n, hd))
         rz = np.empty((n, 2 * hd))    # reset and update gate values
         cand = np.empty((n, hd))
         keep = np.empty((n, hd))      # (1 - z) * h~, the candidate's share
         with np.errstate(over="ignore"):    # exp(-a) = inf for a < -709
-            for h, h_next, gates, c, k, p in zip(
-                    *at(prevs, states[:-1]), *at(rows, states[b0:], rz, cand, keep, proj)):
-                np.add(np.matmul(h, u_rz_t, out=gates), p[..., :2 * hd], out=gates)
-                np.exp(np.negative(gates, out=gates), out=gates)
-                np.divide(1.0, np.add(gates, 1.0, out=gates), out=gates)
-                z = gates[..., hd:]
+            for h, h_next, gates, r, z, c, k, p_rz, p_c in zip(*at(prevs, states[:-1]), *at(
+                    rows, states[b0:], rz, rz[:, :hd], rz[:, hd:], cand, keep,
+                    proj[:, :2 * hd], proj[:, 2 * hd:])):
+                np.subtract(np.matmul(h, neg_u_rz_t, out=gates), p_rz, out=gates)
+                np.divide(1.0, np.add(np.exp(gates, out=gates), 1.0, out=gates), out=gates)
                 # h_next holds r * h until the new state overwrites it.
-                np.matmul(np.multiply(gates[..., :hd], h, out=h_next), u_c_t, out=c)
-                np.tanh(np.add(c, p[..., 2 * hd:], out=c), out=c)
+                np.matmul(np.multiply(r, h, out=h_next), u_c_t, out=c)
+                np.tanh(np.add(c, p_c, out=c), out=c)
                 np.multiply(np.subtract(1.0, z, out=k), c, out=k)
                 np.add(np.multiply(z, h, out=h_next), k, out=h_next)
 

@@ -19,8 +19,8 @@ from .corpus import fractional_split, load_corpus, write_split_manifest
 from .errors import (CheckpointError, ConfigError, CorpusFormatError,
                      DataError, ParseFileError, StructagError)
 from .evaluator import format_report, save_report
-from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, load_amr, load_dependency,
-                        substructure_stats)
+from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, check_alignment, load_amr,
+                        load_dependency, substructure_stats)
 from .seeding import derive_seed
 from .synthetic import SyntheticConfig, generate
 from .trainer import (TrainConfig, evaluate_model, load_checkpoint,
@@ -42,32 +42,27 @@ class _Parser(argparse.ArgumentParser):
 def _load_parses(path: str | None, kind: str, utterances: list | None,
                  id_prefix: str = "u") -> dict | None:
     """Parses by utterance id. Blocks align to a corpus by ordinal, so
-    given its `utterances`, each block must fit its utterance: a
-    dependency tree has one node per token, with the token as its
-    lowercased form; a concept graph aligns only to its positions."""
+    given its `utterances`, each block must fit its utterance
+    (`check_alignment`)."""
     if path is None:
         return None
     if not Path(path).is_file():
         raise DataError(f"parse file not found: {path}")
     loader = load_dependency if kind == "dependency" else load_amr
-    parses = loader(path, id_prefix=id_prefix)
-    if utterances is not None and len(parses) != len(utterances):
-        raise DataError(f"{path}: {len(parses)} parse blocks for a corpus of "
-                        f"{len(utterances)} utterances")
-    for parse, utt in zip(parses, utterances or ()):
-        n, nodes = len(utt.tokens), parse.nodes
-        if kind == "amr":
-            wrong = [f"node {k!r} is aligned to token {v.token + 1} of {n}"
-                     for k, v in nodes.items() if v.token is not None and v.token >= n]
-        elif len(nodes) != n:
-            wrong = [f"{len(nodes)} parse nodes for {n} tokens"]
-        else:
-            wrong = [f"token {i} is {t!r} but its parse node is {nodes[i].form!r}"
-                     for i, t in enumerate(utt.tokens, 1) if nodes[i].form.lower() != t]
-        if wrong:
-            raise DataError(f"{path}: block {parse.id} does not fit utterance "
-                            f"{utt.id}: {wrong[0]}")
-    return {p.id: p for p in parses}
+    parses = {p.id: p for p in loader(path, id_prefix=id_prefix)}
+    if utterances is not None:
+        if len(parses) != len(utterances):
+            raise DataError(f"{path}: {len(parses)} parse blocks for a corpus of "
+                            f"{len(utterances)} utterances")
+        check_alignment(parses, utterances, path)
+    return parses
+
+
+def _load_utterances(path: str, id_prefix: str = "u") -> list:
+    utterances = load_corpus(path, id_prefix=id_prefix)
+    if not utterances:
+        raise DataError(f"{path}: empty corpus")
+    return utterances
 
 
 def _load_train_config(args) -> TrainConfig:
@@ -77,7 +72,7 @@ def _load_train_config(args) -> TrainConfig:
             raise DataError(f"config file not found: {cfg_path}")
         try:
             data = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:    # not UTF-8, or not JSON
             raise ConfigError(f"{cfg_path}: invalid JSON: {exc}") from exc
         config = TrainConfig.from_dict(data)
     else:
@@ -107,9 +102,7 @@ def cmd_train(args) -> int:
         raise ConfigError("--dev-parses needs --dev (without --dev the dev set "
                           "is held out of --train and uses --parses)")
     config = _load_train_config(args)
-    utterances = load_corpus(args.train)
-    if not utterances:
-        raise DataError(f"{args.train}: empty corpus")
+    utterances = _load_utterances(args.train)
     parses = None
     if config.mode != "chain":
         if args.parses:
@@ -120,7 +113,7 @@ def cmd_train(args) -> int:
     if config.train_fraction < 1.0:
         utterances = fractional_split(utterances, config.train_fraction,
                                       derive_seed(config.seed, "split"))
-    dev_utterances = load_corpus(args.dev, id_prefix="d") if args.dev else None
+    dev_utterances = _load_utterances(args.dev, id_prefix="d") if args.dev else None
     dev_parses = _load_parses(args.dev_parses, args.parse_kind,
                               dev_utterances or [], id_prefix="d")
     result = train(utterances, config, parses=parses,
@@ -141,9 +134,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
-    utterances = load_corpus(args.data)
-    if not utterances:
-        raise DataError(f"{args.data}: empty corpus")
+    utterances = _load_utterances(args.data)
     parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
     known = model.vocab.token_index
     oov = sum(1 for u in utterances for t in u.tokens if t not in known)
@@ -163,7 +154,7 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.model)
-    utterances = load_corpus(args.data)
+    utterances = _load_utterances(args.data)
     parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
     if args.ids:
         by_id = {u.id: u for u in utterances}

@@ -65,24 +65,26 @@ def load_corpus(path: str | Path, id_prefix: str = "u") -> list[Utterance]:
         tokens.clear()
         tags.clear()
 
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush(line_no)
-                start_line = line_no + 1
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise CorpusFormatError(
-                    f"{path}:{line_no}: expected 'token<TAB>tag', "
-                    f"got {len(cols)} columns")
-            token, tag = cols
-            if not token or not tag:
-                raise CorpusFormatError(f"{path}:{line_no}: empty token or tag")
-            tokens.append(token.lower())
-            tags.append(tag)
-        flush(line_no=None)
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            flush(line_no)
+            start_line = line_no + 1
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise CorpusFormatError(
+                f"{path}:{line_no}: expected 'token<TAB>tag', "
+                f"got {len(cols)} columns")
+        token, tag = cols
+        if not token or not tag:
+            raise CorpusFormatError(f"{path}:{line_no}: empty token or tag")
+        tokens.append(token.lower())
+        tags.append(tag)
+    flush(line_no=None)
     return utterances
 
 
@@ -116,10 +118,6 @@ class Vocabulary:
                 if tag not in vocab.tag_index:
                     vocab.tag_index[tag] = len(vocab.tag_index)
         return vocab
-
-    @property
-    def pad_id(self) -> int:
-        return self.token_index[PAD_TOKEN]
 
     @property
     def unk_id(self) -> int:
@@ -156,8 +154,13 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        return cls(token_index=dict(data["tokens"]), tag_index=dict(data["tags"]),
-                   token_freq=dict(data.get("token_freq", {})))
+        """Raises ValueError unless each index maps to 0..n-1."""
+        vocab = cls(token_index=dict(data["tokens"]), tag_index=dict(data["tags"]),
+                    token_freq=dict(data.get("token_freq", {})))
+        for index in (vocab.token_index, vocab.tag_index):
+            if sorted(index.values()) != list(range(len(index))):
+                raise ValueError(f"indices are not 0..{len(index) - 1}")
+        return vocab
 
 
 def fractional_split(utterances: list[Utterance], fraction: float,

@@ -4,15 +4,18 @@ The same encoder instance embeds both the input sentence and every
 substructure, so their weights are tied by construction: there is only
 one set of parameter tensors. Each encoding is one graph op: the nn and
 cnn encoders are fused ops here, and the rnn encoder is its GRU run,
-which returns only the final state. `encode_many` gives the knowledge
-memory: one batched GRU op for rnn, stacked encodings for nn and cnn.
+which returns only the final state. `encode_knowledge` gives the
+sentence vector and the knowledge memory: one lookup and one GRU batch
+for rnn, one lookup and encoding per sequence for nn and cnn.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .autodiff import Tensor, stack_rows
+from .autodiff import Tensor, row_view, stack_rows
 from .cells import GruCell, glorot_uniform, zero_vector
 from .errors import DimensionError
 
@@ -21,9 +24,13 @@ CNN_WINDOW = 3
 
 
 class _PerSequence:
-    def encode_many(self, embedded: list[Tensor]) -> Tensor:
-        """(n, d): one `encode` node per sequence, joined by `stack_rows`."""
-        return stack_rows([self.encode(x) for x in embedded])
+    def encode_knowledge(self, lookup: Callable[[list[int]], Tensor],
+                         sentence: list[int], parts: list[list[int]]
+                         ) -> tuple[Tensor, Tensor]:
+        """(u (d,), memory (n, d)) from the token ids of a sentence and its
+        substructures: each part looked up and encoded, then the sentence."""
+        memory = stack_rows([self.encode(lookup(ids)) for ids in parts])
+        return self.encode(lookup(sentence)), memory
 
 
 class LinearEncoder(_PerSequence):
@@ -56,7 +63,7 @@ class LinearEncoder(_PerSequence):
 
 class RecurrentEncoder:
     """Final hidden state of a gated recurrent pass over the sequence;
-    `encode_many` runs all the sequences as one batched GRU op."""
+    `encode_knowledge` runs an utterance's sequences as one batched GRU op."""
 
     kind = "rnn"
 
@@ -69,7 +76,14 @@ class RecurrentEncoder:
     def encode(self, embedded: Tensor) -> Tensor:
         return self.cell.final_states(embedded)
 
-    encode_many = encode    # final_states also takes a list of sequences
+    def encode_knowledge(self, lookup: Callable[[list[int]], Tensor],
+                         sentence: list[int], parts: list[list[int]]
+                         ) -> tuple[Tensor, Tensor]:
+        """(u, memory): row views of one GRU batch over one lookup of the
+        parts, then the sentence."""
+        ids = [i for seq in (*parts, sentence) for i in seq]
+        finals = self.cell.final_states(lookup(ids), [*map(len, parts), len(sentence)])
+        return row_view(finals, len(parts)), row_view(finals, slice(0, len(parts)))
 
 
 class ConvolutionalEncoder(_PerSequence):

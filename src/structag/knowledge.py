@@ -30,6 +30,7 @@ class KnowledgeParse:
     children: dict = field(default_factory=dict)  # node id -> [node ids]
     edge_labels: dict = field(default_factory=dict)  # (head, dep) -> label
     root: object = None
+    kind: str = "amr"  # "dependency": one node per token, its form the token
 
     def edges(self) -> list[tuple]:
         return [(h, d) for h, deps in self.children.items() for d in deps]
@@ -47,18 +48,20 @@ def _blocks(path: Path):
     """Yield (ordinal, lines) for each blank-line-separated block."""
     block: list[str] = []
     ordinal = 0
-    with path.open(encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if block:
-                    yield ordinal, block
-                    ordinal += 1
-                    block = []
-                continue
-            if line.startswith("#"):
-                continue
-            block.append(line)
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    for line in lines:
+        if not line.strip():
+            if block:
+                yield ordinal, block
+                ordinal += 1
+                block = []
+            continue
+        if line.startswith("#"):
+            continue
+        block.append(line)
     if block:
         yield ordinal, block
 
@@ -90,7 +93,7 @@ def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgePar
             rows.append((idx, cols[1], head))
 
         n = len(rows)
-        parse = KnowledgeParse(id=utt_id)
+        parse = KnowledgeParse(id=utt_id, kind="dependency")
         heads = {}
         for idx, form, head in rows:
             if not 1 <= idx <= n:
@@ -172,6 +175,28 @@ def load_amr(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
         _check_rooted_dag(parse, path, utt_id)
         parses.append(parse)
     return parses
+
+
+def check_alignment(parses: dict, utterances, source) -> None:
+    """Raise DataError unless each utterance's parse (by id, if any) fits
+    it: a dependency tree has one node per token, its form the token up to
+    case; a concept graph aligns only to positions inside the utterance."""
+    for utt in utterances:
+        parse = parses.get(utt.id)
+        if parse is None:
+            continue
+        n, nodes = len(utt.tokens), parse.nodes
+        if parse.kind != "dependency":
+            wrong = [f"node {k!r} is aligned to token {v.token + 1} of {n}"
+                     for k, v in nodes.items() if v.token is not None and v.token >= n]
+        elif len(nodes) != n:
+            wrong = [f"{len(nodes)} parse nodes for {n} tokens"]
+        else:
+            wrong = [f"token {i} is {t!r} but its parse node is {nodes[i].form!r}"
+                     for i, t in enumerate(utt.tokens, 1) if nodes[i].form.lower() != t]
+        if wrong:
+            raise DataError(f"{source}: block {parse.id} does not fit utterance "
+                            f"{utt.id}: {wrong[0]}")
 
 
 def _check_rooted_dag(parse: KnowledgeParse, path, utt_id):

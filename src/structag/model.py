@@ -97,11 +97,11 @@ class SlotModel:
         if not all(0 <= pos < n for sub in subs for pos in sub.positions):
             raise DimensionError(f"substructure positions out of range for a {n}-"
                                  f"token utterance: {[s.positions for s in subs]}")
-        memory = KnowledgeMemory(vectors=self.encoder.encode_many([embed(
-            self.embedding, [token_ids[pos] for pos in sub.positions],
-            dropout_rate, rng) for sub in subs]), substructures=list(subs))
-        u = self.encoder.encode(embed(self.embedding, token_ids, dropout_rate, rng))
-        guided, weights = knowledge_representation(u, memory, self.output_net)
+        u, vectors = self.encoder.encode_knowledge(
+            lambda ids: embed(self.embedding, ids, dropout_rate, rng), token_ids,
+            [[token_ids[pos] for pos in sub.positions] for sub in subs])
+        guided, weights = knowledge_representation(
+            u, KnowledgeMemory(vectors, list(subs)), self.output_net)
         embedded = embed(self.embedding, token_ids, dropout_rate, rng)
         dist = self.tagger.distributions(embedded, guided, dropout_rate, rng, gold)
         return dist, weights, list(subs)

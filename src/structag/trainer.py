@@ -24,7 +24,7 @@ from .encoders import ENCODER_KINDS
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .evaluator import evaluate
 from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, KnowledgeParse,
-                        substructures_with_fallback)
+                        check_alignment, substructures_with_fallback)
 from .model import SlotModel
 from .seeding import derive_seed
 from .tagger import CELL_KINDS, TAGGER_MODES
@@ -268,10 +268,14 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
     training set is held out. Passing an explicit dev set disables the
     holdout. The log, when requested, gets one JSON line per epoch.
     Floating-point warnings are off: the non-finite checks report instead.
+    Outside chain mode, a parse that does not fit its utterance raises.
     """
     config.validate()
     if not train_utterances:
         raise ConfigError("training set is empty")
+    if config.mode != "chain":
+        check_alignment(parses or {}, train_utterances, "train parses")
+        check_alignment(dev_parses or {}, dev_utterances or [], "dev parses")
     if dev_utterances is None and config.dev_fraction > 0.0:
         train_utterances, dev_utterances = split_dev(
             train_utterances, config.dev_fraction, derive_seed(config.seed, "dev"))
@@ -387,17 +391,17 @@ def load_checkpoint(path: str | Path) -> SlotModel:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # ValueError: not UTF-8, not JSON
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a recognized checkpoint file")
     try:
         config = TrainConfig.from_dict(payload["config"])
         vocab = Vocabulary.from_dict(payload["vocab"])
-        stored = payload["params"]
-    except (KeyError, TypeError, ConfigError) as exc:
+        stored = dict(payload["params"])
+        model = SlotModel(config, vocab, np.random.default_rng(0))
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
-    model = SlotModel(config, vocab, np.random.default_rng(0))
     params = model.params()
     missing = sorted(set(params) - set(stored))
     extra = sorted(set(stored) - set(params))

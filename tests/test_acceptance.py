@@ -51,7 +51,7 @@ def _weighted(expr: Tensor, w) -> Tensor:
 # losses of the whole mode x encoder x cell grid use exactly these.
 CHECKED_OPS = frozenset({
     "embed", "nn_encoder", "cnn_encoder", "elman_sequence", "gru_sequence",
-    "stack_rows", "attention", "tag_output"})
+    "stack_rows", "row_view", "attention", "tag_output"})
 
 
 def _graph_ops(root: Tensor) -> set:
@@ -87,6 +87,14 @@ def _per_op_worst() -> tuple[float, set]:
     wa, wb = mat(3), mat(3)
     ww = rng.normal(size=(2, 3))
     check(lambda: _weighted(ad.stack_rows([wa, wb]), ww), [wa, wb])
+
+    # Row views of one matrix: one row taken twice, whose gradients must
+    # add up, and a block of rows.
+    wm = mat(4, 3)
+    wr, wblock = rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
+    check(lambda: _weighted(ad.stack_rows([ad.row_view(wm, 3), ad.row_view(wm, 3)]),
+                            wr), [wm])
+    check(lambda: _weighted(ad.row_view(wm, slice(0, 3)), wblock), [wm])
 
     # The embedding lookup with a repeated id, without and with dropout
     # (a fresh generator per call keeps the mask fixed).
@@ -136,10 +144,24 @@ def _per_op_worst() -> tuple[float, set]:
     wv = rng.normal(size=4)
     check(lambda: _weighted(cell.final_states(xs), wv),
           list(cell.params("c").values()) + [xs])
-    batch = [mat(n, 3) for n in (2, 4, 1, 4)]
+    batch = mat(11, 3)
     wb = rng.normal(size=(4, 4))
-    check(lambda: _weighted(cell.final_states(batch), wb),
-          list(cell.params("c").values()) + batch)
+    check(lambda: _weighted(cell.final_states(batch, [2, 4, 1, 4]), wb),
+          list(cell.params("c").values()) + [batch])
+
+    # The rnn encoder's sentence vector and memory, two row views of one
+    # batch whose gradients meet again through the attention step; the
+    # sentence ties the longest part.
+    enc, net = make_encoder("rnn", rng, 3, 4), OutputNetwork(rng, 4)
+    table, wo = mat(6, 3), rng.normal(size=4)
+    subs = [Substructure((i,), (), i) for i in range(3)]
+
+    def attend_rnn():
+        u, vectors = enc.encode_knowledge(lambda ids: embed(table, ids),
+                                          [0, 1, 2, 3], [[5], [3, 2, 1, 0], [2, 4]])
+        return knowledge_representation(u, KnowledgeMemory(vectors, subs), net)[0]
+    check(lambda: _weighted(attend_rnn(), wo),
+          list(enc.params("e").values()) + [table, net.weight, net.bias])
 
     # The fused nn and cnn encoders over one token and over several.
     for kind in ("nn", "cnn"):

@@ -250,6 +250,28 @@ def test_empty_corpus_exits_2(tmp_path, capsys):
     assert "empty corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("train-dev", "inspect-attention"))
+def test_empty_dev_or_inspected_corpus_exits_2(workspace, tmp_path, capsys,
+                                               command):
+    # An empty dev set would silently turn off model selection, and an
+    # empty inspected corpus would print no records, as if it had none.
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    args = {
+        "train-dev": ["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                      "--parses", str(workspace["data"] / "dependencies.tsv"),
+                      "--dev", str(empty), "--out", str(tmp_path / "model.json"),
+                      "--epochs", "1", "--embed-dim", "8", "--hidden-size", "8",
+                      "--quiet"],
+        "inspect-attention": ["inspect-attention", "--model",
+                              str(workspace["ckpt"]), "--data", str(empty)],
+    }[command]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {empty}: empty corpus"]
+    assert not captured.out and not (tmp_path / "model.json").exists()
+
+
 def test_corrupt_checkpoint_exits_3(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
@@ -389,6 +411,16 @@ def test_mistyped_config_field_exits_1_naming_it(workspace, tmp_path, field,
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert field in lines[0]
+
+
+def test_config_file_not_utf8_exits_1(workspace, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"epochs": 1\xff}')
+    assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                 "--config", str(cfg), "--out", str(tmp_path / "model.json"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid JSON")
 
 
 def _blocks(path: Path) -> list[str]:

@@ -5,11 +5,12 @@ import pytest
 
 from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.attention import KnowledgeMemory, knowledge_representation
-from structag.autodiff import Tensor, stack_rows
+from structag.autodiff import Tensor
 from structag.encoders import (CNN_WINDOW, ENCODER_KINDS, ConvolutionalEncoder,
                                OutputNetwork, make_encoder)
 from structag.errors import DimensionError
 from structag.knowledge import Substructure
+from structag.model import embed
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -106,62 +107,95 @@ def test_rnn_order_sensitive():
     assert np.abs(a - b).max() > 1e-6
 
 
-def _ragged(seed, lengths, dim=3):
-    rng = RNG(seed)
-    return [Tensor(rng.normal(size=(n, dim))) for n in lengths]
+def _lookup(seed, calls=None):
+    """An 8-row embedding table and a lookup into it that logs its calls."""
+    table = Tensor(RNG(seed).normal(size=(8, 3)))
+
+    def lookup(ids):
+        if calls is not None:
+            calls.append(list(ids))
+        return embed(table, ids)
+    return table, lookup
 
 
 def test_rnn_memory_matches_per_sequence_runs():
-    # One batched GRU node: ragged lengths, a length-1 run, a tie, and
-    # rows out of length order, each read at its own final state.
+    # One batched GRU node over one lookup: ragged lengths, a length-1
+    # run, a tie, and rows out of length order, each read at its own
+    # final state; the sentence is the last run, and u and the memory
+    # are views of the batch.
     enc = make_encoder("rnn", RNG(30), 3, 4)
-    xs = _ragged(300, (3, 1, 4, 2, 4))
-    memory = enc.encode_many(xs)
-    assert memory.shape == (5, 4) and memory.op == "gru_sequence"
-    assert memory.parents[:5] == tuple(xs)
-    for row, x in zip(memory.value, xs):
+    table, lookup = _lookup(300)
+    sentence, parts = [0, 1, 2, 3], [[4, 0, 5], [6], [7, 1, 2, 3], [5, 5]]
+    u, memory = enc.encode_knowledge(lookup, sentence, parts)
+    assert memory.shape == (4, 4) and u.shape == (4,)
+    assert memory.op == u.op == "row_view" and memory.parents == u.parents
+    (batch,) = u.parents
+    assert batch.op == "gru_sequence" and batch.parents[0].op == "embed"
+    for row, ids in zip([*memory.value, u.value], parts + [sentence]):
+        x = embed(table, ids)
         np.testing.assert_allclose(row, enc.encode(x).value, rtol=0, atol=1e-12)
         np.testing.assert_allclose(row, enc.cell.sequence(x).value[-1],
                                    rtol=0, atol=1e-12)
 
 
 def test_rnn_memory_gradients_match_per_sequence_runs():
-    enc = make_encoder("rnn", RNG(31), 3, 4)
-    xs = _ragged(310, (2, 4, 1, 4))
-    const = Tensor(RNG(311).normal(size=(4, 4)))
-    tensors = list(enc.params("enc").values()) + xs
+    # Parts of a 4-token sentence: one part, four ragged parts with a
+    # length-1 run, and a fallback part that is the whole sentence, so two
+    # runs tie for the longest. Both vectors reach the loss through the
+    # attention step, as in the model; the separate runs are the memory
+    # batch and the sentence on its own.
+    enc, net = make_encoder("rnn", RNG(31), 3, 4), OutputNetwork(RNG(314), 4)
+    table, lookup = _lookup(310)
+    const = Tensor(RNG(312).normal(size=4))
+    sentence = [0, 1, 2, 3]
+    tensors = [*enc.params("enc").values(), *net.params("net").values(), table]
+    for parts in ([[4, 1]], [[5, 6, 1], [7], [0, 1, 2, 3], [3, 2]], [sentence]):
+        subs = [Substructure((i,), (), i) for i in range(len(parts))]
 
-    def grads(loss):
-        for t in tensors:
-            t.zero_grad()
-        loss.backward()
-        return [t.grad.copy() for t in tensors]
+        def grads(u, vectors):
+            for t in tensors:
+                t.grad = None
+            guided, _ = knowledge_representation(
+                u, KnowledgeMemory(vectors, subs), net)
+            sum_all(elementwise_mul(guided, const)).backward()
+            return [u.value, vectors.value] + [t.grad.copy() for t in tensors]
 
-    batched = grads(sum_all(elementwise_mul(enc.encode_many(xs), const)))
-    per_sequence = grads(sum_all(elementwise_mul(
-        stack_rows([enc.encode(x) for x in xs]), const)))
-    for a, b in zip(batched, per_sequence):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        merged = grads(*enc.encode_knowledge(lookup, sentence, parts))
+        separate = grads(enc.encode(lookup(sentence)), enc.cell.final_states(
+            lookup([i for ids in parts for i in ids]), [len(ids) for ids in parts]))
+        for a, b in zip(merged, separate):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
-def test_encode_many_stacks_one_row_per_sequence(kind):
-    enc = make_encoder(kind, RNG(32), 3, 4)
-    xs = _ragged(320, (2, 5, 1))
-    rows = enc.encode_many(xs).value
-    assert rows.shape == (3, 4)
-    for row, x in zip(rows, xs):
-        np.testing.assert_allclose(row, enc.encode(x).value, rtol=0, atol=1e-12)
+def test_encode_knowledge_gives_one_row_per_part(kind):
+    # nn and cnn look up each part, then the sentence; rnn looks them up
+    # in that order as one sequence.
+    enc, calls = make_encoder(kind, RNG(32), 3, 4), []
+    table, lookup = _lookup(320, calls)
+    sentence, parts = [0, 1, 2], [[3, 4], [5, 6, 7, 0, 1], [2]]
+    u, memory = enc.encode_knowledge(lookup, sentence, parts)
+    assert memory.shape == (3, 4) and u.shape == (4,)
+    for row, ids in zip([*memory.value, u.value], parts + [sentence]):
+        np.testing.assert_allclose(row, enc.encode(embed(table, ids)).value,
+                                   rtol=0, atol=1e-12)
+    expected = parts + [sentence]
+    assert calls == ([sum(expected, [])] if kind == "rnn" else expected)
 
 
 def test_rnn_memory_rejects_bad_sequences():
     enc = make_encoder("rnn", RNG(33), 3, 4)
+    _, lookup = _lookup(330)
+    x = Tensor(RNG(331).normal(size=(4, 3)))
+    for bad_x, lengths in ((x, []), (x, [2, 0, 2]), (x, [2, 1]), (x, [5]),
+                           (Tensor(np.zeros((0, 3))), None),
+                           (Tensor(np.zeros((2, 2))), [2])):
+        with pytest.raises(DimensionError):
+            enc.cell.final_states(bad_x, lengths)
     with pytest.raises(DimensionError):
-        enc.encode_many([])
+        enc.encode_knowledge(lookup, [0, 1], [[1], []])
     with pytest.raises(DimensionError):
-        enc.encode_many(_ragged(330, (2,)) + [Tensor(np.zeros((0, 3)))])
-    with pytest.raises(DimensionError):
-        enc.encode_many(_ragged(331, (2,)) + _ragged(332, (2,), dim=2))
+        enc.encode_knowledge(lookup, [], [[1]])
 
 
 # ---------------------------------------------------------------------------

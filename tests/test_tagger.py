@@ -393,15 +393,19 @@ def _graph_ops(root) -> list[str]:
 
 
 @pytest.mark.parametrize("mode,encoder,cell,nodes", [
-    ("joint", "rnn", "gru", 36), ("chain", "nn", "elman", 8)])
+    ("joint", "rnn", "gru", 35), ("joint", "nn", "gru", 34),
+    ("joint", "cnn", "gru", 34), ("chain", "nn", "elman", 8)])
 def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                                                         nodes):
     # Each model stage is one graph node however many tokens it runs over,
     # so a 12-token loss graph is exactly as large as a 3-token one. The
     # chain graph is 5 parameters, embed, elman_sequence and tag_output.
-    # The joint graph over two substructures is 26 parameters, 4 embeds,
-    # 4 GRU runs (the batched memory, the sentence vector, 2 towers),
-    # attention and tag_output.
+    # The joint graphs over two substructures end in attention and
+    # tag_output. With rnn they hold 26 parameters, 2 embeds (the batch,
+    # the towers' input), 3 GRU runs (one batch of the two substructures
+    # and the sentence, 2 towers) and 2 row views of the batch (the
+    # sentence vector and the memory); with nn or cnn, 22 parameters,
+    # 4 embeds, 3 encodings, stack_rows and the 2 towers.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -423,8 +427,9 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
 
 @pytest.mark.parametrize("n_subs", [2, 5])
 def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
-    # The memory batch, the sentence vector and the two towers, however
-    # many substructures the utterance has.
+    # One embedding and one GRU batch of the substructures and the
+    # sentence, and the towers' embedding and two runs, however many
+    # substructures the utterance has.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -440,8 +445,8 @@ def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
     loss = model.loss(vocab.encode_tokens(tokens), vocab.encode_tags(("O",) * 6),
                       subs, 0.25, RNG(270))
     ops = _graph_ops(loss)
-    assert ops.count("gru_sequence") == 4
-    assert ops.count("embed") == n_subs + 2 and "stack_rows" not in ops
+    assert ops.count("gru_sequence") == 3 and ops.count("row_view") == 2
+    assert ops.count("embed") == 2 and "stack_rows" not in ops
 
 
 def _small_model(mode="joint", encoder="cnn", cell="gru"):

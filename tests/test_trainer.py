@@ -8,12 +8,13 @@ import pytest
 
 from structag import trainer as trainer_module
 from structag.autodiff import Tensor
-from structag.corpus import Utterance, Vocabulary
-from structag.errors import (CheckpointError, ConfigError,
+from structag.corpus import Utterance, Vocabulary, load_corpus
+from structag.errors import (CheckpointError, ConfigError, DataError,
                              TrainingDivergedError)
-from structag.knowledge import substructures_with_fallback
+from structag.knowledge import load_dependency, substructures_with_fallback
 from structag.model import SlotModel
 from structag.seeding import derive_seed
+from structag.synthetic import SyntheticConfig, generate
 from structag.trainer import (ADAM_BLOCK, AdamOptimizer, TrainConfig,
                               evaluate_model, load_checkpoint, save_checkpoint,
                               train)
@@ -408,6 +409,26 @@ def test_training_log_is_json_lines(tmp_path):
 def test_empty_training_set_rejected():
     with pytest.raises(ConfigError):
         train([], _tiny_config())
+
+
+def test_train_rejects_parses_of_other_utterances(tmp_path):
+    # Two trees of equal length but different words, swapped: the library
+    # path aligns parses by id, so nothing else would notice.
+    paths = generate(SyntheticConfig(n_utterances=12), 3).write(tmp_path)
+    utts = load_corpus(paths["corpus"])
+    parses = {p.id: p for p in load_dependency(paths["dependency"])}
+    a, b = next((a, b) for i, a in enumerate(utts) for b in utts[i + 1:]
+                if len(a.tokens) == len(b.tokens) and a.tokens != b.tokens)
+    swapped = {**parses, a.id: parses[b.id], b.id: parses[a.id]}
+    config = _tiny_config(epochs=1)
+    with pytest.raises(DataError, match=f"train parses: .* utterance {a.id}: "
+                                        "token .* but its parse node is"):
+        train(utts, config, swapped)
+    # The dev parses are checked the same way, before any training.
+    with pytest.raises(DataError, match=f"dev parses: .* utterance {a.id}"):
+        train(utts, config, parses, dev_utterances=utts, dev_parses=swapped)
+    # Chain mode reads no parses, so it trains on any.
+    train(utts, _tiny_config(epochs=1, mode="chain"), swapped)
 
 
 def test_frozen_embeddings_stay_at_initialization():
