@@ -1,14 +1,16 @@
 """Recurrent cells and parameter initialization shared by encoders and taggers.
 
-Each cell runs a whole sequence as one fused graph op, and the GRU also
-a ragged batch of sequences, read at their final states. The forward
-pass projects all inputs before the loop (one matmul per gate matrix,
-into one preallocated matrix), adds the knowledge terms to that
-projection as a constant bias, and loops over the steps with one
-recurrent product per gate group, writing every gate and state into its
-preallocated rows. The backward pass is a hand-written backpropagation
-through time over the stored gate values, with one matmul or sum per
-weight and input after the loop. Parameters stay one matrix per gate, as
+A cell holds its recurrence weights and, in a knowledge-guided tagger
+tower, its own per-gate projections of the guided vector. Every run is
+one fused graph op from one builder: a whole sequence, or for the GRU a
+ragged batch of sequences read at their final states. The forward pass
+projects all inputs before the loop (one matmul per gate matrix, into
+one preallocated matrix), adds the knowledge terms to that projection
+as a constant bias, and loops over the steps with one recurrent product
+per gate group, writing every gate and state into its preallocated
+rows. The backward pass is a hand-written backpropagation through time
+over the stored gate values, with one matmul or sum per weight and
+input after the loop. Parameters stay one matrix per gate, as
 checkpoints store them; the GRU stacks [U_r; U_z] once per call, for
 both passes.
 """
@@ -32,53 +34,74 @@ def zero_vector(n: int) -> Tensor:
 
 
 class _Recurrence:
-    """Input projection and its gradients, shared by both fused cells.
+    """Parameters and the one graph-op builder shared by both fused cells.
 
-    A cell sets GATES, OP and `input_weights` (one per gate) and defines
-    `_recur(proj)`, returning the states from the zero state and a
-    closure from the gradients of the states after the initial ones to
-    the pre-activation gradients. Projecting gate by gate builds
+    A cell sets GATES and OP, draws its recurrence weights in `_draw`
+    (setting `input_weights`, one per gate, and returning every weight by
+    checkpoint name) and defines `_recur(proj)`, returning the states from
+    the zero state and a closure from the gradients of the states after
+    the initial ones to the pre-activation gradients. With a
+    `knowledge_dim`, the cell also owns `know[gate]`, an (H, K) projection
+    of a guided vector (K,) into that gate's pre-activation at every step,
+    drawn after the recurrence weights. Projecting gate by gate builds
     `X @ [W_1; ...; W_k]ᵀ` without a stacked weight copy.
     """
 
-    def sequence(self, x: Tensor, guided: Tensor | None = None,
-                 know: dict[str, Tensor] | None = None,
-                 sizes: list[int] | None = None) -> Tensor:
-        """All hidden states (T, H) of a run from the zero state over x (T, E).
+    def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int,
+                 knowledge_dim: int | None = None):
+        self.input_dim, self.hidden_dim = input_dim, hidden_dim
+        self.weights = self._draw(rng)
+        self.know = {} if knowledge_dim is None else {
+            g: glorot_uniform(rng, hidden_dim, knowledge_dim) for g in self.GATES}
 
-        `know` maps any subset of GATES to a (H, K) projection of the
-        guided vector (K,) into that gate's pre-activation at every step.
-        With `sizes` (GRU only), x and the states pack a batch of runs
-        time-major, `sizes[t]` rows at step t (see `GruCell.final_states`).
-        """
+    def params(self, prefix: str) -> dict[str, Tensor]:
+        """The recurrence weights, then the knowledge projections."""
+        know = {f"know_{g}": k for g, k in self.know.items()}
+        return {f"{prefix}.{name}": t for name, t in {**self.weights, **know}.items()}
+
+    def sequence(self, x: Tensor, guided: Tensor | None = None) -> Tensor:
+        """All hidden states (T, H) of a run from the zero state over x (T, E),
+        with `guided` projected into every step if the cell has projections."""
         if x.value.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.input_dim:
             raise DimensionError(
                 f"recurrence input must be a non-empty (length, "
                 f"{self.input_dim}) matrix, got {x.shape}")
+        return self._op(x, guided if self.know else None)
+
+    def _op(self, x: Tensor, guided: Tensor | None = None, rows=None,
+            sizes: list[int] | None = None, ends=None) -> Tensor:
+        """One graph node running the rows `rows` of x (default: all, in
+        order), `sizes[t]` of them at step t (GRU only, see `final_states`),
+        and giving the states at `ends` (default: all)."""
         hd, weights = self.hidden_dim, self.input_weights
-        know = (know or {}) if guided is not None else {}
-        projs = [know.get(g) for g in self.GATES]
-        proj = np.empty((x.shape[0], len(weights) * hd))
-        for i, (w, k) in enumerate(zip(weights, projs)):
-            block = np.matmul(x.value, w.value.T, out=proj[:, i * hd:(i + 1) * hd])
-            if k is not None:
-                block += k.value @ guided.value
+        xv = x.value if rows is None else x.value[rows]
+        know = [self.know[g] for g in self.GATES] if guided is not None else []
+        proj = np.empty((xv.shape[0], len(weights) * hd))
+        for i, w in enumerate(weights):
+            block = np.matmul(xv, w.value.T, out=proj[:, i * hd:(i + 1) * hd])
+            if know:
+                block += know[i].value @ guided.value
         states, bptt = self._recur(proj) if sizes is None else self._recur(proj, sizes)
-        used = [k for k in projs if k is not None]
+        value = states[-xv.shape[0]:]
         # guided after x: the backward pass reaches x's embedding first.
-        out = Tensor(states[-x.shape[0]:], self.OP,
-                     (x, *self.params("").values(), *([guided, *used] if used else [])))
+        out = Tensor(value if ends is None else value[ends], self.OP,
+                     (x, *self.weights.values(), *([guided, *know] if know else [])))
+        where = None if rows is None else np.argsort(rows)    # x's row order
 
         def bw(g):
+            if ends is not None:
+                g, d_ends = np.zeros_like(value), g
+                g[ends] = d_ends
             d_pre = bptt(g)
-            for i, (w, k) in enumerate(zip(weights, projs)):
+            for i, w in enumerate(weights):
                 d_gate = d_pre[:, i * hd:(i + 1) * hd]
-                w._accumulate(d_gate.T @ x.value)
-                x._accumulate(d_gate @ w.value)
-                if k is not None:
+                w._accumulate(d_gate.T @ xv)
+                d_x = d_gate @ w.value
+                x._accumulate(d_x if where is None else d_x[where])
+                if know:
                     d_term = d_gate.sum(axis=0)
-                    k._accumulate(np.outer(d_term, guided.value))
-                    guided._accumulate(k.value.T @ d_term)
+                    know[i]._accumulate(np.outer(d_term, guided.value))
+                    guided._accumulate(know[i].value.T @ d_term)
         out._backward = bw
         return out
 
@@ -89,14 +112,11 @@ class ElmanCell(_Recurrence):
     GATES = ("cand",)
     OP = "elman_sequence"
 
-    def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int):
-        self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        self.w_in = glorot_uniform(rng, hidden_dim, input_dim)
-        self.u_rec = glorot_uniform(rng, hidden_dim, hidden_dim)
+    def _draw(self, rng: np.random.Generator) -> dict[str, Tensor]:
+        self.w_in = glorot_uniform(rng, self.hidden_dim, self.input_dim)
+        self.u_rec = glorot_uniform(rng, self.hidden_dim, self.hidden_dim)
         self.input_weights = [self.w_in]
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w_in": self.w_in, f"{prefix}.u_rec": self.u_rec}
+        return {"w_in": self.w_in, "u_rec": self.u_rec}
 
     def _recur(self, proj: np.ndarray):
         u, n = self.u_rec.value, proj.shape[0]
@@ -123,26 +143,22 @@ class GruCell(_Recurrence):
         h~  = tanh(W_h x_t + U_h (h_{t-1} * r) [+ K_h g])
         h_t = (1 - z) * h~ + z * h_{t-1}
 
-    The optional K g terms project the per-utterance guided vector g into
-    each gate's pre-activation. sigmoid(a) = 1 / (1 + exp(-a)), computed
-    in place; it saturates to exactly 0 (exp overflows) and 1.
+    The K g terms, in a cell with knowledge projections, project the
+    per-utterance guided vector g into each gate's pre-activation.
+    sigmoid(a) = 1 / (1 + exp(-a)), computed in place; it saturates to
+    exactly 0 (exp overflows) and 1.
     """
 
     GATES = ("reset", "update", "cand")
     OP = "gru_sequence"
 
-    def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int):
-        self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        self.w = {g: glorot_uniform(rng, hidden_dim, input_dim) for g in self.GATES}
-        self.u = {g: glorot_uniform(rng, hidden_dim, hidden_dim) for g in self.GATES}
+    def _draw(self, rng: np.random.Generator) -> dict[str, Tensor]:
+        hd = self.hidden_dim
+        self.w = {g: glorot_uniform(rng, hd, self.input_dim) for g in self.GATES}
+        self.u = {g: glorot_uniform(rng, hd, hd) for g in self.GATES}
         self.input_weights = [self.w[g] for g in self.GATES]
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for g in self.GATES:
-            out[f"{prefix}.w_{g}"] = self.w[g]
-            out[f"{prefix}.u_{g}"] = self.u[g]
-        return out
+        return {name: t for g in self.GATES
+                for name, t in ((f"w_{g}", self.w[g]), (f"u_{g}", self.u[g]))}
 
     def final_states(self, x: Tensor, lengths: list[int] | None = None) -> Tensor:
         """Final states (n, H) of independent runs from the zero state, run i
@@ -159,24 +175,11 @@ class GruCell(_Recurrence):
                                  f"{runs.tolist()} over {x.shape}")
         order = np.argsort(-runs, kind="stable")
         step, rank = np.nonzero(runs[order] > np.arange(runs.max())[:, None])
-        # The row of x of each packed row, and the inverse.
-        gather = (np.cumsum(runs) - runs)[order][rank] + step
-        where = np.argsort(gather)
-        packed = Tensor(x.value[gather])
-        run = self.sequence(packed, sizes=np.bincount(step).tolist())
-        ends = where[np.cumsum(runs) - 1]
-        finals = run.value[ends]
-        out = Tensor(finals[0] if lengths is None else finals, self.OP,
-                     (x, *self.params("").values()))
-
-        def bw(g):
-            d_run = np.zeros_like(run.value)
-            d_run[ends] = g
-            packed.grad = None
-            run._backward(d_run)
-            x._accumulate(packed.grad[where])
-        out._backward = bw
-        return out
+        # The row of x of each packed row, and the packed row of each run's end.
+        rows = (np.cumsum(runs) - runs)[order][rank] + step
+        ends = np.argsort(rows)[np.cumsum(runs) - 1]
+        return self._op(x, rows=rows, sizes=np.bincount(step).tolist(),
+                        ends=ends[0] if lengths is None else ends)
 
     def _recur(self, proj: np.ndarray, sizes: list[int] | None = None):
         """`sizes[t]` (non-increasing, default 1) rows run at step t, reading
@@ -238,9 +241,9 @@ class GruCell(_Recurrence):
 
 
 def make_cell(kind: str, rng: np.random.Generator, input_dim: int,
-              hidden_dim: int):
+              hidden_dim: int, knowledge_dim: int | None = None):
     if kind == "elman":
-        return ElmanCell(rng, input_dim, hidden_dim)
+        return ElmanCell(rng, input_dim, hidden_dim, knowledge_dim)
     if kind == "gru":
-        return GruCell(rng, input_dim, hidden_dim)
+        return GruCell(rng, input_dim, hidden_dim, knowledge_dim)
     raise ValueError(f"unknown recurrent cell kind {kind!r}")

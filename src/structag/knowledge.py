@@ -31,6 +31,7 @@ class KnowledgeParse:
     edge_labels: dict = field(default_factory=dict)  # (head, dep) -> label
     root: object = None
     kind: str = "amr"  # "dependency": one node per token, its form the token
+    line: int | None = None  # the file line (1-based) its block starts on
 
     def edges(self) -> list[tuple]:
         return [(h, d) for h, deps in self.children.items() for d in deps]
@@ -45,25 +46,28 @@ class Substructure:
 
 
 def _blocks(path: Path):
-    """Yield (ordinal, lines) for each blank-line-separated block."""
+    """Yield (ordinal, first line number, lines) for each blank-line-separated
+    block."""
     block: list[str] = []
-    ordinal = 0
+    ordinal = first = 0
     try:
         lines = path.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise ParseFileError(f"{path}: not UTF-8 text: {exc}") from exc
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             if block:
-                yield ordinal, block
+                yield ordinal, first, block
                 ordinal += 1
                 block = []
             continue
         if line.startswith("#"):
             continue
+        if not block:
+            first = number
         block.append(line)
     if block:
-        yield ordinal, block
+        yield ordinal, first, block
 
 
 def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
@@ -75,7 +79,7 @@ def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgePar
     """
     path = Path(path)
     parses = []
-    for ordinal, lines in _blocks(path):
+    for ordinal, first, lines in _blocks(path):
         utt_id = f"{id_prefix}{ordinal:04d}"
         rows = []
         for line in lines:
@@ -93,7 +97,7 @@ def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgePar
             rows.append((idx, cols[1], head))
 
         n = len(rows)
-        parse = KnowledgeParse(id=utt_id, kind="dependency")
+        parse = KnowledgeParse(id=utt_id, kind="dependency", line=first)
         heads = {}
         for idx, form, head in rows:
             if not 1 <= idx <= n:
@@ -132,9 +136,9 @@ def load_amr(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
     """
     path = Path(path)
     parses = []
-    for ordinal, lines in _blocks(path):
+    for ordinal, first, lines in _blocks(path):
         utt_id = f"{id_prefix}{ordinal:04d}"
-        parse = KnowledgeParse(id=utt_id)
+        parse = KnowledgeParse(id=utt_id, line=first)
         for line in lines:
             cols = line.split("\t")
             kind = cols[0]
@@ -180,7 +184,8 @@ def load_amr(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
 def check_alignment(parses: dict, utterances, source) -> None:
     """Raise DataError unless each utterance's parse (by id, if any) fits
     it: a dependency tree has one node per token, its form the token up to
-    case; a concept graph aligns only to positions inside the utterance."""
+    case; a concept graph aligns only to positions inside the utterance.
+    The error quotes the file line of the block, when it came from a file."""
     for utt in utterances:
         parse = parses.get(utt.id)
         if parse is None:
@@ -195,8 +200,9 @@ def check_alignment(parses: dict, utterances, source) -> None:
             wrong = [f"token {i} is {t!r} but its parse node is {nodes[i].form!r}"
                      for i, t in enumerate(utt.tokens, 1) if nodes[i].form.lower() != t]
         if wrong:
-            raise DataError(f"{source}: block {parse.id} does not fit utterance "
-                            f"{utt.id}: {wrong[0]}")
+            at = "" if parse.line is None else f" (line {parse.line})"
+            raise DataError(f"{source}: block {parse.id}{at} does not fit "
+                            f"utterance {utt.id}: {wrong[0]}")
 
 
 def _check_rooted_dag(parse: KnowledgeParse, path, utt_id):

@@ -87,21 +87,19 @@ class SlotModel:
         substructures actually used). Dropout is active only when a rate
         and rng are given; evaluation passes neither.
         """
-        if self.config.mode == "chain":
-            embedded = embed(self.embedding, token_ids, dropout_rate, rng)
-            return self.tagger.distributions(embedded, None, dropout_rate, rng,
-                                             gold), None, []
-
-        n = len(token_ids)
-        subs = substructures if substructures else substructures_with_fallback(None, n)
-        if not all(0 <= pos < n for sub in subs for pos in sub.positions):
-            raise DimensionError(f"substructure positions out of range for a {n}-"
-                                 f"token utterance: {[s.positions for s in subs]}")
-        u, vectors = self.encoder.encode_knowledge(
-            lambda ids: embed(self.embedding, ids, dropout_rate, rng), token_ids,
-            [[token_ids[pos] for pos in sub.positions] for sub in subs])
-        guided, weights = knowledge_representation(
-            u, KnowledgeMemory(vectors, list(subs)), self.output_net)
+        guided = weights = None
+        subs = []
+        if self.encoder is not None:
+            n = len(token_ids)
+            subs = substructures or substructures_with_fallback(None, n)
+            if not all(0 <= pos < n for sub in subs for pos in sub.positions):
+                raise DimensionError(f"substructure positions out of range for a {n}-"
+                                     f"token utterance: {[s.positions for s in subs]}")
+            u, vectors = self.encoder.encode_knowledge(
+                lambda ids: embed(self.embedding, ids, dropout_rate, rng), token_ids,
+                [[token_ids[pos] for pos in sub.positions] for sub in subs])
+            guided, weights = knowledge_representation(
+                u, KnowledgeMemory(vectors, list(subs)), self.output_net)
         embedded = embed(self.embedding, token_ids, dropout_rate, rng)
         dist = self.tagger.distributions(embedded, guided, dropout_rate, rng, gold)
         return dist, weights, list(subs)

@@ -1,11 +1,12 @@
 """Recurrent slot taggers: plain chain, knowledge-guided, and joint.
 
 All variants run left to right and emit one tag distribution per token
-via a shared output layer. The knowledge-guided variants add a projected
-per-utterance representation into every step's pre-activations; the
-joint variant blends a chain tower and a knowledge tower before the
-output softmax. The output layer, blend included, is one graph op that
-ends in the training loss; inference reads its softmax as a constant.
+via a shared output layer. Each tower is a recurrent cell; a knowledge
+tower's cell owns the projections that add the per-utterance guided
+representation into every step's pre-activations. The joint variant
+blends a chain tower and a knowledge tower before the output softmax.
+The output layer, blend included, is one graph op that ends in the
+training loss; inference reads its softmax as a constant.
 """
 
 from __future__ import annotations
@@ -18,29 +19,6 @@ from .errors import DimensionError
 
 TAGGER_MODES = ("chain", "knowledge", "joint")
 CELL_KINDS = ("elman", "gru")
-
-
-class TaggerTower:
-    """One recurrence over the sentence, optionally knowledge-conditioned."""
-
-    def __init__(self, rng: np.random.Generator, cell_kind: str, embed_dim: int,
-                 hidden_dim: int, knowledge_dim: int | None = None):
-        self.cell = make_cell(cell_kind, rng, embed_dim, hidden_dim)
-        self.knowledge_proj: dict[str, Tensor] | None = None
-        if knowledge_dim is not None:
-            self.knowledge_proj = {g: glorot_uniform(rng, hidden_dim, knowledge_dim)
-                                   for g in self.cell.GATES}
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = self.cell.params(prefix)
-        if self.knowledge_proj is not None:
-            for gate, mat in self.knowledge_proj.items():
-                out[f"{prefix}.know_{gate}"] = mat
-        return out
-
-    def run(self, embedded: Tensor, guided: Tensor | None = None) -> Tensor:
-        """(tokens, hidden) states; `guided` enters every step of a knowledge tower."""
-        return self.cell.sequence(embedded, guided, self.knowledge_proj)
 
 
 def tag_output(states: list[Tensor], alpha: float, weight: Tensor,
@@ -100,8 +78,6 @@ class Tagger:
                  knowledge_dim: int | None = None, alpha: float = 0.5):
         if mode not in TAGGER_MODES:
             raise ValueError(f"unknown tagger mode {mode!r}")
-        if cell_kind not in CELL_KINDS:
-            raise ValueError(f"unknown cell kind {cell_kind!r}")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         if mode != "chain" and knowledge_dim is None:
@@ -110,7 +86,7 @@ class Tagger:
         self.alpha = alpha
         tower_knowledge = {"chain": [None], "knowledge": [knowledge_dim],
                            "joint": [None, knowledge_dim]}[mode]
-        self.towers = [TaggerTower(rng, cell_kind, embed_dim, hidden_dim, k)
+        self.towers = [make_cell(cell_kind, rng, embed_dim, hidden_dim, k)
                        for k in tower_knowledge]
         self.out_weight = glorot_uniform(rng, hidden_dim, n_tags)
         self.out_bias = zero_vector(n_tags)
@@ -132,7 +108,7 @@ class Tagger:
         tower ignores `guided`."""
         if self.mode != "chain" and guided is None:
             raise DimensionError(f"{self.mode} tagger needs a guided representation")
-        return tag_output([tower.run(embedded, guided) for tower in self.towers],
+        return tag_output([cell.sequence(embedded, guided) for cell in self.towers],
                           self.alpha, self.out_weight, self.out_bias,
                           dropout_rate, rng, gold)
 

@@ -285,7 +285,10 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
 
     vocab = Vocabulary.build(train_utterances)
     init_rng = np.random.default_rng(derive_seed(config.seed, "init"))
-    model = SlotModel(config, vocab, init_rng)
+    try:
+        model = SlotModel(config, vocab, init_rng)
+    except (MemoryError, ValueError) as exc:    # numpy cannot allocate the size
+        raise ConfigError(f"cannot build a model of this size: {exc}") from exc
     optimizer = AdamOptimizer(
         model.params(), learning_rate=config.learning_rate, beta1=config.beta1,
         beta2=config.beta2, epsilon=config.epsilon, clip_norm=config.clip_norm,
@@ -400,7 +403,7 @@ def load_checkpoint(path: str | Path) -> SlotModel:
         vocab = Vocabulary.from_dict(payload["vocab"])
         stored = dict(payload["params"])
         model = SlotModel(config, vocab, np.random.default_rng(0))
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, MemoryError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
     params = model.params()
     missing = sorted(set(params) - set(stored))

@@ -31,6 +31,14 @@ def elementwise_mul(a, b):
     return out
 
 
+def set_know(cell, know):
+    """Set a cell's knowledge projections from `know` (gate -> array), zero
+    for the gates it leaves out; returns the projection tensors."""
+    for gate, k in cell.know.items():
+        k.value[:] = know.get(gate, 0.0)
+    return list(cell.know.values())
+
+
 def numeric_grad(build_loss, tensor, step=STEP):
     """Central finite differences of build_loss() w.r.t. tensor.value.
 

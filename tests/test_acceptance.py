@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import conlleval_reference as ref
-from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
+from gradcheck_util import assert_grads_match, elementwise_mul, set_know, sum_all
 from structag import autodiff as ad
 from structag.attention import KnowledgeMemory, knowledge_representation
 from structag.autodiff import Tensor
@@ -127,15 +127,16 @@ def _per_op_worst() -> tuple[float, set]:
     # The fused recurrences, with and without knowledge terms, over one
     # step and over several.
     for kind in CELL_KINDS:
-        cell = make_cell(kind, rng, 3, 4)
-        guided, know = mat(2), {g: mat(4, 2) for g in cell.GATES}
+        cell = make_cell(kind, rng, 3, 4, knowledge_dim=2)
+        guided = mat(2)
+        know = set_know(cell, {g: rng.normal(size=(4, 2)) for g in cell.GATES})
         for length in (1, 6):
             xs = mat(length, 3)
             wh = rng.normal(size=(length, 4))
-            tensors = list(cell.params("c").values()) + [xs]
+            tensors = list(cell.weights.values()) + [xs]
             check(lambda: _weighted(cell.sequence(xs), wh), tensors)
-            check(lambda: _weighted(cell.sequence(xs, guided, know), wh),
-                  tensors + list(know.values()) + [guided])
+            check(lambda: _weighted(cell.sequence(xs, guided), wh),
+                  tensors + know + [guided])
 
     # The GRU's final states: of one sequence (the rnn sentence vector)
     # and of a ragged batch with a length-1 run and a tie (the memory).

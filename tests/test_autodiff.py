@@ -22,7 +22,7 @@ from structag.model import embed
 from structag.tagger import tag_output
 
 from gradcheck_util import (assert_grads_match, elementwise_mul, numeric_grad,
-                            rel_err, sum_all)
+                            rel_err, set_know, sum_all)
 
 
 def _t(rng, *shape):
@@ -117,25 +117,30 @@ def test_tanh_and_sigmoid_identities():
     # The sigmoid lives inside the fused GRU. Zero weights put every gate
     # at sigmoid(0) = 1/2, so each state is the mean of its predecessor
     # and tanh(K_cand g); an identity K passes g through.
-    cell = GruCell(np.random.default_rng(0), 2, 2)
-    for g in cell.GATES:
-        cell.w[g].value[:] = 0.0
-        cell.u[g].value[:] = 0.0
+    def zero_gru(knowledge_dim):
+        cell = GruCell(np.random.default_rng(0), 2, 2, knowledge_dim)
+        for g in cell.GATES:
+            cell.w[g].value[:] = 0.0
+            cell.u[g].value[:] = 0.0
+        return cell
+
+    cell = zero_gru(2)
+    set_know(cell, {"cand": np.eye(2)})
     cand = np.array([0.3, -2.0])
-    h = cell.sequence(Tensor(np.ones((2, 2))), Tensor(cand),
-                      {"cand": Tensor(np.eye(2))}).value
+    h = cell.sequence(Tensor(np.ones((2, 2))), Tensor(cand)).value
     np.testing.assert_array_equal(h[0], 0.5 * np.tanh(cand))
     np.testing.assert_array_equal(h[1], 0.5 * np.tanh(cand) + 0.5 * h[0])
     # Pre-activations of +-1000 saturate the gates without overflow: an
     # update gate at 0 passes the candidate through, one at 1 keeps the
     # zero initial state. The guided vector feeds each gate through its
     # own projection: reset by +1000, update by `update`, cand by cand.
+    cell = zero_gru(3)
     for update, expected in ((-1000.0, np.tanh(cand)), (1000.0, np.zeros(2))):
-        know = {"reset": Tensor([[1000.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]),
-                "update": Tensor([[update, 0.0, 0.0], [update, 0.0, 0.0]]),
-                "cand": Tensor([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])}
+        set_know(cell, {"reset": [[1000.0, 0.0, 0.0], [1000.0, 0.0, 0.0]],
+                        "update": [[update, 0.0, 0.0], [update, 0.0, 0.0]],
+                        "cand": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})
         big = cell.sequence(Tensor(np.ones((1, 2))),
-                            Tensor(np.array([1.0, *cand])), know)
+                            Tensor(np.array([1.0, *cand])))
         assert np.all(np.isfinite(big.value))
         np.testing.assert_array_equal(big.value[0], expected)
 
@@ -330,12 +335,12 @@ def test_grad_matmul_all_rank_combinations():
         lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], w_att),
         [u, rows, net.weight])
     # matrix @ vector: the knowledge projections K g of a recurrence
-    cell = ElmanCell(rng, 2, 3)
-    x, guided, know, w_h = _t(rng, 2, 2), _t(rng, 5), {"cand": _t(rng, 3, 5)}, \
-        _const(rng, 2, 3)
+    cell = ElmanCell(rng, 2, 3, knowledge_dim=5)
+    x, guided = _t(rng, 2, 2), _t(rng, 5)
+    know = set_know(cell, {"cand": rng.normal(size=(3, 5))})
+    w_h = _const(rng, 2, 3)
     assert_grads_match(
-        lambda: _weighted_sum(cell.sequence(x, guided, know), w_h),
-        [guided, know["cand"]])
+        lambda: _weighted_sum(cell.sequence(x, guided), w_h), [guided, *know])
 
 
 def test_grad_sum_tanh():
@@ -398,18 +403,17 @@ def test_grad_composed_chain():
     # embedding feeds two of them, and the final state of the third guides
     # one of them.
     rng = np.random.default_rng(21)
-    table, cell = _t(rng, 4, 2), GruCell(rng, 2, 3)
-    know = {g: _t(rng, 3, 3) for g in cell.GATES}
+    table, cell = _t(rng, 4, 2), GruCell(rng, 2, 3, knowledge_dim=3)
+    set_know(cell, {g: rng.normal(size=(3, 3)) for g in cell.GATES})
     wo, b = _t(rng, 3, 4), _t(rng, 4)
 
     def loss():
         x = embed(table, [0, 2, 0])
         guided = cell.final_states(embed(table, [1, 3]))
-        states = [cell.sequence(x), cell.sequence(x, guided, know)]
+        states = [cell.sequence(x), cell.sequence(x, guided)]
         return tag_output(states, 0.4, wo, b, gold=[0, 1, 3])
 
-    assert_grads_match(loss, [table, *cell.params("").values(), *know.values(),
-                              wo, b])
+    assert_grads_match(loss, [table, *cell.params("").values(), wo, b])
 
 
 def test_numeric_grad_helper_on_known_derivative():

@@ -350,6 +350,20 @@ def test_overflowing_training_prints_one_error_line(tmp_path, rate):
     assert lines[0].startswith("error: loss became non-finite")
 
 
+@pytest.mark.parametrize("hidden_size", ["100000000000000000", str(10 ** 30)])
+def test_unallocatable_model_size_exits_1(workspace, tmp_path, hidden_size):
+    # A (hidden_size, 4) tower weight: 3.2e18 bytes, refused at once with
+    # a MemoryError, or a dimension numpy rejects with a ValueError.
+    proc = _run_cli(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                     "--out", str(tmp_path / "model.json"), "--mode", "chain",
+                     "--embed-dim", "4", "--hidden-size", hidden_size,
+                     "--epochs", "1", "--quiet"])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: cannot build a model of this size")
+
+
 def test_non_finite_learning_rate_exits_1_naming_it(workspace, capsys):
     assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
                  "--learning-rate", "nan", "--epochs", "1", "--embed-dim", "8",

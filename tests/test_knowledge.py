@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from structag.errors import ParseFileError
-from structag.knowledge import (KnowledgeParse, ParseNode,
+from structag.corpus import Utterance
+from structag.errors import DataError, ParseFileError
+from structag.knowledge import (KnowledgeParse, ParseNode, check_alignment,
                                 extract_substructures, load_amr,
                                 load_dependency, substructure_stats,
                                 substructures_with_fallback)
@@ -277,3 +278,20 @@ def test_substructure_stats(tmp_path):
 def test_comment_lines_ignored(tmp_path):
     text = "# sent_id = 1\n1\thello\t0\n"
     assert len(load_dependency(_write(tmp_path, text))) == 1
+
+
+def test_alignment_error_quotes_the_file_line(tmp_path):
+    # Each block keeps the line it starts on, past comments and blank lines.
+    utts = [Utterance(id="u0000", tokens=("hello",), tags=("O",)),
+            Utterance(id="u0001", tokens=("to", "boston"), tags=("O", "O"))]
+    path = _write(tmp_path, "# one\n1\thello\t0\n\n\n# two\n1\tto\t2\n"
+                            "2\tdenver\t0\n")
+    parses = {p.id: p for p in load_dependency(path)}
+    assert [p.line for p in parses.values()] == [2, 6]
+    with pytest.raises(DataError, match=r"block u0001 \(line 6\) does not fit "
+                                        "utterance u0001: token 2 is 'boston'"):
+        check_alignment(parses, utts, path)
+    graphs = _write(tmp_path, "node\ta\thello\t1\nroot\ta\n\n"
+                              "node\tb\tboston\t3\nroot\tb\n", "g.tsv")
+    with pytest.raises(DataError, match=r"block u0001 \(line 4\) does not fit"):
+        check_alignment({p.id: p for p in load_amr(graphs)}, utts, graphs)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
+from gradcheck_util import assert_grads_match, elementwise_mul, set_know, sum_all
 from structag.autodiff import Tensor
 from structag.cells import ElmanCell, GruCell, make_cell
 from structag.errors import DimensionError
@@ -62,55 +62,55 @@ def test_elman_two_step_oracle():
 
 
 def test_elman_extra_term_enters_preactivation():
-    cell = ElmanCell(RNG(4), 2, 2)
+    cell = ElmanCell(RNG(4), 2, 2, knowledge_dim=3)
     x = np.array([0.3, -0.1])
     guided = np.array([0.7, -1.2, 0.4])
     know = RNG(40).normal(size=(2, 3))
-    h = cell.sequence(Tensor(x[None].copy()), Tensor(guided.copy()),
-                      {"cand": Tensor(know.copy())})
+    set_know(cell, {"cand": know})
+    h = cell.sequence(Tensor(x[None].copy()), Tensor(guided.copy()))
     expected = np.tanh(cell.w_in.value @ x + know @ guided)
     np.testing.assert_allclose(h.value[0], expected, rtol=1e-12)
 
 
 def test_gru_zero_weights_halve_previous_state():
-    cell = GruCell(RNG(5), 2, 2)
+    cell = GruCell(RNG(5), 2, 2, knowledge_dim=2)
     for g in cell.GATES:
         cell.w[g].value[:] = 0.0
         cell.u[g].value[:] = 0.0
     # With every gate at 1/2 each state is half its predecessor plus half
     # the candidate, which only the knowledge term (identity K) moves off
     # zero.
+    set_know(cell, {"cand": np.eye(2)})
     cand = np.array([0.8, -0.4])
-    h = cell.sequence(Tensor(np.full((3, 2), 3.0)), Tensor(cand.copy()),
-                      {"cand": Tensor(np.eye(2))}).value
+    h = cell.sequence(Tensor(np.full((3, 2), 3.0)), Tensor(cand.copy())).value
     np.testing.assert_array_equal(h[0], 0.5 * np.tanh(cand))
     for t in (1, 2):
         np.testing.assert_array_equal(h[t], 0.5 * np.tanh(cand) + 0.5 * h[t - 1])
 
 
 def test_gru_saturated_update_gate_copies_previous_state():
-    cell = GruCell(RNG(6), 2, 3)
+    cell = GruCell(RNG(6), 2, 3, knowledge_dim=1)
     # The first input's column 0 drives the update gate to 0, the later
     # ones leave it saturated at 1 by the knowledge term.
     cell.w["update"].value[:] = [[1.0, 0.0]] * 3
     cell.u["update"].value[:] = 0.0
-    know = {"update": Tensor(np.ones((3, 1)))}
+    set_know(cell, {"update": np.ones((3, 1))})
     xs = np.array([[-3000.0, 1.0], [0.0, -1.0], [0.0, 0.5]])
-    h = cell.sequence(Tensor(xs), Tensor([1000.0]), know).value
+    h = cell.sequence(Tensor(xs), Tensor([1000.0])).value
     assert np.abs(h[0]).max() > 0
     np.testing.assert_array_equal(h[1], h[0])
     np.testing.assert_array_equal(h[2], h[0])
 
 
 def test_gru_step_oracle_with_extras():
-    cell = GruCell(RNG(7), 2, 3)
+    cell = GruCell(RNG(7), 2, 3, knowledge_dim=4)
     xs = RNG(70).normal(size=(3, 2))
     guided = RNG(71).normal(size=4)
     know = {g: RNG(72 + i).normal(size=(3, 4))
             for i, g in enumerate(cell.GATES)}
     extras = {g: k @ guided for g, k in know.items()}
-    h = cell.sequence(Tensor(xs.copy()), Tensor(guided.copy()),
-                      {g: Tensor(k.copy()) for g, k in know.items()}).value
+    set_know(cell, know)
+    h = cell.sequence(Tensor(xs.copy()), Tensor(guided.copy())).value
     h_prev = np.zeros(3)
     for x, state in zip(xs, h):
         r = _sigmoid(cell.w["reset"].value @ x + cell.u["reset"].value @ h_prev
@@ -164,18 +164,18 @@ def test_gru_state_is_convex_combination():
 @pytest.mark.parametrize("length", (1, 5))
 @pytest.mark.parametrize("with_extra", (False, True))
 def test_sequence_gradients(kind, length, with_extra):
-    cell = make_cell(kind, RNG(26), 3, 4)
+    cell = make_cell(kind, RNG(26), 3, 4, knowledge_dim=2 if with_extra else None)
     x = Tensor(RNG(260).normal(size=(length, 3)))
-    guided, know = None, {}
+    guided = None
     if with_extra:
         guided = Tensor(RNG(266).normal(size=2))
-        know = {g: Tensor(RNG(261 + i).normal(size=(4, 2)))
-                for i, g in enumerate(cell.GATES)}
+        set_know(cell, {g: RNG(261 + i).normal(size=(4, 2))
+                        for i, g in enumerate(cell.GATES)})
     const = Tensor(RNG(265).normal(size=(length, 4)))
-    tensors = list(cell.params("c").values()) + [x] + list(know.values())
+    tensors = list(cell.params("c").values()) + [x]
     tensors += [guided] if with_extra else []
     assert_grads_match(
-        lambda: sum_all(elementwise_mul(cell.sequence(x, guided, know), const)),
+        lambda: sum_all(elementwise_mul(cell.sequence(x, guided), const)),
         tensors, tol=1e-6)
 
 
@@ -215,7 +215,7 @@ def test_chain_elman_three_token_oracle():
                     n_tags=2)
     xs = RNG(110).normal(size=(3, 2))
     dist = tagger.distributions(Tensor(xs.copy()))
-    cell = tagger.towers[0].cell
+    cell = tagger.towers[0]
     h = np.zeros(3)
     rows = []
     for x in xs:
@@ -232,9 +232,9 @@ def test_knowledge_elman_oracle_includes_projected_guide():
                     n_tags=3, knowledge_dim=4)
     xs = RNG(120).normal(size=(2, 2))
     guided = RNG(121).normal(size=4)
-    states = tagger.towers[0].run(Tensor(xs.copy()), Tensor(guided.copy())).value
-    cell = tagger.towers[0].cell
-    know = tagger.towers[0].knowledge_proj["cand"].value @ guided
+    cell = tagger.towers[0]
+    states = cell.sequence(Tensor(xs.copy()), Tensor(guided.copy())).value
+    know = cell.know["cand"].value @ guided
     h = np.zeros(2)
     for x, state in zip(xs, states):
         h = np.tanh(cell.w_in.value @ x + cell.u_rec.value @ h + know)
@@ -292,7 +292,7 @@ def test_joint_alpha_half_differs_from_both_towers():
     guided = RNG(191).normal(size=3)
     blended = joint.distributions(Tensor(embedded.copy()),
                                   Tensor(guided.copy())).value
-    chain_states = joint.towers[0].run(Tensor(embedded.copy()))
+    chain_states = joint.towers[0].sequence(Tensor(embedded.copy()))
     assert np.abs(blended - 0.25).max() > 0  # sanity: something was computed
     assert chain_states.shape == (3, 3)
 
@@ -373,6 +373,29 @@ def test_parameter_census_per_mode():
     assert len(gru_joint) == 2 + 6 + 9
     assert "t.tower2.know_update" in gru_joint
     assert "t.tower1.know_update" not in gru_joint
+
+
+@pytest.mark.parametrize("mode,encoder,cell,expected", [
+    ("joint", "cnn", "gru", [
+        "encoder.weight", "encoder.bias", "output_net.weight", "output_net.bias",
+        *(f"tagger.tower1.{m}_{g}" for g in ("reset", "update", "cand")
+          for m in ("w", "u")),
+        *(f"tagger.tower2.{m}_{g}" for g in ("reset", "update", "cand")
+          for m in ("w", "u")),
+        "tagger.tower2.know_reset", "tagger.tower2.know_update",
+        "tagger.tower2.know_cand"]),
+    ("knowledge", "nn", "elman", [
+        "encoder.weight", "encoder.bias", "output_net.weight", "output_net.bias",
+        "tagger.tower1.w_in", "tagger.tower1.u_rec", "tagger.tower1.know_cand"]),
+    ("chain", "rnn", "gru", [
+        *(f"tagger.tower1.{m}_{g}" for g in ("reset", "update", "cand")
+          for m in ("w", "u"))])])
+def test_parameter_layout_order(mode, encoder, cell, expected):
+    # The order of `params()` is the checkpoint layout and the layout of
+    # the optimizer's flat buffers, so it is pinned name by name.
+    model = _small_model(mode, encoder, cell)[0]
+    assert list(model.params()) == ["embedding", *expected, "tagger.out_weight",
+                                    "tagger.out_bias"]
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,17 @@ def load_corpus_text(text):
         return load_corpus(path)
 
 
+@pytest.mark.parametrize("hidden_size", [10 ** 17, 10 ** 30])
+def test_unallocatable_model_size_is_a_config_error(hidden_size):
+    # The first tower weight is (hidden_size, 4). At 10**17 rows that is
+    # 3.2e18 bytes, past any virtual address space, so numpy's allocation
+    # fails at once (MemoryError) and no memory is touched; 10**30 rows
+    # is past numpy's largest dimension (ValueError).
+    config = _tiny_config(mode="chain", embed_dim=4, hidden_size=hidden_size)
+    with pytest.raises(ConfigError, match="cannot build a model of this size"):
+        train(_utterances(), config)
+
+
 def test_explicit_dev_set_disables_holdout():
     utts = _utterances(8)
     result = train(utts[:6], _tiny_config(dev_fraction=0.5, epochs=1),
@@ -508,6 +519,17 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def test_checkpoint_of_unallocatable_size_is_a_checkpoint_error(tmp_path):
+    # A chain model's first large weight is (hidden_size, embed_dim):
+    # 3.2e18 bytes, which numpy refuses at once with a MemoryError.
+    _, path, _ = _trained(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["config"].update(mode="chain", embed_dim=4, hidden_size=10 ** 17)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_tampered_params(tmp_path):
