@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_array, softmax_array_grad
+from .autodiff import Tensor, recording, softmax_array, softmax_array_grad
 from .encoders import OutputNetwork
 from .errors import DimensionError
 from .knowledge import Substructure
@@ -56,9 +56,8 @@ def knowledge_representation(u: Tensor, memory: KnowledgeMemory,
     p = softmax_array(m.value @ u.value)
     s = p @ m.value + u.value
     o = np.tanh(w.value @ s + b.value)
-    # Memory before u: the backward pass reaches the substructure encodings
-    # first, the order in which the shared encoder and embedding sum.
-    out = Tensor(o, "attention", (m, u, w, b))
+    if not recording():
+        return Tensor(o), Tensor(p)
 
     def bw(g):
         d_pre = g * (1.0 - o * o)
@@ -70,8 +69,9 @@ def knowledge_representation(u: Tensor, memory: KnowledgeMemory,
         d_scores = softmax_array_grad(p, m.value @ d_s)
         m._accumulate(np.outer(d_scores, u.value))
         u._accumulate(m.value.T @ d_scores)
-    out._backward = bw
-    return out, Tensor(p)
+    # Memory before u: the backward pass reaches the substructure encodings
+    # first, the order in which the shared encoder and embedding sum.
+    return Tensor(o, "attention", (m, u, w, b), bw), Tensor(p)
 
 
 @dataclass

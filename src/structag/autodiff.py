@@ -10,10 +10,16 @@ encodings, `row_view` for the rows of the rnn encoder's batch), and the
 numpy helpers the fused ops share. Tensors are rank 0..2, stored
 row-major as float64. A graph and its tensors belong to one thread;
 independent graphs are safe in parallel.
+
+Inside `no_grad()`, a per-thread switch that inference uses, every op
+returns a constant tensor (no op name, parents or closure) before any
+backward-only work; other threads keep building graphs.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,6 +81,28 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
 
+class _Switch(threading.local):
+    on = True    # each thread starts out recording
+
+
+_switch = _Switch()
+
+
+def recording() -> bool:
+    """Whether ops on this thread build graph nodes."""
+    return _switch.on
+
+
+@contextmanager
+def no_grad():
+    """Turn recording off on this thread for the block (see module docstring)."""
+    was, _switch.on = _switch.on, False
+    try:
+        yield
+    finally:
+        _switch.on = was
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     # Iterative post-order: children appear before the nodes that use them.
     order: list[Tensor] = []
@@ -111,25 +139,26 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         _require(p.value.ndim == 1 and p.shape[0] == dim,
                  f"stack_rows: expected vectors of size {dim}, got {p.shape}")
-    out = Tensor(np.stack([p.value for p in parts]), "stack_rows", tuple(parts))
+    value = np.stack([p.value for p in parts])
+    if not recording():
+        return Tensor(value)
 
     def bw(g):
         for i, p in enumerate(parts):
             p._accumulate(g[i])
-    out._backward = bw
-    return out
+    return Tensor(value, "stack_rows", tuple(parts), bw)
 
 
 def row_view(t: Tensor, index: int | slice) -> Tensor:
     """Row `index` (a vector) or rows `index` (a matrix) of t, as a view."""
-    out = Tensor(t.value[index], "row_view", (t,))
+    if not recording():
+        return Tensor(t.value[index])
 
     def bw(g):
         if t.grad is None:
             t.grad = np.zeros_like(t.value)
         t.grad[index] += g
-    out._backward = bw
-    return out
+    return Tensor(t.value[index], "row_view", (t,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, recording
 from .errors import DimensionError
 
 
@@ -83,16 +83,16 @@ class _Recurrence:
                 block += know[i].value @ guided.value
         states, bptt = self._recur(proj) if sizes is None else self._recur(proj, sizes)
         value = states[-xv.shape[0]:]
-        # guided after x: the backward pass reaches x's embedding first.
-        out = Tensor(value if ends is None else value[ends], self.OP,
-                     (x, *self.weights.values(), *([guided, *know] if know else [])))
-        where = None if rows is None else np.argsort(rows)    # x's row order
+        result = value if ends is None else value[ends]
+        if not recording():
+            return Tensor(result)
 
         def bw(g):
             if ends is not None:
                 g, d_ends = np.zeros_like(value), g
                 g[ends] = d_ends
             d_pre = bptt(g)
+            where = None if rows is None else np.argsort(rows)    # x's row order
             for i, w in enumerate(weights):
                 d_gate = d_pre[:, i * hd:(i + 1) * hd]
                 w._accumulate(d_gate.T @ xv)
@@ -102,8 +102,9 @@ class _Recurrence:
                     d_term = d_gate.sum(axis=0)
                     know[i]._accumulate(np.outer(d_term, guided.value))
                     guided._accumulate(know[i].value.T @ d_term)
-        out._backward = bw
-        return out
+        # guided after x: the backward pass reaches x's embedding first.
+        return Tensor(result, self.OP,
+                      (x, *self.weights.values(), *([guided, *know] if know else [])), bw)
 
 
 class ElmanCell(_Recurrence):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, row_view, stack_rows
+from .autodiff import Tensor, recording, row_view, stack_rows
 from .cells import GruCell, glorot_uniform, zero_vector
 from .errors import DimensionError
 
@@ -51,14 +51,15 @@ class LinearEncoder(_PerSequence):
         _check_input(x, w.shape[0])
         n = x.shape[0]
         mean = x.value.mean(axis=0)
-        out = Tensor(mean @ w.value + b.value, "nn_encoder", (x, w, b))
+        value = mean @ w.value + b.value
+        if not recording():
+            return Tensor(value)
 
         def bw(g):
             b._accumulate(g)
             w._accumulate(np.outer(mean, g))
             x._accumulate(np.tile((w.value @ g) / n, (n, 1)))
-        out._backward = bw
-        return out
+        return Tensor(value, "nn_encoder", (x, w, b), bw)
 
 
 class RecurrentEncoder:
@@ -117,12 +118,12 @@ class ConvolutionalEncoder(_PerSequence):
         n, e = x.shape
         windows = self.windows(x.value)
         act = np.tanh(windows @ w.value + b.value)
-        winners, cols = act.argmax(axis=0), np.arange(act.shape[1])
-        out = Tensor(act.max(axis=0), "cnn_encoder", (x, w, b))
+        if not recording():
+            return Tensor(act.max(axis=0))
 
         def bw(g):
             d_pre = np.zeros_like(act)
-            d_pre[winners, cols] = g
+            d_pre[act.argmax(axis=0), np.arange(act.shape[1])] = g
             d_pre *= 1.0 - act * act
             b._accumulate(d_pre.sum(axis=0))
             w._accumulate(windows.T @ d_pre)
@@ -131,8 +132,7 @@ class ConvolutionalEncoder(_PerSequence):
             for k in range(CNN_WINDOW):
                 d_padded[k:k + n] += d_windows[:, k * e:(k + 1) * e]
             x._accumulate(d_padded[1:n + 1])
-        out._backward = bw
-        return out
+        return Tensor(act.max(axis=0), "cnn_encoder", (x, w, b), bw)
 
 
 class OutputNetwork:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .attention import (AttentionRecord, KnowledgeMemory,
                         build_attention_record, knowledge_representation)
-from .autodiff import Tensor, dropout_mask
+from .autodiff import Tensor, dropout_mask, no_grad, recording
 from .corpus import Utterance, Vocabulary
 from .encoders import OutputNetwork, make_encoder
 from .errors import DimensionError
@@ -21,18 +21,19 @@ def embed(table: Tensor, token_ids: list[int], dropout_rate: float = 0.0,
     """One graph node: the rows of `table` for `token_ids` (repeats
     allowed), dropout applied."""
     idx = list(token_ids)
-    if not all(0 <= i < table.shape[0] for i in idx):
+    if idx and (min(idx) < 0 or max(idx) >= table.shape[0]):
         raise DimensionError(f"embedding id out of range for {table.shape}")
     rows = table.value[idx]
     mask = dropout_mask(rows.shape, dropout_rate, rng)
-    out = Tensor(rows if mask is None else rows * mask, "embed", (table,))
+    value = rows if mask is None else rows * mask
+    if not recording():
+        return Tensor(value)
 
     def bw(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.value)
         np.add.at(table.grad, idx, g if mask is None else g * mask)
-    out._backward = bw
-    return out
+    return Tensor(value, "embed", (table,), bw)
 
 
 class SlotModel:
@@ -69,10 +70,6 @@ class SlotModel:
             out.update(self.output_net.params("output_net"))
         out.update(self.tagger.params("tagger"))
         return out
-
-    def zero_grad(self):
-        for p in self.params().values():
-            p.zero_grad()
 
     def forward(self, token_ids: list[int],
                 substructures: list[Substructure] | None,
@@ -113,13 +110,14 @@ class SlotModel:
 
     def tag_utterance(self, utt: Utterance, parse: KnowledgeParse | None
                       ) -> tuple[list[str], AttentionRecord | None]:
-        """Predict tag strings for one utterance (evaluation path, no dropout)."""
+        """Predict tag strings for one utterance (no dropout, no graph)."""
         token_ids = self.vocab.encode_tokens(utt.tokens)
         subs = None
         if self.config.mode != "chain":
             subs = substructures_with_fallback(parse, len(utt.tokens),
                                                self.config.max_substructures)
-        dist, weights, used_subs = self.forward(token_ids, subs)
+        with no_grad():
+            dist, weights, used_subs = self.forward(token_ids, subs)
         names = self.vocab.tag_names()
         tags = [names[i] for i in decode_greedy(dist)]
         record = None

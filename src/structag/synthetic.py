@@ -49,6 +49,8 @@ class SyntheticConfig:
                 f"{self.ambiguous_fraction}")
         if len(self.cities) < 2:
             raise ConfigError("need at least two cities for origin and destination")
+        if len(set(self.cities)) != len(self.cities):
+            raise ConfigError("city names must be distinct")
         if not self.days or not self.periods:
             raise ConfigError("days and periods must be non-empty")
 
@@ -114,9 +116,9 @@ class _Draft:
 
 
 def _pick_cities(r: random.Random, cities) -> tuple[str, str]:
-    origin = r.choice(cities)
-    dest = r.choice([c for c in cities if c != origin])
-    return origin, dest
+    # The draws of r.choice over the cities, then over the other (distinct) ones.
+    i, j = r.randrange(len(cities)), r.randrange(len(cities) - 1)
+    return cities[i], cities[j + (j >= i)]
 
 
 def _family_show(r: random.Random, cfg: SyntheticConfig) -> _Draft:

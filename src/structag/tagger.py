@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, dropout_mask, softmax_array
+from .autodiff import Tensor, dropout_mask, recording, softmax_array
 from .cells import glorot_uniform, make_cell, zero_vector
 from .errors import DimensionError
 
@@ -47,7 +47,8 @@ def tag_output(states: list[Tensor], alpha: float, weight: Tensor,
     picked = (np.arange(n_tokens), list(gold))
     shifted = logits - logits.max(axis=1, keepdims=True)
     nll = (np.log(np.exp(shifted).sum(axis=1)) - shifted[picked]).sum()
-    out = Tensor(nll, "tag_output", (*states, weight, bias))
+    if not recording():
+        return Tensor(nll)
 
     def bw(g):
         d_logits = softmax_array(logits)
@@ -60,8 +61,7 @@ def tag_output(states: list[Tensor], alpha: float, weight: Tensor,
             d_hidden = d_hidden * mask
         for state, scale in zip(states, scales):
             state._accumulate(scale * d_hidden)
-    out._backward = bw
-    return out
+    return Tensor(nll, "tag_output", (*states, weight, bias), bw)
 
 
 class Tagger:

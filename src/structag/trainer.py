@@ -319,7 +319,7 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
                         and unk_rng.random() < config.unk_replace_prob else tid
                         for tid in token_ids]
                 tag_ids = vocab.encode_tags(utt.tags)
-                model.zero_grad()
+                optimizer.grads.fill(0.0)
                 loss = model.loss(token_ids, tag_ids, subs_table.get(utt.id),
                                   config.dropout, dropout_rng)
                 loss_value = float(loss.value)

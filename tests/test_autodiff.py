@@ -236,8 +236,10 @@ def test_embed_repeated_ids_accumulate():
 
 
 def test_embed_rejects_ids_out_of_range():
-    with pytest.raises(DimensionError):
-        embed(Tensor(np.ones((3, 2))), [0, 3])
+    # numpy would wrap -1 to the last row without the check.
+    for ids in ([0, 3], [-1]):
+        with pytest.raises(DimensionError):
+            embed(Tensor(np.ones((3, 2))), ids)
 
 
 def test_backward_requires_scalar():

@@ -1,11 +1,14 @@
 """Synthetic corpus generator: determinism, structure, disambiguation."""
 
+import hashlib
+import random
+
 import pytest
 
 from structag.corpus import load_corpus
 from structag.errors import ConfigError
 from structag.knowledge import load_amr, load_dependency
-from structag.synthetic import SyntheticConfig, generate
+from structag.synthetic import SyntheticConfig, _pick_cities, generate
 
 
 def _materialize(tmp_path, config, seed):
@@ -25,6 +28,33 @@ def test_seeded_generation_is_byte_identical():
     assert c.corpus_text != a.corpus_text
 
 
+def test_seeded_generation_matches_pinned_digests():
+    # sha256 of the three texts as generated before the destination draw
+    # stopped building a filtered list: the stream may not move, on any
+    # supported Python version.
+    corpus = generate(SyntheticConfig(n_utterances=50), seed=9)
+    digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in
+               (corpus.corpus_text, corpus.dependency_text, corpus.amr_text)]
+    assert digests == [
+        "8ff267ee53eb3c734becefbc1f78bd7b43749aed222c59fa2aaa76788546a871",
+        "4218fc504ae0972f69fe606a5dbcca9325a0615582f9cf1cf7d5dc1b85c59f9b",
+        "875c8c6da06933c68eddf9aa593b4a5eb29afaaf7d853dfebda23cb4fcbfb0a8"]
+
+
+def _pick_cities_reference(r, cities):
+    origin = r.choice(cities)
+    return origin, r.choice([c for c in cities if c != origin])
+
+
+def test_destination_draw_matches_list_filter_reference():
+    cities = tuple(f"town{i:04d}" for i in range(1000))
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert _pick_cities(fast, cities) == _pick_cities_reference(slow, cities)
+        assert fast.getstate() == slow.getstate()
+
+
 def test_count_zero_gives_empty_corpus(tmp_path):
     corpus, utts, deps, amrs = _materialize(
         tmp_path, SyntheticConfig(n_utterances=0), seed=1)
@@ -37,6 +67,8 @@ def test_degenerate_configs_rejected():
         generate(SyntheticConfig(n_utterances=-1), seed=0)
     with pytest.raises(ConfigError):
         generate(SyntheticConfig(cities=("boston",)), seed=0)
+    with pytest.raises(ConfigError, match="distinct"):
+        generate(SyntheticConfig(cities=("boston", "boston")), seed=0)
     with pytest.raises(ConfigError):
         generate(SyntheticConfig(periods=()), seed=0)
     with pytest.raises(ConfigError):
