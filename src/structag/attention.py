@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, recording, softmax_array, softmax_array_grad
+from .autodiff import Tensor, softmax_array, softmax_array_grad
 from .encoders import OutputNetwork
 from .errors import DimensionError
 from .knowledge import Substructure
@@ -56,8 +56,6 @@ def knowledge_representation(u: Tensor, memory: KnowledgeMemory,
     p = softmax_array(m.value @ u.value)
     s = p @ m.value + u.value
     o = np.tanh(w.value @ s + b.value)
-    if not recording():
-        return Tensor(o), Tensor(p)
 
     def bw(g):
         d_pre = g * (1.0 - o * o)

@@ -11,9 +11,10 @@ numpy helpers the fused ops share. Tensors are rank 0..2, stored
 row-major as float64. A graph and its tensors belong to one thread;
 independent graphs are safe in parallel.
 
-Inside `no_grad()`, a per-thread switch that inference uses, every op
-returns a constant tensor (no op name, parents or closure) before any
-backward-only work; other threads keep building graphs.
+No op reads the switch: inside `no_grad()`, a per-thread switch that
+inference uses, the `Tensor` constructor drops the op name, parents and
+closure it is given, so every op's result is a constant; other threads
+keep building graphs. Gradients land only through `Tensor._accumulate`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,30 @@ import numpy as np
 
 from .errors import DimensionError
 
+
+class _Switch(threading.local):
+    on = True    # each thread starts out building graphs
+
+
+_switch = _Switch()
+
+
+@contextmanager
+def no_grad():
+    """Build constants only on this thread for the block (see module docstring)."""
+    was, _switch.on = _switch.on, False
+    try:
+        yield
+    finally:
+        _switch.on = was
+
+
 class Tensor:
     """A node in the computation graph: cached value plus gradient slot.
 
     Leaf tensors (parameters, constants) have no parents. Non-leaf tensors
-    record their operands and a backward closure. Gradients accumulate by
+    record their operands and a backward closure, unless built under
+    `no_grad()`, where they are leaves too. Gradients accumulate by
     summation, which is what tied/shared parameters require.
     """
 
@@ -40,6 +60,8 @@ class Tensor:
                  backward: Callable[[np.ndarray], None] | None = None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        if backward is not None and not _switch.on:
+            op, parents, backward = "leaf", (), None
         self.op = op
         self.parents = parents
         self._backward = backward
@@ -48,19 +70,18 @@ class Tensor:
     def shape(self) -> tuple:
         return self.value.shape
 
-    def zero_grad(self):
-        """Zero the gradient in place; a gradient never set stays None.
-
-        In place because packed parameters' gradients are views into the
-        optimizer's flat buffer, which must stay shared.
-        """
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, rows: int | slice | list | None = None):
+        """Add g to the gradient, or to its rows `rows`: an index or a slice
+        adds in place, a list of ids goes through `np.add.at`, so repeated
+        ids add up (it is ~20x slower on a slice)."""
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
-        self.grad += g
+        if rows is None:
+            self.grad += g
+        elif isinstance(rows, list):
+            np.add.at(self.grad, rows, g)
+        else:
+            self.grad[rows] += g
 
     def backward(self):
         """Backpropagate from this scalar through the whole graph.
@@ -79,28 +100,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
-
-
-class _Switch(threading.local):
-    on = True    # each thread starts out recording
-
-
-_switch = _Switch()
-
-
-def recording() -> bool:
-    """Whether ops on this thread build graph nodes."""
-    return _switch.on
-
-
-@contextmanager
-def no_grad():
-    """Turn recording off on this thread for the block (see module docstring)."""
-    was, _switch.on = _switch.on, False
-    try:
-        yield
-    finally:
-        _switch.on = was
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -140,8 +139,6 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
         _require(p.value.ndim == 1 and p.shape[0] == dim,
                  f"stack_rows: expected vectors of size {dim}, got {p.shape}")
     value = np.stack([p.value for p in parts])
-    if not recording():
-        return Tensor(value)
 
     def bw(g):
         for i, p in enumerate(parts):
@@ -151,14 +148,7 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
 
 def row_view(t: Tensor, index: int | slice) -> Tensor:
     """Row `index` (a vector) or rows `index` (a matrix) of t, as a view."""
-    if not recording():
-        return Tensor(t.value[index])
-
-    def bw(g):
-        if t.grad is None:
-            t.grad = np.zeros_like(t.value)
-        t.grad[index] += g
-    return Tensor(t.value[index], "row_view", (t,), bw)
+    return Tensor(t.value[index], "row_view", (t,), lambda g: t._accumulate(g, index))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, recording
+from .autodiff import Tensor
 from .errors import DimensionError
 
 
@@ -84,8 +84,6 @@ class _Recurrence:
         states, bptt = self._recur(proj) if sizes is None else self._recur(proj, sizes)
         value = states[-xv.shape[0]:]
         result = value if ends is None else value[ends]
-        if not recording():
-            return Tensor(result)
 
         def bw(g):
             if ends is not None:

@@ -10,19 +10,21 @@ reader that closes stdout early (`| head -1`) ends the command quietly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .corpus import fractional_split, load_corpus, write_split_manifest
+from .corpus import load_corpus, write_split_manifest
+from .encoders import ENCODER_KINDS
 from .errors import (CheckpointError, ConfigError, CorpusFormatError,
                      DataError, ParseFileError, StructagError)
 from .evaluator import format_report, save_report
-from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, check_alignment, load_amr,
-                        load_dependency, substructure_stats)
-from .seeding import derive_seed
+from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, PARSE_KINDS, check_alignment,
+                        load_amr, load_dependency, substructure_stats)
 from .synthetic import SyntheticConfig, generate
+from .tagger import CELL_KINDS, TAGGER_MODES
 from .trainer import (TrainConfig, evaluate_model, load_checkpoint,
                       save_checkpoint, train)
 
@@ -77,22 +79,11 @@ def _load_train_config(args) -> TrainConfig:
         config = TrainConfig.from_dict(data)
     else:
         config = TrainConfig()
-    overrides = {
-        "mode": args.mode, "encoder": args.encoder, "cell": args.cell,
-        "embed_dim": args.embed_dim, "hidden_size": args.hidden_size,
-        "alpha": args.alpha, "dropout": args.dropout,
-        "learning_rate": args.learning_rate, "epochs": args.epochs,
-        "patience": args.patience, "seed": args.seed,
-        "dev_fraction": args.dev_fraction,
-        "train_fraction": args.train_fraction,
-        "clip_norm": args.clip_norm,
-        "max_substructures": args.max_substructures,
-    }
-    for name, value in overrides.items():
+    # Each TrainConfig field with a flag of the same name; an absent flag is None.
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, name, value)
-    if args.freeze_embeddings:
-        config.freeze_embeddings = True
+            setattr(config, f.name, value)
     config.validate()
     return config
 
@@ -110,9 +101,6 @@ def cmd_train(args) -> int:
         else:
             print("note: no parse file given; each utterance falls back to "
                   "a single whole-sentence substructure", file=sys.stderr)
-    if config.train_fraction < 1.0:
-        utterances = fractional_split(utterances, config.train_fraction,
-                                      derive_seed(config.seed, "split"))
     dev_utterances = _load_utterances(args.dev, id_prefix="d") if args.dev else None
     dev_parses = _load_parses(args.dev_parses, args.parse_kind,
                               dev_utterances or [], id_prefix="d")
@@ -215,16 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", help="development corpus for model selection")
     p.add_argument("--parses", help="parse file aligned with the training corpus")
     p.add_argument("--dev-parses", help="parse file aligned with the dev corpus")
-    p.add_argument("--parse-kind", choices=("dependency", "amr"),
-                   default="dependency")
+    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
     p.add_argument("--config", help="JSON file of TrainConfig fields")
     p.add_argument("--out", default="model.json", help="checkpoint path")
     p.add_argument("--log", help="per-epoch JSONL log path")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-epoch progress lines")
-    p.add_argument("--mode", choices=("chain", "knowledge", "joint"))
-    p.add_argument("--encoder", choices=("nn", "rnn", "cnn"))
-    p.add_argument("--cell", choices=("elman", "gru"))
+    p.add_argument("--mode", choices=TAGGER_MODES)
+    p.add_argument("--encoder", choices=ENCODER_KINDS)
+    p.add_argument("--cell", choices=CELL_KINDS)
     p.add_argument("--embed-dim", type=int)
     p.add_argument("--hidden-size", type=int)
     p.add_argument("--alpha", type=float)
@@ -237,15 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--clip-norm", type=float)
     p.add_argument("--max-substructures", type=int)
-    p.add_argument("--freeze-embeddings", action="store_true")
+    p.add_argument("--freeze-embeddings", action="store_true", default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a corpus")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="corpus to score")
     p.add_argument("--parses", help="parse file aligned with the corpus")
-    p.add_argument("--parse-kind", choices=("dependency", "amr"),
-                   default="dependency")
+    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
     p.add_argument("--report", help="also write the JSON report here")
     p.add_argument("--text", action="store_true",
                    help="print the classic text table instead of JSON")
@@ -256,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--parses")
-    p.add_argument("--parse-kind", choices=("dependency", "amr"),
-                   default="dependency")
+    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
     p.add_argument("--ids", nargs="+", help="utterance ids (default: all)")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_inspect)
@@ -272,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="substructure counts for a parse file")
     p.add_argument("--parses", required=True)
-    p.add_argument("--parse-kind", choices=("dependency", "amr"),
-                   default="dependency")
+    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
     p.add_argument("--max-substructures", type=int,
                    default=DEFAULT_MAX_SUBSTRUCTURES)
     p.set_defaults(func=cmd_stats)

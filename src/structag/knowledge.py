@@ -14,6 +14,7 @@ from pathlib import Path
 from .errors import DataError, ParseFileError
 
 DEFAULT_MAX_SUBSTRUCTURES = 64
+PARSE_KINDS = ("dependency", "amr")
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 
 from .attention import (AttentionRecord, KnowledgeMemory,
                         build_attention_record, knowledge_representation)
-from .autodiff import Tensor, dropout_mask, no_grad, recording
+from .autodiff import Tensor, dropout_mask, no_grad
 from .corpus import Utterance, Vocabulary
 from .encoders import OutputNetwork, make_encoder
 from .errors import DimensionError
@@ -26,14 +26,8 @@ def embed(table: Tensor, token_ids: list[int], dropout_rate: float = 0.0,
     rows = table.value[idx]
     mask = dropout_mask(rows.shape, dropout_rate, rng)
     value = rows if mask is None else rows * mask
-    if not recording():
-        return Tensor(value)
-
-    def bw(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.value)
-        np.add.at(table.grad, idx, g if mask is None else g * mask)
-    return Tensor(value, "embed", (table,), bw)
+    return Tensor(value, "embed", (table,),
+                  lambda g: table._accumulate(g if mask is None else g * mask, idx))
 
 
 class SlotModel:

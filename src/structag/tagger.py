@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, dropout_mask, recording, softmax_array
+from .autodiff import Tensor, dropout_mask, softmax_array
 from .cells import glorot_uniform, make_cell, zero_vector
 from .errors import DimensionError
 
@@ -47,8 +47,6 @@ def tag_output(states: list[Tensor], alpha: float, weight: Tensor,
     picked = (np.arange(n_tokens), list(gold))
     shifted = logits - logits.max(axis=1, keepdims=True)
     nll = (np.log(np.exp(shifted).sum(axis=1)) - shifted[picked]).sum()
-    if not recording():
-        return Tensor(nll)
 
     def bw(g):
         d_logits = softmax_array(logits)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import Utterance, Vocabulary, split_dev
+from .corpus import Utterance, Vocabulary, fractional_split, split_dev
 from .encoders import ENCODER_KINDS
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .evaluator import evaluate
@@ -264,9 +264,10 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
           quiet: bool = True) -> TrainResult:
     """Fit a model. Returns it with best-dev parameters restored.
 
-    With no dev utterances and dev_fraction > 0, a seeded slice of the
-    training set is held out. Passing an explicit dev set disables the
-    holdout. The log, when requested, gets one JSON line per epoch.
+    Training keeps a seeded train_fraction of the training set. With no
+    dev utterances and dev_fraction > 0, a seeded slice of what it keeps
+    is held out. Passing an explicit dev set disables the holdout. The
+    log, when requested, gets one JSON line per epoch.
     Floating-point warnings are off: the non-finite checks report instead.
     Outside chain mode, a parse that does not fit its utterance raises.
     """
@@ -276,6 +277,8 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
     if config.mode != "chain":
         check_alignment(parses or {}, train_utterances, "train parses")
         check_alignment(dev_parses or {}, dev_utterances or [], "dev parses")
+    train_utterances = fractional_split(train_utterances, config.train_fraction,
+                                        derive_seed(config.seed, "split"))
     if dev_utterances is None and config.dev_fraction > 0.0:
         train_utterances, dev_utterances = split_dev(
             train_utterances, config.dev_fraction, derive_seed(config.seed, "dev"))

@@ -68,7 +68,8 @@ def assert_grads_match(build_loss, tensors, tol=1e-4, step=STEP):
     """Backward pass vs numeric gradients for every tensor; returns worst error."""
     loss = build_loss()
     for t in tensors:
-        t.zero_grad()
+        if t.grad is not None:
+            t.grad.fill(0.0)    # in place: packed gradients share one buffer
     loss.backward()
     analytic = [t.grad.copy() for t in tensors]
     worst = 0.0

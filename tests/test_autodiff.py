@@ -250,7 +250,6 @@ def test_backward_requires_scalar():
 def test_constant_loss_gives_zero_gradients():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     loss = sum_all(elementwise_mul(x, Tensor(np.zeros((2, 2)))))
-    x.zero_grad()
     loss.backward()
     assert np.array_equal(x.grad, np.zeros((2, 2)))
 

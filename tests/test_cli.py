@@ -6,6 +6,7 @@ show up as a shell user sees them.
 """
 
 import base64
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 import structag
-from structag.cli import main
+from structag.cli import _load_train_config, build_parser, main
+from structag.trainer import TrainConfig
 
 
 def _run_cli(args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
@@ -102,6 +104,26 @@ def test_train_fraction_shrinks_training_split(workspace, capsys):
     manifest = json.loads((ckpt.parent / (ckpt.name + ".splits.json")).read_text())
     assert len(manifest["train"]) == 6  # ceil(12 * 0.5)
     assert manifest["dev"] == []
+
+
+def test_every_train_flag_lands_in_its_config_field():
+    flags = {"mode": "chain", "encoder": "rnn", "cell": "elman", "embed_dim": 7,
+             "hidden_size": 9, "alpha": 0.3, "dropout": 0.1, "learning_rate": 0.02,
+             "epochs": 3, "patience": 4, "seed": 99, "dev_fraction": 0.2,
+             "train_fraction": 0.5, "clip_norm": 2.5, "max_substructures": 5}
+    argv = ["train", "--train", "corpus.tsv", "--freeze-embeddings"]
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    expected = {**flags, "freeze_embeddings": True}
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    bare = build_parser().parse_args(argv[:3])
+    assert set(vars(bare)) & fields == set(expected)    # no flag left out
+    assert _load_train_config(bare) == TrainConfig()
+    config = _load_train_config(build_parser().parse_args(argv))
+    default = TrainConfig()
+    for name in fields:
+        assert getattr(config, name) == expected.get(name, getattr(default, name)), name
+        assert name not in expected or getattr(default, name) != expected[name], name
 
 
 def test_train_without_parses_notes_fallback(workspace, capsys):

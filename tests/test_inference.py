@@ -1,5 +1,6 @@
 """Inference without a graph: `no_grad` tagging builds constants only, gives
-the recording forward's values bitwise, and leaves other threads recording."""
+the recording forward's values bitwise, and leaves other threads recording.
+The switch is observed through the nodes that ops return."""
 
 import sys
 import threading
@@ -7,8 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from structag import autodiff as ad
-from structag.autodiff import Tensor, no_grad
+from structag.autodiff import Tensor, no_grad, row_view
 from structag.corpus import Vocabulary, load_corpus
 from structag.knowledge import load_amr, load_dependency, substructures_with_fallback
 from structag.model import SlotModel
@@ -34,6 +34,26 @@ def data(tmp_path_factory):
     return utts, {kind: {p.id: p for p in ps} for kind, ps in parses.items()}
 
 
+def _records() -> bool:
+    """Whether ops on this thread build graph nodes."""
+    return row_view(Tensor([1.0]), 0).op == "row_view"
+
+
+def _collecting_init(made):
+    """A `Tensor.__init__` that also appends every tensor it builds to `made`."""
+    init = Tensor.__init__
+
+    def collect(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+    return collect
+
+
+def _constants(made) -> bool:
+    return bool(made) and all(t.op == "leaf" and t.parents == () and t._backward is None
+                              for t in made)
+
+
 def _model(utts, mode, encoder, cell):
     config = TrainConfig(mode=mode, encoder=encoder, cell=cell, embed_dim=6,
                          hidden_size=5)
@@ -53,25 +73,18 @@ def test_tagging_builds_only_constants_with_recording_values(
     utts, parses = data
     model = _model(utts, mode, encoder, cell)
     made = []
-    init = Tensor.__init__
-
-    def recorded_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
     for utt in utts:
         parse = parses[parse_kind][utt.id]
         ids, subs = model.vocab.encode_tokens(utt.tokens), _subs(model, utt, parse)
         dist, weights, _ = model.forward(ids, subs)     # recording
         with monkeypatch.context() as m:
-            m.setattr(Tensor, "__init__", recorded_init)
+            m.setattr(Tensor, "__init__", _collecting_init(made))
             tags, record = model.tag_utterance(utt, parse)
             with no_grad():
                 const_dist, const_weights, _ = model.forward(ids, subs)
-        assert made and all(t.op == "leaf" and t.parents == () and t._backward is None
-                            for t in made)
+        assert _constants(made)
         made.clear()
-        assert ad.recording()
+        assert _records()
         names = model.vocab.tag_names()
         assert tags == [names[i] for i in dist.value.argmax(axis=1)]
         assert np.array_equal(const_dist.value, dist.value)
@@ -82,19 +95,39 @@ def test_tagging_builds_only_constants_with_recording_values(
             assert np.array_equal(const_weights.value, weights.value)
 
 
+@pytest.mark.parametrize("mode,encoder,cell,parse_kind", CONFIGS)
+def test_no_grad_loss_is_a_constant_equal_to_the_recording_loss(
+        data, monkeypatch, mode, encoder, cell, parse_kind):
+    # The gold path of `tag_output`, with dropout masks in every op.
+    utts, parses = data
+    model = _model(utts, mode, encoder, cell)
+    made = []
+    for utt in utts:
+        ids, tag_ids = model.vocab.encode_tokens(utt.tokens), model.vocab.encode_tags(utt.tags)
+        subs = _subs(model, utt, parses[parse_kind][utt.id])
+        loss = model.loss(ids, tag_ids, subs, 0.25, np.random.default_rng(6))
+        assert loss.op == "tag_output"
+        with monkeypatch.context() as m, no_grad():
+            m.setattr(Tensor, "__init__", _collecting_init(made))
+            const = model.loss(ids, tag_ids, subs, 0.25, np.random.default_rng(6))
+        assert _constants(made) and const in made
+        made.clear()
+        assert np.array_equal(const.value, loss.value)
+
+
 def test_no_grad_is_per_thread_and_restored_on_error():
     seen = []
-    worker = threading.Thread(target=lambda: seen.append(ad.recording()))
+    worker = threading.Thread(target=lambda: seen.append(_records()))
     with pytest.raises(RuntimeError):
         with no_grad():
             with no_grad():
                 pass
-            assert not ad.recording()
+            assert not _records()
             worker.start()
             worker.join(timeout=10)
             raise RuntimeError
     assert not worker.is_alive() and seen == [True]
-    assert ad.recording()
+    assert _records()
 
 
 def _gradients(model, ids, tag_ids, subs):

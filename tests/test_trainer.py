@@ -8,7 +8,7 @@ import pytest
 
 from structag import trainer as trainer_module
 from structag.autodiff import Tensor
-from structag.corpus import Utterance, Vocabulary, load_corpus
+from structag.corpus import Utterance, Vocabulary, fractional_split, load_corpus
 from structag.errors import (CheckpointError, ConfigError, DataError,
                              TrainingDivergedError)
 from structag.knowledge import load_dependency, substructures_with_fallback
@@ -326,6 +326,19 @@ def test_different_seed_diverges():
     a = train(utts, _tiny_config(seed=7, epochs=1))
     b = train(utts, _tiny_config(seed=8, epochs=1))
     assert a.history != b.history
+
+
+@pytest.mark.parametrize("dev_fraction", (0.0, 0.34))
+def test_train_keeps_a_seeded_train_fraction(dev_fraction):
+    # The dev holdout comes out of the kept fraction, not the whole corpus.
+    utts = _utterances(11)
+    config = _tiny_config(mode="chain", train_fraction=0.5,
+                          dev_fraction=dev_fraction, epochs=1)
+    result = train(utts, config)
+    kept = fractional_split(utts, 0.5, derive_seed(config.seed, "split"))
+    assert len(kept) == 6    # ceil(11 * 0.5)
+    assert sorted(result.train_ids + result.dev_ids) == [u.id for u in kept]
+    assert len(result.dev_ids) == round(dev_fraction * 6)
 
 
 @pytest.mark.parametrize("encoder", ("nn", "rnn", "cnn"))
