@@ -239,10 +239,12 @@ class GruCell(_Recurrence):
         return states, bptt
 
 
+CELL_CLASSES = {"elman": ElmanCell, "gru": GruCell}
+CELL_KINDS = tuple(CELL_CLASSES)
+
+
 def make_cell(kind: str, rng: np.random.Generator, input_dim: int,
               hidden_dim: int, knowledge_dim: int | None = None):
-    if kind == "elman":
-        return ElmanCell(rng, input_dim, hidden_dim, knowledge_dim)
-    if kind == "gru":
-        return GruCell(rng, input_dim, hidden_dim, knowledge_dim)
-    raise ValueError(f"unknown recurrent cell kind {kind!r}")
+    if kind not in CELL_CLASSES:
+        raise ValueError(f"unknown recurrent cell kind {kind!r}")
+    return CELL_CLASSES[kind](rng, input_dim, hidden_dim, knowledge_dim)

@@ -19,7 +19,6 @@ from .autodiff import Tensor, row_view, stack_rows
 from .cells import GruCell, glorot_uniform, zero_vector
 from .errors import DimensionError
 
-ENCODER_KINDS = ("nn", "rnn", "cnn")
 CNN_WINDOW = 3
 
 
@@ -143,15 +142,16 @@ class OutputNetwork:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
+ENCODER_CLASSES = {"nn": LinearEncoder, "rnn": RecurrentEncoder,
+                   "cnn": ConvolutionalEncoder}
+ENCODER_KINDS = tuple(ENCODER_CLASSES)
+
+
 def make_encoder(kind: str, rng: np.random.Generator, embed_dim: int,
                  out_dim: int):
-    if kind == "nn":
-        return LinearEncoder(rng, embed_dim, out_dim)
-    if kind == "rnn":
-        return RecurrentEncoder(rng, embed_dim, out_dim)
-    if kind == "cnn":
-        return ConvolutionalEncoder(rng, embed_dim, out_dim)
-    raise ValueError(f"unknown encoder kind {kind!r}; expected one of {ENCODER_KINDS}")
+    if kind not in ENCODER_CLASSES:
+        raise ValueError(f"unknown encoder kind {kind!r}; expected one of {ENCODER_KINDS}")
+    return ENCODER_CLASSES[kind](rng, embed_dim, out_dim)
 
 
 def _check_input(embedded: Tensor, embed_dim: int):

@@ -7,6 +7,8 @@ PERIOD" tags the period as departure or arrival time depending only on
 where the final phrase attaches in the parse. Token context alone cannot
 decide it, so chain taggers top out near coin-flip accuracy on that slot
 while parse-guided taggers can resolve it.
+
+Each concept graph's root is its first node, n0.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class _Draft:
         self.heads: list[int] = []  # 0-based head position, -1 for root
         self.graph_nodes: list[tuple[str, str, int | None]] = []
         self.graph_edges: list[tuple[str, str, str]] = []
-        self.graph_root: str | None = None
 
     def word(self, form: str, tag: str, head: int) -> int:
         self.tokens.append(form)
@@ -72,30 +73,37 @@ class _Draft:
         self.heads.append(head)
         return len(self.tokens) - 1
 
-    def city(self, name: str, slot: str, head: int) -> int:
-        """Append a possibly multi-token city; returns its first position."""
+    def phrase(self, words: tuple[str, ...], name: str, slot: str | None,
+               head: int) -> int:
+        """Append function words, then a possibly multi-token name.
+
+        The name's first token attaches to `head`; the function words and
+        the name's later tokens attach to that first token, whose position
+        is returned. Without a slot the name is tagged O.
+        """
+        first = len(self.tokens) + len(words)
+        for form in words:
+            self.word(form, "O", first)
         parts = name.split()
-        first = self.word(parts[0], f"B-{slot}", head)
+        self.word(parts[0], f"B-{slot}" if slot else "O", head)
         for part in parts[1:]:
-            self.word(part, f"I-{slot}", first)
+            self.word(part, f"I-{slot}" if slot else "O", first)
         return first
 
-    def node(self, concept: str, token: int | None = None) -> str:
+    def node(self, concept: str, token: int | None, head: str | None = None,
+             rel: str = "") -> str:
         nid = f"n{len(self.graph_nodes)}"
         self.graph_nodes.append((nid, concept, token))
+        if head is not None:
+            self.graph_edges.append((head, rel, nid))
         return nid
 
-    def edge(self, head: str, rel: str, dep: str):
-        self.graph_edges.append((head, rel, dep))
-
-    def city_node(self, first_pos: int, head_node: str, rel: str):
-        """Concept node for a city, with child nodes for extra name tokens."""
-        cid = self.node(self.tokens[first_pos], first_pos)
-        self.edge(head_node, rel, cid)
+    def name_node(self, first_pos: int, head_node: str, rel: str):
+        """Concept node for a phrase's name, with child nodes for its later tokens."""
+        cid = self.node(self.tokens[first_pos], first_pos, head_node, rel)
         pos = first_pos + 1
         while pos < len(self.tokens) and self.tags[pos].startswith("I-"):
-            part = self.node(self.tokens[pos], pos)
-            self.edge(cid, "name", part)
+            self.node(self.tokens[pos], pos, cid, "name")
             pos += 1
         return cid
 
@@ -111,7 +119,7 @@ class _Draft:
             lines.append(f"node\t{nid}\t{concept}\t{tok}")
         for head, rel, dep in self.graph_edges:
             lines.append(f"edge\t{head}\t{rel}\t{dep}")
-        lines.append(f"root\t{self.graph_root}")
+        lines.append("root\tn0")  # every family builds its root first
         return "\n".join(lines) + "\n"
 
 
@@ -128,19 +136,13 @@ def _family_show(r: random.Random, cfg: SyntheticConfig) -> _Draft:
     show = d.word("show", "O", -1)
     d.word("me", "O", show)
     flights = d.word("flights", "O", show)
-    from_pos = d.word("from", "O", -1)
-    fc = d.city(origin, "from_city", flights)
-    d.heads[from_pos] = fc
-    to_pos = d.word("to", "O", -1)
-    tc = d.city(dest, "to_city", flights)
-    d.heads[to_pos] = tc
+    fc = d.phrase(("from",), origin, "from_city", flights)
+    tc = d.phrase(("to",), dest, "to_city", flights)
 
     root = d.node("show", show)
-    d.graph_root = root
-    fl = d.node("flight", flights)
-    d.edge(root, "arg1", fl)
-    d.city_node(fc, fl, "origin")
-    d.city_node(tc, fl, "destination")
+    fl = d.node("flight", flights, root, "arg1")
+    d.name_node(fc, fl, "origin")
+    d.name_node(tc, fl, "destination")
     return d
 
 
@@ -151,24 +153,15 @@ def _family_day(r: random.Random, cfg: SyntheticConfig) -> _Draft:
     day = r.choice(cfg.days)
     lst = d.word("list", "O", -1)
     flights = d.word("flights", "O", lst)
-    on_pos = d.word("on", "O", -1)
-    day_pos = d.word(day, "B-day", flights)
-    d.heads[on_pos] = day_pos
-    from_pos = d.word("from", "O", -1)
-    fc = d.city(origin, "from_city", flights)
-    d.heads[from_pos] = fc
-    to_pos = d.word("to", "O", -1)
-    tc = d.city(dest, "to_city", flights)
-    d.heads[to_pos] = tc
+    day_pos = d.phrase(("on",), day, "day", flights)
+    fc = d.phrase(("from",), origin, "from_city", flights)
+    tc = d.phrase(("to",), dest, "to_city", flights)
 
     root = d.node("list", lst)
-    d.graph_root = root
-    fl = d.node("flight", flights)
-    d.edge(root, "arg1", fl)
-    dn = d.node(day, day_pos)
-    d.edge(fl, "day", dn)
-    d.city_node(fc, fl, "origin")
-    d.city_node(tc, fl, "destination")
+    fl = d.node("flight", flights, root, "arg1")
+    d.name_node(day_pos, fl, "day")
+    d.name_node(fc, fl, "origin")
+    d.name_node(tc, fl, "destination")
     return d
 
 
@@ -180,27 +173,16 @@ def _family_period(r: random.Random, cfg: SyntheticConfig, arriving: bool) -> _D
     verb = "arriving" if arriving else "leaving"
     slot = "arrive_period" if arriving else "depart_period"
     flights = d.word("flights", "O", -1)
-    from_pos = d.word("from", "O", -1)
-    fc = d.city(origin, "from_city", flights)
-    d.heads[from_pos] = fc
-    to_pos = d.word("to", "O", -1)
-    tc = d.city(dest, "to_city", flights)
-    d.heads[to_pos] = tc
+    fc = d.phrase(("from",), origin, "from_city", flights)
+    tc = d.phrase(("to",), dest, "to_city", flights)
     verb_pos = d.word(verb, "O", flights)
-    in_pos = d.word("in", "O", -1)
-    the_pos = d.word("the", "O", -1)
-    period_pos = d.word(period, f"B-{slot}", verb_pos)
-    d.heads[in_pos] = period_pos
-    d.heads[the_pos] = period_pos
+    period_pos = d.phrase(("in", "the"), period, slot, verb_pos)
 
     root = d.node("flight", flights)
-    d.graph_root = root
-    vb = d.node(verb, verb_pos)
-    d.edge(root, "mod", vb)
-    pn = d.node(period, period_pos)
-    d.edge(vb, "time", pn)
-    d.city_node(fc, root, "origin")
-    d.city_node(tc, root, "destination")
+    vb = d.node(verb, verb_pos, root, "mod")
+    d.name_node(period_pos, vb, "time")
+    d.name_node(fc, root, "origin")
+    d.name_node(tc, root, "destination")
     return d
 
 
@@ -216,44 +198,27 @@ def _family_ambiguous(r: random.Random, cfg: SyntheticConfig) -> _Draft:
     departs = r.random() < 0.5
     slot = "depart_period" if departs else "arrive_period"
 
-    which = d.word("which", "O", -1)
-    flights = d.word("flights", "O", -1)
+    flights = d.phrase(("which",), "flights", None, -1)
     leave = d.word("leave", "O", -1)
-    d.heads[which] = flights
-    d.heads[flights] = leave
-    fc = d.city(origin, "from_city", leave)
-    on_pos = d.word("on", "O", -1)
-    day_pos = d.word(day, "B-day", leave)
-    d.heads[on_pos] = day_pos
-    and_pos = d.word("and", "O", -1)
-    arrive = d.word("arrive", "O", leave)
-    d.heads[and_pos] = arrive
-    in1 = d.word("in", "O", -1)
-    tc = d.city(dest, "to_city", arrive)
-    d.heads[in1] = tc
-    in2 = d.word("in", "O", -1)
-    the_pos = d.word("the", "O", -1)
-    period_pos = d.word(period, f"B-{slot}", leave if departs else arrive)
-    d.heads[in2] = period_pos
-    d.heads[the_pos] = period_pos
+    d.heads[flights] = leave  # the one head not yet written with its dependent
+    fc = d.phrase((), origin, "from_city", leave)
+    day_pos = d.phrase(("on",), day, "day", leave)
+    arrive = d.phrase(("and",), "arrive", None, leave)
+    tc = d.phrase(("in",), dest, "to_city", arrive)
+    period_pos = d.phrase(("in", "the"), period, slot,
+                          leave if departs else arrive)
 
     # Concept graph: unaligned coordination root, and the flight node is
     # shared by both verbs (two parents, so path enumeration forks).
     root = d.node("and", None)
-    d.graph_root = root
-    lv = d.node("leave", leave)
-    ar = d.node("arrive", arrive)
-    d.edge(root, "op1", lv)
-    d.edge(root, "op2", ar)
-    fl = d.node("flight", flights)
-    d.edge(lv, "arg1", fl)
-    d.edge(ar, "arg1", fl)
-    d.city_node(fc, lv, "origin")
-    dn = d.node(day, day_pos)
-    d.edge(lv, "day", dn)
-    d.city_node(tc, ar, "destination")
-    pn = d.node(period, period_pos)
-    d.edge(lv if departs else ar, "time", pn)
+    lv = d.node("leave", leave, root, "op1")
+    ar = d.node("arrive", arrive, root, "op2")
+    fl = d.node("flight", flights, lv, "arg1")
+    d.graph_edges.append((ar, "arg1", fl))
+    d.name_node(fc, lv, "origin")
+    d.name_node(day_pos, lv, "day")
+    d.name_node(tc, ar, "destination")
+    d.name_node(period_pos, lv if departs else ar, "time")
     return d
 
 

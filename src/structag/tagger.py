@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, dropout_mask, softmax_array
-from .cells import glorot_uniform, make_cell, zero_vector
+# CELL_KINDS is re-exported beside TAGGER_MODES for the config checks.
+from .cells import CELL_KINDS, glorot_uniform, make_cell, zero_vector
 from .errors import DimensionError
 
 TAGGER_MODES = ("chain", "knowledge", "joint")
-CELL_KINDS = ("elman", "gru")
 
 
 def tag_output(states: list[Tensor], alpha: float, weight: Tensor,

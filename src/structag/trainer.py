@@ -75,19 +75,26 @@ class TrainConfig:
         for name in ("embed_dim", "hidden_size", "epochs", "max_substructures"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name in ("dropout", "beta1", "beta2", "dev_fraction"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise ConfigError(
+                f"train_fraction must be in (0, 1], got {self.train_fraction}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
+        for name in ("learning_rate", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0.0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.epsilon <= 0.0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 <= self.unk_replace_prob <= 1.0:
             raise ConfigError("unk_replace_prob must be in [0, 1], "
                               f"got {self.unk_replace_prob}")
-        if self.clip_norm is not None and self.clip_norm <= 0.0:
+        # Negated, so that NaN fails it too.
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")

@@ -12,23 +12,18 @@ STEP = 1e-4
 
 
 def sum_all(a):
-    out = Tensor(a.value.sum(), "sum", (a,))
-
     def bw(g):
         a._accumulate(np.full_like(a.value, g))
-    out._backward = bw
-    return out
+    return Tensor(a.value.sum(), "sum", (a,), bw)
 
 
 def elementwise_mul(a, b):
     assert a.shape == b.shape, f"elementwise_mul: {a.shape} vs {b.shape}"
-    out = Tensor(a.value * b.value, "mul", (a, b))
 
     def bw(g):
         a._accumulate(g * b.value)
         b._accumulate(g * a.value)
-    out._backward = bw
-    return out
+    return Tensor(a.value * b.value, "mul", (a, b), bw)
 
 
 def set_know(cell, know):

@@ -330,6 +330,38 @@ def test_invalid_config_value_exits_1(workspace, capsys):
     assert "dropout" in capsys.readouterr().err
 
 
+OUT_OF_RANGE = [("epsilon", 0), ("beta1", 1.5), ("beta2", 1.0),
+                ("clip_norm", float("nan")), ("dev_fraction", 7.0),
+                ("train_fraction", 1.5)]
+
+
+@pytest.mark.parametrize("field,value", OUT_OF_RANGE)
+def test_out_of_range_config_file_exits_1_naming_it(workspace, tmp_path, capsys,
+                                                    field, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                 "--config", str(cfg), "--out", str(tmp_path / "model.json"),
+                 "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert field in lines[0]
+
+
+@pytest.mark.parametrize("field,value", OUT_OF_RANGE)
+def test_checkpoint_with_out_of_range_setting_exits_3(workspace, tmp_path, capsys,
+                                                      field, value):
+    payload = json.loads(workspace["ckpt"].read_text())
+    payload["config"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(bad),
+                 "--data", str(workspace["data"] / "corpus.tsv")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert field in lines[0]
+
+
 def test_unknown_config_field_exits_1(workspace, tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"optimizer": "sgd"}))

@@ -7,8 +7,9 @@ import pytest
 
 from structag.corpus import load_corpus
 from structag.errors import ConfigError
-from structag.knowledge import load_amr, load_dependency
-from structag.synthetic import SyntheticConfig, _pick_cities, generate
+from structag.knowledge import check_alignment, load_amr, load_dependency
+from structag.synthetic import (DEFAULT_CITIES, SyntheticConfig,
+                                _pick_cities, generate)
 
 
 def _materialize(tmp_path, config, seed):
@@ -28,17 +29,36 @@ def test_seeded_generation_is_byte_identical():
     assert c.corpus_text != a.corpus_text
 
 
-def test_seeded_generation_matches_pinned_digests():
-    # sha256 of the three texts as generated before the destination draw
-    # stopped building a filtered list: the stream may not move, on any
-    # supported Python version.
-    corpus = generate(SyntheticConfig(n_utterances=50), seed=9)
-    digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in
-               (corpus.corpus_text, corpus.dependency_text, corpus.amr_text)]
-    assert digests == [
+_TWO_TOKEN = tuple(c for c in DEFAULT_CITIES if " " in c)
+_TOWNS = (tuple(c for c in DEFAULT_CITIES if " " not in c)
+          + tuple(f"town{i:04d}" for i in range(4000)))
+
+
+# sha256 of the three texts at seed 9. The default mix dates from before
+# the destination draw stopped building a filtered list; the other two
+# (all ambiguous with two-token names, all plain with 4,000 one-token
+# towns) from before each phrase was built with its head at once. The
+# stream may not move, on any supported Python version.
+@pytest.mark.parametrize("config,expected", [
+    (SyntheticConfig(n_utterances=50), [
         "8ff267ee53eb3c734becefbc1f78bd7b43749aed222c59fa2aaa76788546a871",
         "4218fc504ae0972f69fe606a5dbcca9325a0615582f9cf1cf7d5dc1b85c59f9b",
-        "875c8c6da06933c68eddf9aa593b4a5eb29afaaf7d853dfebda23cb4fcbfb0a8"]
+        "875c8c6da06933c68eddf9aa593b4a5eb29afaaf7d853dfebda23cb4fcbfb0a8"]),
+    (SyntheticConfig(n_utterances=50, ambiguous_fraction=1.0,
+                     cities=_TWO_TOKEN), [
+        "cbc00f6eb2ba99a55d9d65608b6fd5aec3600f0b47d00bfa065adff0efc56b54",
+        "7e67bb13f4c63aa9db92a50920aa0e9c0866bb5b690c65aaf8c867c80d6a9088",
+        "6a0d1b791b29095315c4fb7c6cafbc5704dd5c7e6d974bdc6c6ee54d817aa092"]),
+    (SyntheticConfig(n_utterances=50, ambiguous_fraction=0.0, cities=_TOWNS), [
+        "ec99d054b744c499223520a4b6ba8509b4158e8ea6115a3fb7a119cd562feb16",
+        "8bc042e699830c5bfb1cf132d9b30094c30e5d7b1574b52abe09a205d0114c2d",
+        "0a240666f5b1528923af1079ef5913d56d806b7f90bc7ff44beef9fc1056d6df"]),
+], ids=["default", "ambiguous-two-token", "plain-towns"])
+def test_seeded_generation_matches_pinned_digests(config, expected):
+    corpus = generate(config, seed=9)
+    digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in
+               (corpus.corpus_text, corpus.dependency_text, corpus.amr_text)]
+    assert digests == expected
 
 
 def _pick_cities_reference(r, cities):
@@ -73,6 +93,22 @@ def test_degenerate_configs_rejected():
         generate(SyntheticConfig(periods=()), seed=0)
     with pytest.raises(ConfigError):
         generate(SyntheticConfig(ambiguous_fraction=1.5), seed=0)
+
+
+def test_multi_word_names_become_chunks_like_cities(tmp_path):
+    corpus, utts, deps, amrs = _materialize(tmp_path, SyntheticConfig(
+        n_utterances=40, days=("next monday",), periods=("late night",)), seed=6)
+    check_alignment({p.id: p for p in deps}, utts, "dependency")
+    check_alignment({p.id: p for p in amrs}, utts, "amr")
+    for utt, dep, amr in zip(utts, deps, amrs):
+        assert all(" " not in tok for tok in utt.tokens)
+        for first, tag in enumerate(utt.tags):
+            if tag in ("B-day", "B-depart_period", "B-arrive_period"):
+                assert utt.tags[first + 1] == "I-" + tag[2:]
+                assert first + 2 in dep.children[first + 1]  # 1-based ids
+                name = next(k for k, v in amr.nodes.items() if v.token == first)
+                part = next(k for k, v in amr.nodes.items() if v.token == first + 1)
+                assert (name, part) in set(amr.edges())
 
 
 def test_generated_files_align_and_validate(tmp_path):

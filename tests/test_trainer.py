@@ -277,6 +277,37 @@ def test_config_rejects_non_finite_optimizer_settings(name, value):
         _tiny_config(**{name: value}).validate()
 
 
+# Unchecked, epsilon=0 and beta2=1 stop training at the first update,
+# beta1=1.5 and clip_norm=NaN train wrongly without an error, and a
+# dev_fraction beside an explicit dev set is stored unused.
+OUT_OF_RANGE = [("epsilon", 0.0), ("epsilon", -1e-8), ("beta1", 1.5),
+                ("beta1", -0.1), ("beta2", 1.0), ("clip_norm", float("nan")),
+                ("dev_fraction", 7.0), ("dev_fraction", 1.0),
+                ("train_fraction", 1.5), ("train_fraction", 0.0)]
+
+
+@pytest.mark.parametrize("name,value", OUT_OF_RANGE)
+def test_config_rejects_out_of_range_settings(name, value):
+    with pytest.raises(ConfigError, match=name):
+        _tiny_config(**{name: value}).validate()
+
+
+def test_out_of_range_fractions_fail_before_the_parse_check(tmp_path):
+    utts = _utterances(8)
+    with pytest.raises(ConfigError, match="dev_fraction"):
+        train(utts[:6], _tiny_config(dev_fraction=7.0, epochs=1),
+              dev_utterances=utts[6:])
+    # A one-node tree for a five-token utterance fails the parse check,
+    # which comes after the config's.
+    tree = tmp_path / "dependencies.tsv"
+    tree.write_text("1\tflights\t0\n", encoding="utf-8")
+    parses = {p.id: p for p in load_dependency(tree)}
+    with pytest.raises(DataError):
+        train(utts, _tiny_config(), parses)
+    with pytest.raises(ConfigError, match="train_fraction"):
+        train(utts, _tiny_config(train_fraction=1.5), parses)
+
+
 @pytest.mark.parametrize("name,value", [
     ("learning_rate", "0.01"), ("embed_dim", 8.5), ("embed_dim", True),
     ("dropout", False), ("epochs", None), ("mode", 1), ("clip_norm", "1"),
@@ -542,6 +573,16 @@ def test_checkpoint_of_unallocatable_size_is_a_checkpoint_error(tmp_path):
     payload["config"].update(mode="chain", embed_dim=4, hidden_size=10 ** 17)
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name,value", OUT_OF_RANGE)
+def test_checkpoint_with_out_of_range_setting_is_rejected(tmp_path, name, value):
+    _, path, _ = _trained(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["config"][name] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=name):
         load_checkpoint(path)
 
 
