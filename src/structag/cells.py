@@ -1,18 +1,18 @@
 """Recurrent cells and parameter initialization shared by encoders and taggers.
 
-A cell holds its recurrence weights and, in a knowledge-guided tagger
-tower, its own per-gate projections of the guided vector. Every run is
-one fused graph op from one builder: a whole sequence, or for the GRU a
-ragged batch of sequences read at their final states. The forward pass
-projects all inputs before the loop (one matmul per gate matrix, into
-one preallocated matrix), adds the knowledge terms to that projection
-as a constant bias, and loops over the steps with one recurrent product
-per gate group, writing every gate and state into its preallocated
-rows. The backward pass is a hand-written backpropagation through time
-over the stored gate values, with one matmul or sum per weight and
-input after the loop. Parameters stay one matrix per gate, as
-checkpoints store them; the GRU stacks [U_r; U_z] once per call, for
-both passes.
+A cell is its gate list. For every gate it holds an input weight and a
+recurrence weight and, in a knowledge-guided tagger tower, a projection
+of the guided vector. Every run is one fused graph op from one builder:
+a whole sequence, or for the GRU a ragged batch of sequences read at
+their final states. The forward pass projects all inputs before the loop
+(one matmul per gate, into one preallocated matrix), adds the knowledge
+terms to that projection as a constant bias, and loops over the steps
+with one recurrent product per gate group, writing every gate and state
+into its preallocated rows. The backward pass is a hand-written
+backpropagation through time over the stored gate values, with one
+matmul or sum per weight and input after the loop. Parameters stay one
+matrix per gate, as checkpoints store them; the GRU stacks [U_r; U_z]
+once per call, for both passes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     return Tensor(rng.uniform(-s, s, size=(rows, cols)))
 
 
+def check_rows(x: Tensor, dim: int, what: str):
+    """Raise unless x is a non-empty (length, dim) matrix."""
+    if x.value.ndim != 2 or x.shape[0] < 1 or x.shape[1] != dim:
+        raise DimensionError(
+            f"{what} must be a non-empty (length, {dim}) matrix, got {x.shape}")
+
+
 def zero_vector(n: int) -> Tensor:
     return Tensor(np.zeros(n))
 
@@ -36,36 +43,38 @@ def zero_vector(n: int) -> Tensor:
 class _Recurrence:
     """Parameters and the one graph-op builder shared by both fused cells.
 
-    A cell sets GATES and OP, draws its recurrence weights in `_draw`
-    (setting `input_weights`, one per gate, and returning every weight by
-    checkpoint name) and defines `_recur(proj)`, returning the states from
-    the zero state and a closure from the gradients of the states after
-    the initial ones to the pre-activation gradients. With a
-    `knowledge_dim`, the cell also owns `know[gate]`, an (H, K) projection
-    of a guided vector (K,) into that gate's pre-activation at every step,
-    drawn after the recurrence weights. Projecting gate by gate builds
-    `X @ [W_1; ...; W_k]ᵀ` without a stacked weight copy.
+    A cell sets GATES and OP and defines `_recur(proj)`, returning the
+    states from the zero state and a closure from the gradients of the
+    states after the initial ones to the pre-activation gradients. Here
+    the cell draws `w[gate]` (H, E) for every gate, then `u[gate]` (H, H)
+    for every gate, then, with a `knowledge_dim`, `know[gate]`, an (H, K)
+    projection of a guided vector (K,) into that gate's pre-activation at
+    every step. NAMES renames a weight in checkpoints. Projecting gate by
+    gate builds `X @ [W_1; ...; W_k]ᵀ` without a stacked weight copy.
     """
+
+    NAMES: dict[str, str] = {}
 
     def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int,
                  knowledge_dim: int | None = None):
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        self.weights = self._draw(rng)
+        self.w = {g: glorot_uniform(rng, hidden_dim, input_dim) for g in self.GATES}
+        self.u = {g: glorot_uniform(rng, hidden_dim, hidden_dim) for g in self.GATES}
         self.know = {} if knowledge_dim is None else {
             g: glorot_uniform(rng, hidden_dim, knowledge_dim) for g in self.GATES}
 
     def params(self, prefix: str) -> dict[str, Tensor]:
-        """The recurrence weights, then the knowledge projections."""
-        know = {f"know_{g}": k for g, k in self.know.items()}
-        return {f"{prefix}.{name}": t for name, t in {**self.weights, **know}.items()}
+        """The input and recurrence weights gate by gate, then the knowledge
+        projections."""
+        named = [(f"{kind}_{g}", t[g]) for g in self.GATES
+                 for kind, t in (("w", self.w), ("u", self.u))]
+        named += [(f"know_{g}", k) for g, k in self.know.items()]
+        return {f"{prefix}.{self.NAMES.get(name, name)}": t for name, t in named}
 
     def sequence(self, x: Tensor, guided: Tensor | None = None) -> Tensor:
         """All hidden states (T, H) of a run from the zero state over x (T, E),
         with `guided` projected into every step if the cell has projections."""
-        if x.value.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"recurrence input must be a non-empty (length, "
-                f"{self.input_dim}) matrix, got {x.shape}")
+        check_rows(x, self.input_dim, "recurrence input")
         return self._op(x, guided if self.know else None)
 
     def _op(self, x: Tensor, guided: Tensor | None = None, rows=None,
@@ -73,7 +82,7 @@ class _Recurrence:
         """One graph node running the rows `rows` of x (default: all, in
         order), `sizes[t]` of them at step t (GRU only, see `final_states`),
         and giving the states at `ends` (default: all)."""
-        hd, weights = self.hidden_dim, self.input_weights
+        hd, weights = self.hidden_dim, [self.w[g] for g in self.GATES]
         xv = x.value if rows is None else x.value[rows]
         know = [self.know[g] for g in self.GATES] if guided is not None else []
         proj = np.empty((xv.shape[0], len(weights) * hd))
@@ -101,8 +110,8 @@ class _Recurrence:
                     know[i]._accumulate(np.outer(d_term, guided.value))
                     guided._accumulate(know[i].value.T @ d_term)
         # guided after x: the backward pass reaches x's embedding first.
-        return Tensor(result, self.OP,
-                      (x, *self.weights.values(), *([guided, *know] if know else [])), bw)
+        return Tensor(result, self.OP, (x, *weights, *self.u.values(),
+                                        *([guided, *know] if know else [])), bw)
 
 
 class ElmanCell(_Recurrence):
@@ -110,15 +119,10 @@ class ElmanCell(_Recurrence):
 
     GATES = ("cand",)
     OP = "elman_sequence"
-
-    def _draw(self, rng: np.random.Generator) -> dict[str, Tensor]:
-        self.w_in = glorot_uniform(rng, self.hidden_dim, self.input_dim)
-        self.u_rec = glorot_uniform(rng, self.hidden_dim, self.hidden_dim)
-        self.input_weights = [self.w_in]
-        return {"w_in": self.w_in, "u_rec": self.u_rec}
+    NAMES = {"w_cand": "w_in", "u_cand": "u_rec"}
 
     def _recur(self, proj: np.ndarray):
-        u, n = self.u_rec.value, proj.shape[0]
+        u, n = self.u["cand"].value, proj.shape[0]
         states = np.zeros((n + 1, self.hidden_dim))
         for t in range(n):
             np.tanh(proj[t] + u @ states[t], out=states[t + 1])
@@ -129,7 +133,7 @@ class ElmanCell(_Recurrence):
             dh = np.zeros(self.hidden_dim)
             for t in reversed(range(n)):
                 dh = np.multiply(dh + g[t], dtanh[t], out=d_pre[t]) @ u
-            self.u_rec._accumulate(d_pre.T @ states[:-1])
+            self.u["cand"]._accumulate(d_pre.T @ states[:-1])
             return d_pre
         return states, bptt
 
@@ -151,34 +155,23 @@ class GruCell(_Recurrence):
     GATES = ("reset", "update", "cand")
     OP = "gru_sequence"
 
-    def _draw(self, rng: np.random.Generator) -> dict[str, Tensor]:
-        hd = self.hidden_dim
-        self.w = {g: glorot_uniform(rng, hd, self.input_dim) for g in self.GATES}
-        self.u = {g: glorot_uniform(rng, hd, hd) for g in self.GATES}
-        self.input_weights = [self.w[g] for g in self.GATES]
-        return {name: t for g in self.GATES
-                for name, t in ((f"w_{g}", self.w[g]), (f"u_{g}", self.u[g]))}
-
-    def final_states(self, x: Tensor, lengths: list[int] | None = None) -> Tensor:
+    def final_states(self, x: Tensor, lengths: list[int]) -> Tensor:
         """Final states (n, H) of independent runs from the zero state, run i
-        over the next `lengths[i]` rows of x (T, E), as one graph node;
-        without lengths, of one run over all of x, as (H,). The runs are
-        packed time-major, longest first, so step t updates only the rows
-        of runs longer than t (no masks), and each final state is read at
-        its run's own length."""
-        runs = np.array([x.shape[0]] if lengths is None else lengths, dtype=int)
-        if (x.value.ndim != 2 or x.shape[1] != self.input_dim or runs.size < 1
-                or runs.min() < 1 or runs.sum() != x.shape[0]):
-            raise DimensionError(f"final_states: needs runs of length >= 1 over "
-                                 f"all rows of a (T, {self.input_dim}) matrix, got "
-                                 f"{runs.tolist()} over {x.shape}")
+        over the next `lengths[i]` rows of x (T, E), as one graph node. The
+        runs are packed time-major, longest first, so step t updates only
+        the rows of runs longer than t (no masks), and each final state is
+        read at its run's own length."""
+        check_rows(x, self.input_dim, "final_states input")
+        runs = np.array(lengths, dtype=int)
+        if runs.sum() != x.shape[0] or runs.min() < 1:
+            raise DimensionError(f"final_states: runs {runs.tolist()} must have "
+                                 f"length >= 1 and cover all {x.shape[0]} rows")
         order = np.argsort(-runs, kind="stable")
         step, rank = np.nonzero(runs[order] > np.arange(runs.max())[:, None])
         # The row of x of each packed row, and the packed row of each run's end.
         rows = (np.cumsum(runs) - runs)[order][rank] + step
         ends = np.argsort(rows)[np.cumsum(runs) - 1]
-        return self._op(x, rows=rows, sizes=np.bincount(step).tolist(),
-                        ends=ends[0] if lengths is None else ends)
+        return self._op(x, rows=rows, sizes=np.bincount(step).tolist(), ends=ends)
 
     def _recur(self, proj: np.ndarray, sizes: list[int] | None = None):
         """`sizes[t]` (non-increasing, default 1) rows run at step t, reading

@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Tensor, row_view, stack_rows
-from .cells import GruCell, glorot_uniform, zero_vector
-from .errors import DimensionError
+from .cells import GruCell, check_rows, glorot_uniform, zero_vector
 
 CNN_WINDOW = 3
 
@@ -35,8 +34,6 @@ class _PerSequence:
 class LinearEncoder(_PerSequence):
     """Mean of the embeddings followed by a linear layer (no nonlinearity)."""
 
-    kind = "nn"
-
     def __init__(self, rng: np.random.Generator, embed_dim: int, out_dim: int):
         self.weight = glorot_uniform(rng, embed_dim, out_dim)  # (E, d)
         self.bias = zero_vector(out_dim)
@@ -47,7 +44,7 @@ class LinearEncoder(_PerSequence):
     def encode(self, embedded: Tensor) -> Tensor:
         """One graph node: mean of the rows, then `@ weight + bias`."""
         x, w, b = embedded, self.weight, self.bias
-        _check_input(x, w.shape[0])
+        check_rows(x, w.shape[0], "encoder input")
         n = x.shape[0]
         mean = x.value.mean(axis=0)
         value = mean @ w.value + b.value
@@ -63,8 +60,6 @@ class RecurrentEncoder:
     """Final hidden state of a gated recurrent pass over the sequence;
     `encode_knowledge` runs an utterance's sequences as one batched GRU op."""
 
-    kind = "rnn"
-
     def __init__(self, rng: np.random.Generator, embed_dim: int, out_dim: int):
         self.cell = GruCell(rng, embed_dim, out_dim)
 
@@ -72,7 +67,7 @@ class RecurrentEncoder:
         return self.cell.params(prefix)
 
     def encode(self, embedded: Tensor) -> Tensor:
-        return self.cell.final_states(embedded)
+        return row_view(self.cell.final_states(embedded, [embedded.shape[0]]), 0)
 
     def encode_knowledge(self, lookup: Callable[[list[int]], Tensor],
                          sentence: list[int], parts: list[list[int]]
@@ -92,8 +87,6 @@ class ConvolutionalEncoder(_PerSequence):
     toward the earliest position.
     """
 
-    kind = "cnn"
-
     def __init__(self, rng: np.random.Generator, embed_dim: int, out_dim: int):
         self.weight = glorot_uniform(rng, CNN_WINDOW * embed_dim, out_dim)
         self.bias = zero_vector(out_dim)
@@ -111,7 +104,7 @@ class ConvolutionalEncoder(_PerSequence):
     def encode(self, embedded: Tensor) -> Tensor:
         """One graph node: window, `tanh(windows @ weight + bias)`, pool."""
         x, w, b = embedded, self.weight, self.bias
-        _check_input(x, w.shape[0] // CNN_WINDOW)
+        check_rows(x, w.shape[0] // CNN_WINDOW, "encoder input")
         n, e = x.shape
         windows = self.windows(x.value)
         act = np.tanh(windows @ w.value + b.value)
@@ -152,11 +145,3 @@ def make_encoder(kind: str, rng: np.random.Generator, embed_dim: int,
     if kind not in ENCODER_CLASSES:
         raise ValueError(f"unknown encoder kind {kind!r}; expected one of {ENCODER_KINDS}")
     return ENCODER_CLASSES[kind](rng, embed_dim, out_dim)
-
-
-def _check_input(embedded: Tensor, embed_dim: int):
-    if (embedded.value.ndim != 2 or embedded.shape[0] < 1
-            or embedded.shape[1] != embed_dim):
-        raise DimensionError(
-            f"encoder input must be a non-empty (length, {embed_dim}) matrix, "
-            f"got {embedded.shape}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError, ParseFileError
+from .errors import ConfigError, DataError, ParseFileError
 
 DEFAULT_MAX_SUBSTRUCTURES = 64
 PARSE_KINDS = ("dependency", "amr")
@@ -286,6 +286,8 @@ def substructures_with_fallback(parse: KnowledgeParse | None, n_tokens: int,
 def substructure_stats(parses: list[KnowledgeParse | None],
                        max_substructures: int = DEFAULT_MAX_SUBSTRUCTURES) -> dict:
     """Max and mean substructure counts over a corpus of parses."""
+    if max_substructures < 1:
+        raise ConfigError(f"max_substructures must be >= 1, got {max_substructures}")
     counts = [len(extract_substructures(p, max_substructures))
               for p in parses if p is not None]
     if not counts:

@@ -44,18 +44,14 @@ class SlotModel:
         self.embedding = Tensor(
             rng.uniform(-0.1, 0.1, size=(vocab.n_tokens, config.embed_dim)))
         d = config.hidden_size
-        if config.mode == "chain":
-            self.encoder = None
-            self.output_net = None
-        else:
+        self.encoder = self.output_net = None
+        if config.mode != "chain":
             self.encoder = make_encoder(config.encoder, rng, config.embed_dim, d)
             self.output_net = OutputNetwork(rng, d)
         self.tagger = Tagger(
             rng, mode=config.mode, cell_kind=config.cell,
             embed_dim=config.embed_dim, hidden_dim=d,
-            n_tags=vocab.n_tags,
-            knowledge_dim=None if config.mode == "chain" else d,
-            alpha=config.alpha)
+            n_tags=vocab.n_tags, alpha=config.alpha)
 
     def params(self) -> dict[str, Tensor]:
         out = {"embedding": self.embedding}

@@ -55,6 +55,10 @@ class SyntheticConfig:
             raise ConfigError("city names must be distinct")
         if not self.days or not self.periods:
             raise ConfigError("days and periods must be non-empty")
+        for name in ("cities", "days", "periods"):
+            if not all(n.split() for n in getattr(self, name)):
+                raise ConfigError(f"every name in {name} needs a token, "
+                                  f"got {getattr(self, name)!r}")
 
 
 class _Draft:

@@ -69,21 +69,21 @@ class Tagger:
     knowledge   one tower with the guided representation in every step
     joint       independent chain and knowledge towers, hidden states
                 blended with weight alpha, one shared output layer
+
+    The guided representation has the towers' hidden size, so a knowledge
+    tower projects a (hidden_dim,) vector into every gate.
     """
 
     def __init__(self, rng: np.random.Generator, mode: str, cell_kind: str,
-                 embed_dim: int, hidden_dim: int, n_tags: int,
-                 knowledge_dim: int | None = None, alpha: float = 0.5):
+                 embed_dim: int, hidden_dim: int, n_tags: int, alpha: float = 0.5):
         if mode not in TAGGER_MODES:
             raise ValueError(f"unknown tagger mode {mode!r}")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if mode != "chain" and knowledge_dim is None:
-            raise ValueError(f"mode {mode!r} needs a knowledge dimension")
         self.mode = mode
         self.alpha = alpha
-        tower_knowledge = {"chain": [None], "knowledge": [knowledge_dim],
-                           "joint": [None, knowledge_dim]}[mode]
+        tower_knowledge = {"chain": [None], "knowledge": [hidden_dim],
+                           "joint": [None, hidden_dim]}[mode]
         self.towers = [make_cell(cell_kind, rng, embed_dim, hidden_dim, k)
                        for k in tower_knowledge]
         self.out_weight = glorot_uniform(rng, hidden_dim, n_tags)

@@ -133,7 +133,7 @@ def _per_op_worst() -> tuple[float, set]:
         for length in (1, 6):
             xs = mat(length, 3)
             wh = rng.normal(size=(length, 4))
-            tensors = list(cell.weights.values()) + [xs]
+            tensors = [*cell.w.values(), *cell.u.values(), xs]
             check(lambda: _weighted(cell.sequence(xs), wh), tensors)
             check(lambda: _weighted(cell.sequence(xs, guided), wh),
                   tensors + know + [guided])
@@ -143,7 +143,7 @@ def _per_op_worst() -> tuple[float, set]:
     cell = make_cell("gru", rng, 3, 4)
     xs = mat(6, 3)
     wv = rng.normal(size=4)
-    check(lambda: _weighted(cell.final_states(xs), wv),
+    check(lambda: _weighted(ad.row_view(cell.final_states(xs, [6]), 0), wv),
           list(cell.params("c").values()) + [xs])
     batch = mat(11, 3)
     wb = rng.normal(size=(4, 4))
@@ -339,8 +339,7 @@ def test_criterion_4_reductions():
     all_equal = True
     for cell in ("elman", "gru"):
         chain = Tagger(np.random.default_rng(1), "chain", cell, 3, 4, 5)
-        know = Tagger(np.random.default_rng(2), "knowledge", cell, 3, 4, 5,
-                      knowledge_dim=4)
+        know = Tagger(np.random.default_rng(2), "knowledge", cell, 3, 4, 5)
         _copy_matching(chain.params("t"), know.params("t"))
         zero_guide = know.distributions(Tensor(embedded.copy()),
                                         Tensor(np.zeros(4)))
@@ -348,7 +347,7 @@ def test_criterion_4_reductions():
         all_equal &= np.array_equal(zero_guide.value, base.value)
 
         joint1 = Tagger(np.random.default_rng(3), "joint", cell, 3, 4, 5,
-                        knowledge_dim=4, alpha=1.0)
+                        alpha=1.0)
         chain2 = Tagger(np.random.default_rng(4), "chain", cell, 3, 4, 5)
         _copy_matching(joint1.params("t"), chain2.params("t"))
         all_equal &= np.array_equal(
@@ -357,9 +356,8 @@ def test_criterion_4_reductions():
             chain2.distributions(Tensor(embedded.copy())).value)
 
         joint0 = Tagger(np.random.default_rng(5), "joint", cell, 3, 4, 5,
-                        knowledge_dim=4, alpha=0.0)
-        know2 = Tagger(np.random.default_rng(6), "knowledge", cell, 3, 4, 5,
-                       knowledge_dim=4)
+                        alpha=0.0)
+        know2 = Tagger(np.random.default_rng(6), "knowledge", cell, 3, 4, 5)
         _copy_matching(joint0.params("t"), know2.params("t"),
                        rename=lambda s: s.replace(".tower1.", ".tower2."))
         all_equal &= np.array_equal(

@@ -110,8 +110,8 @@ def test_matmul_inner_dim_mismatch():
 def test_tanh_and_sigmoid_identities():
     # An Elman cell without recurrence is tanh(W x): 0 at 0, ~1 at 50.
     elman = ElmanCell(np.random.default_rng(0), 1, 1)
-    elman.w_in.value[:] = 1.0
-    elman.u_rec.value[:] = 0.0
+    elman.w["cand"].value[:] = 1.0
+    elman.u["cand"].value[:] = 0.0
     h = elman.sequence(Tensor([[0.0], [50.0]])).value
     assert h[0, 0] == 0.0 and h[1, 0] == pytest.approx(1.0)
     # The sigmoid lives inside the fused GRU. Zero weights put every gate
@@ -384,8 +384,9 @@ def test_grad_row_ops():
     a = _t(rng, 5, 3)
     # A recurrence read at its final row only: the rnn encoder's output.
     cell, wv = GruCell(rng, 3, 2), _const(rng, 2)
-    assert_grads_match(lambda: _weighted_sum(cell.final_states(a), wv),
-                       [a, *cell.params("").values()])
+    assert_grads_match(
+        lambda: _weighted_sum(ad.row_view(cell.final_states(a, [5]), 0), wv),
+        [a, *cell.params("").values()])
     wt = _const(rng, 4, 3)
     assert_grads_match(lambda: _weighted_sum(embed(a, [0, 0, 4, 2]), wt), [a])
 
@@ -410,7 +411,7 @@ def test_grad_composed_chain():
 
     def loss():
         x = embed(table, [0, 2, 0])
-        guided = cell.final_states(embed(table, [1, 3]))
+        guided = ad.row_view(cell.final_states(embed(table, [1, 3]), [2]), 0)
         states = [cell.sequence(x), cell.sequence(x, guided)]
         return tag_output(states, 0.4, wo, b, gold=[0, 1, 3])
 

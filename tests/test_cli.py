@@ -236,6 +236,17 @@ def test_stats_on_concept_graphs(workspace, capsys):
     assert stats["utterances"] == 12
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_stats_rejects_max_substructures_below_one(workspace, capsys, bound):
+    code = main(["stats", "--parses", str(workspace["data"] / "dependencies.tsv"),
+                 "--max-substructures", bound])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "max_substructures" in err
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

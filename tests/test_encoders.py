@@ -188,7 +188,7 @@ def test_rnn_memory_rejects_bad_sequences():
     _, lookup = _lookup(330)
     x = Tensor(RNG(331).normal(size=(4, 3)))
     for bad_x, lengths in ((x, []), (x, [2, 0, 2]), (x, [2, 1]), (x, [5]),
-                           (Tensor(np.zeros((0, 3))), None),
+                           (Tensor(np.zeros((0, 3))), []),
                            (Tensor(np.zeros((2, 2))), [2])):
         with pytest.raises(DimensionError):
             enc.cell.final_states(bad_x, lengths)

@@ -95,6 +95,14 @@ def test_degenerate_configs_rejected():
         generate(SyntheticConfig(ambiguous_fraction=1.5), seed=0)
 
 
+@pytest.mark.parametrize("field,names", [
+    ("cities", ("", "boston")), ("cities", ("  ", "boston")),
+    ("days", ("",)), ("periods", ("morning", "\t"))])
+def test_names_without_a_token_rejected(field, names):
+    with pytest.raises(ConfigError, match=field):
+        generate(SyntheticConfig(**{field: names}), seed=0)
+
+
 def test_multi_word_names_become_chunks_like_cities(tmp_path):
     corpus, utts, deps, amrs = _materialize(tmp_path, SyntheticConfig(
         n_utterances=40, days=("next monday",), periods=("late night",)), seed=6)

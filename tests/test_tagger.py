@@ -1,5 +1,6 @@
 """Recurrent cells and the chain / knowledge-guided / joint taggers."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -33,21 +34,21 @@ def _copy_matching(src: dict, dst: dict, rename=None):
 
 def test_elman_zero_weights_give_zero_state():
     cell = ElmanCell(RNG(1), 2, 3)
-    cell.w_in.value[:] = 0.0
-    cell.u_rec.value[:] = 0.0
+    cell.w["cand"].value[:] = 0.0
+    cell.u["cand"].value[:] = 0.0
     h = cell.sequence(Tensor(np.array([[1.0, -2.0], [0.5, 3.0]])))
     np.testing.assert_array_equal(h.value, np.zeros((2, 3)))
 
 
 def test_elman_without_recurrence_is_memoryless():
     cell = ElmanCell(RNG(2), 2, 3)
-    cell.u_rec.value[:] = 0.0
+    cell.u["cand"].value[:] = 0.0
     x = np.array([0.5, 1.5])
     # The same input after the zero state and after a nonzero state.
     h = cell.sequence(Tensor(np.array([x, [-0.9, 0.4], x]))).value
     assert np.abs(h[1]).max() > 0
     np.testing.assert_array_equal(h[0], h[2])
-    expected = np.tanh(cell.w_in.value @ x)
+    expected = np.tanh(cell.w["cand"].value @ x)
     np.testing.assert_allclose(h[0], expected, rtol=1e-12)
 
 
@@ -57,7 +58,7 @@ def test_elman_two_step_oracle():
     h = cell.sequence(Tensor(xs.copy())).value
     h_np = np.zeros(2)
     for x, state in zip(xs, h):
-        h_np = np.tanh(cell.w_in.value @ x + cell.u_rec.value @ h_np)
+        h_np = np.tanh(cell.w["cand"].value @ x + cell.u["cand"].value @ h_np)
         np.testing.assert_allclose(state, h_np, rtol=1e-12)
 
 
@@ -68,7 +69,7 @@ def test_elman_extra_term_enters_preactivation():
     know = RNG(40).normal(size=(2, 3))
     set_know(cell, {"cand": know})
     h = cell.sequence(Tensor(x[None].copy()), Tensor(guided.copy()))
-    expected = np.tanh(cell.w_in.value @ x + know @ guided)
+    expected = np.tanh(cell.w["cand"].value @ x + know @ guided)
     np.testing.assert_allclose(h.value[0], expected, rtol=1e-12)
 
 
@@ -198,9 +199,7 @@ def test_make_cell_rejects_unknown_kind():
 @pytest.mark.parametrize("mode", TAGGER_MODES)
 @pytest.mark.parametrize("cell", CELL_KINDS)
 def test_distributions_are_row_stochastic(mode, cell):
-    know = None if mode == "chain" else 3
-    tagger = Tagger(RNG(10), mode, cell, embed_dim=2, hidden_dim=3,
-                    n_tags=4, knowledge_dim=know)
+    tagger = Tagger(RNG(10), mode, cell, embed_dim=2, hidden_dim=3, n_tags=4)
     for length in (1, 3, 5):
         embedded = Tensor(RNG(length).normal(size=(length, 2)))
         guided = None if mode == "chain" else Tensor(RNG(99).normal(size=3))
@@ -219,7 +218,7 @@ def test_chain_elman_three_token_oracle():
     h = np.zeros(3)
     rows = []
     for x in xs:
-        h = np.tanh(cell.w_in.value @ x + cell.u_rec.value @ h)
+        h = np.tanh(cell.w["cand"].value @ x + cell.u["cand"].value @ h)
         rows.append(h)
     logits = np.vstack(rows) @ tagger.out_weight.value + tagger.out_bias.value
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -229,15 +228,15 @@ def test_chain_elman_three_token_oracle():
 
 def test_knowledge_elman_oracle_includes_projected_guide():
     tagger = Tagger(RNG(12), "knowledge", "elman", embed_dim=2, hidden_dim=2,
-                    n_tags=3, knowledge_dim=4)
+                    n_tags=3)
     xs = RNG(120).normal(size=(2, 2))
-    guided = RNG(121).normal(size=4)
+    guided = RNG(121).normal(size=2)
     cell = tagger.towers[0]
     states = cell.sequence(Tensor(xs.copy()), Tensor(guided.copy())).value
     know = cell.know["cand"].value @ guided
     h = np.zeros(2)
     for x, state in zip(xs, states):
-        h = np.tanh(cell.w_in.value @ x + cell.u_rec.value @ h + know)
+        h = np.tanh(cell.w["cand"].value @ x + cell.u["cand"].value @ h + know)
         np.testing.assert_allclose(state, h, rtol=1e-12)
 
 
@@ -246,19 +245,19 @@ def test_zero_guide_matches_chain_bitwise(cell):
     """With a zero knowledge vector the guided tagger collapses to the chain."""
     chain = Tagger(RNG(13), "chain", cell, embed_dim=2, hidden_dim=3, n_tags=4)
     guided_tagger = Tagger(RNG(14), "knowledge", cell, embed_dim=2,
-                           hidden_dim=3, n_tags=4, knowledge_dim=5)
+                           hidden_dim=3, n_tags=4)
     _copy_matching(chain.params("t"), guided_tagger.params("t"))
     embedded = RNG(130).normal(size=(4, 2))
     base = chain.distributions(Tensor(embedded.copy()))
     guided = guided_tagger.distributions(Tensor(embedded.copy()),
-                                         Tensor(np.zeros(5)))
+                                         Tensor(np.zeros(3)))
     np.testing.assert_array_equal(base.value, guided.value)
 
 
 @pytest.mark.parametrize("cell", CELL_KINDS)
 def test_joint_alpha_one_matches_chain_bitwise(cell):
     joint = Tagger(RNG(15), "joint", cell, embed_dim=2, hidden_dim=3,
-                   n_tags=4, knowledge_dim=3, alpha=1.0)
+                   n_tags=4, alpha=1.0)
     chain = Tagger(RNG(16), "chain", cell, embed_dim=2, hidden_dim=3, n_tags=4)
     _copy_matching(joint.params("t"), chain.params("t"))
     embedded = RNG(150).normal(size=(3, 2))
@@ -272,9 +271,9 @@ def test_joint_alpha_one_matches_chain_bitwise(cell):
 @pytest.mark.parametrize("cell", CELL_KINDS)
 def test_joint_alpha_zero_matches_knowledge_bitwise(cell):
     joint = Tagger(RNG(17), "joint", cell, embed_dim=2, hidden_dim=3,
-                   n_tags=4, knowledge_dim=3, alpha=0.0)
+                   n_tags=4, alpha=0.0)
     know = Tagger(RNG(18), "knowledge", cell, embed_dim=2, hidden_dim=3,
-                  n_tags=4, knowledge_dim=3)
+                  n_tags=4)
     _copy_matching(joint.params("t"), know.params("t"),
                    rename=lambda n: n.replace(".tower1.", ".tower2."))
     embedded = RNG(170).normal(size=(3, 2))
@@ -287,7 +286,7 @@ def test_joint_alpha_zero_matches_knowledge_bitwise(cell):
 
 def test_joint_alpha_half_differs_from_both_towers():
     joint = Tagger(RNG(19), "joint", "gru", embed_dim=2, hidden_dim=3,
-                   n_tags=4, knowledge_dim=3, alpha=0.5)
+                   n_tags=4, alpha=0.5)
     embedded = RNG(190).normal(size=(3, 2))
     guided = RNG(191).normal(size=3)
     blended = joint.distributions(Tensor(embedded.copy()),
@@ -299,9 +298,7 @@ def test_joint_alpha_half_differs_from_both_towers():
 
 @pytest.mark.parametrize("mode", TAGGER_MODES)
 def test_prefix_distributions_ignore_future_tokens(mode):
-    know = None if mode == "chain" else 3
-    tagger = Tagger(RNG(20), mode, "gru", embed_dim=2, hidden_dim=3,
-                    n_tags=4, knowledge_dim=know)
+    tagger = Tagger(RNG(20), mode, "gru", embed_dim=2, hidden_dim=3, n_tags=4)
     guided = None if mode == "chain" else Tensor(RNG(200).normal(size=3))
     base = RNG(201).normal(size=(4, 2))
     bumped = base.copy()
@@ -314,7 +311,7 @@ def test_prefix_distributions_ignore_future_tokens(mode):
 
 def test_guide_actually_changes_output():
     tagger = Tagger(RNG(21), "knowledge", "elman", embed_dim=2, hidden_dim=3,
-                    n_tags=4, knowledge_dim=3)
+                    n_tags=4)
     embedded = RNG(210).normal(size=(3, 2))
     a = tagger.distributions(Tensor(embedded.copy()), Tensor(np.zeros(3))).value
     b = tagger.distributions(Tensor(embedded.copy()), Tensor(np.ones(3))).value
@@ -335,7 +332,7 @@ def test_dropout_perturbs_but_keeps_rows_stochastic():
 def test_missing_guide_rejected():
     for mode in ("knowledge", "joint"):
         tagger = Tagger(RNG(23), mode, "elman", embed_dim=2, hidden_dim=2,
-                        n_tags=2, knowledge_dim=2)
+                        n_tags=2)
         with pytest.raises(DimensionError):
             tagger.distributions(Tensor(np.zeros((2, 2))))
 
@@ -347,8 +344,6 @@ def test_constructor_validation():
         Tagger(RNG(24), "chain", "lstm", 2, 2, 2)
     with pytest.raises(ValueError):
         Tagger(RNG(24), "chain", "elman", 2, 2, 2, alpha=1.5)
-    with pytest.raises(ValueError):
-        Tagger(RNG(24), "knowledge", "elman", 2, 2, 2, knowledge_dim=None)
 
 
 def test_decode_greedy_takes_first_maximum():
@@ -359,17 +354,16 @@ def test_decode_greedy_takes_first_maximum():
 
 
 def test_parameter_census_per_mode():
-    def names(mode, cell, know):
-        tagger = Tagger(RNG(25), mode, cell, embed_dim=2, hidden_dim=2,
-                        n_tags=2, knowledge_dim=know)
+    def names(mode, cell):
+        tagger = Tagger(RNG(25), mode, cell, embed_dim=2, hidden_dim=2, n_tags=2)
         return sorted(tagger.params("t"))
 
-    assert names("chain", "elman", None) == [
+    assert names("chain", "elman") == [
         "t.out_bias", "t.out_weight", "t.tower1.u_rec", "t.tower1.w_in"]
-    assert names("knowledge", "elman", 3) == [
+    assert names("knowledge", "elman") == [
         "t.out_bias", "t.out_weight", "t.tower1.know_cand",
         "t.tower1.u_rec", "t.tower1.w_in"]
-    gru_joint = names("joint", "gru", 3)
+    gru_joint = names("joint", "gru")
     assert len(gru_joint) == 2 + 6 + 9
     assert "t.tower2.know_update" in gru_joint
     assert "t.tower1.know_update" not in gru_joint
@@ -396,6 +390,30 @@ def test_parameter_layout_order(mode, encoder, cell, expected):
     model = _small_model(mode, encoder, cell)[0]
     assert list(model.params()) == ["embedding", *expected, "tagger.out_weight",
                                     "tagger.out_bias"]
+
+
+@pytest.mark.parametrize("mode,encoder,cell,digest", [
+    ("joint", "rnn", "gru",
+     "c846ff70d14d6647b17c21a3314b7de2dd3268ad024b64d7fd4e3635c8fab5e4"),
+    ("knowledge", "nn", "elman",
+     "0938476387ce0ad977a6100bb9e8ac9389ca5c4d887029ddf522e30e8405e6ef"),
+    ("joint", "cnn", "elman",
+     "c99623c3cfd2d5cd82fbd4c757084ff8170b8faa3beb57ac2c7a4e3f96598f63")])
+def test_initial_parameters_are_pinned(mode, encoder, cell, digest):
+    # Every name and value, in `params()` order: the draw order of the
+    # initial weights, so a refactor of how they are drawn keeps them.
+    from structag.corpus import Utterance, Vocabulary
+    from structag.model import SlotModel
+    from structag.trainer import TrainConfig
+
+    vocab = Vocabulary.build([Utterance("u0", ("show", "flights", "to", "boston"),
+                                        ("O", "O", "O", "B-to_city"))])
+    model = SlotModel(TrainConfig(mode, encoder, cell, embed_dim=8, hidden_size=6),
+                      vocab, RNG(0))
+    h = hashlib.sha256()
+    for name, t in model.params().items():
+        h.update(name.encode() + t.value.astype("<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
