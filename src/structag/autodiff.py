@@ -54,7 +54,7 @@ class Tensor:
     summation, which is what tied/shared parameters require.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "_backward")
+    __slots__ = ("value", "grad", "op", "parents", "_backward", "reached")
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (),
                  backward: Callable[[np.ndarray], None] | None = None):
@@ -65,23 +65,28 @@ class Tensor:
         self.op = op
         self.parents = parents
         self._backward = backward
+        self.reached: set | None = None
 
     @property
     def shape(self) -> tuple:
         return self.value.shape
 
     def _accumulate(self, g: np.ndarray, rows: int | slice | list | None = None):
-        """Add g to the gradient, or to its rows `rows`: an index or a slice
-        adds in place, a list of ids goes through `np.add.at`, so repeated
-        ids add up (it is ~20x slower on a slice)."""
+        """Add g to the gradient, or to its rows `rows`: an index, a slice or
+        a list of distinct ids adds in place; a list with repeated ids goes
+        through `np.add.at`, so repeats add up (it is slower). A row table,
+        whose `reached` is a set, records there the rows it adds to: the ids
+        of a list, else every row; its owner empties it on zeroing them."""
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         if rows is None:
             self.grad += g
-        elif isinstance(rows, list):
+        elif isinstance(rows, list) and len(ids := set(rows)) < len(rows):
             np.add.at(self.grad, rows, g)
         else:
             self.grad[rows] += g
+        if self.reached is not None:
+            self.reached |= ids if isinstance(rows, list) else set(range(len(self.grad)))
 
     def backward(self):
         """Backpropagate from this scalar through the whole graph.

@@ -11,8 +11,8 @@ with one recurrent product per gate group, writing every gate and state
 into its preallocated rows. The backward pass is a hand-written
 backpropagation through time over the stored gate values, with one
 matmul or sum per weight and input after the loop. Parameters stay one
-matrix per gate, as checkpoints store them; the GRU stacks [U_r; U_z]
-once per call, for both passes.
+matrix per gate, as checkpoints store them; the GRU negates U_r and U_z
+into one stacked buffer once per call, for both passes.
 """
 
 from __future__ import annotations
@@ -187,10 +187,11 @@ class GruCell(_Recurrence):
         def at(steps, *arrays):    # the arrays' rows at each step
             return arrays if b0 == 1 else [[a[i] for i in steps] for a in arrays]
 
-        u_rz = np.vstack([self.u["reset"].value, self.u["update"].value])
-        u_c = self.u["cand"].value
-        # h (-U) - p is bitwise -(h U + p), the -a that exp(-a) needs.
-        neg_u_rz_t, u_c_t = np.negative(u_rz).T, u_c.T
+        u_c, neg_u_rz = self.u["cand"].value, np.empty((2 * hd, hd))
+        # h [-U_r; -U_z] - p is bitwise -(h [U_r; U_z] + p), the -a that exp(-a) needs.
+        np.negative(self.u["reset"].value, out=neg_u_rz[:hd])
+        np.negative(self.u["update"].value, out=neg_u_rz[hd:])
+        neg_u_rz_t, u_c_t = neg_u_rz.T, u_c.T
         states = np.zeros((b0 + n, hd))
         rz = np.empty((n, 2 * hd))    # reset and update gate values
         cand = np.empty((n, hd))
@@ -223,7 +224,7 @@ class GruCell(_Recurrence):
                 d_reset_h = np.multiply(dh, t_cand, out=d_step[..., 2 * hd:]) @ u_c
                 np.multiply(d_reset_h, t_reset, out=d_step[..., :hd])
                 np.multiply(dh, t_update, out=d_step[..., hd:2 * hd])
-                d_prev += dh * z_t + d_reset_h * r_t + d_step[..., :2 * hd] @ u_rz
+                d_prev += dh * z_t + d_reset_h * r_t - d_step[..., :2 * hd] @ neg_u_rz
             d_u_rz = d_pre[:, :2 * hd].T @ h_prev
             self.u["reset"]._accumulate(d_u_rz[:hd])
             self.u["update"]._accumulate(d_u_rz[hd:])

@@ -154,12 +154,15 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        """Raises ValueError unless each index maps to 0..n-1."""
+        """Raises ValueError unless each index maps to 0..n-1 and the
+        reserved tokens sit where `build` puts them."""
         vocab = cls(token_index=dict(data["tokens"]), tag_index=dict(data["tags"]),
                     token_freq=dict(data.get("token_freq", {})))
         for index in (vocab.token_index, vocab.tag_index):
             if sorted(index.values()) != list(range(len(index))):
                 raise ValueError(f"indices are not 0..{len(index) - 1}")
+        if [vocab.token_index.get(t) for t in (PAD_TOKEN, UNK_TOKEN)] != [0, 1]:
+            raise ValueError(f"tokens {PAD_TOKEN} and {UNK_TOKEN} must have indices 0 and 1")
         return vocab
 
 

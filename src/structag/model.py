@@ -43,6 +43,7 @@ class SlotModel:
         self.vocab = vocab
         self.embedding = Tensor(
             rng.uniform(-0.1, 0.1, size=(vocab.n_tokens, config.embed_dim)))
+        self.embedding.reached = set()    # a row table: `embed` reaches few rows
         d = config.hidden_size
         self.encoder = self.output_net = None
         if config.mode != "chain":

@@ -30,6 +30,7 @@ from .seeding import derive_seed
 from .tagger import CELL_KINDS, TAGGER_MODES
 
 CHECKPOINT_FORMAT = "structag-checkpoint"
+CHECKPOINT_VERSION = 1
 # Accepted per annotated type; a bool passes only as a bool, not a number.
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real,
                 "bool": bool}
@@ -157,7 +158,10 @@ class AdamOptimizer:
     Parameters named in `skip` are never updated or checked and do not
     count toward the clip norm. `step` updates in place, block by block, with
     the elementwise operation order of the per-parameter formula, so its
-    results are bitwise those of a loop over the named arrays.
+    results are bitwise those of a loop over the named arrays, except that
+    a row table (see `Tensor._accumulate`) adds gradient terms to its
+    moments only on the rows reached, skipping an exact `+ 0.0`, so a
+    moment that has decayed to zero may stay -0.0.
     """
 
     def __init__(self, params: dict[str, Tensor], learning_rate=0.001,
@@ -184,6 +188,23 @@ class AdamOptimizer:
         self._blocks = [(lo, min(lo + ADAM_BLOCK, stop)) for start, stop in ranges
                         for lo in range(start, stop, ADAM_BLOCK)]
         self._scratch = np.empty((2, min(ADAM_BLOCK, self.values.size)))
+        # Updated row tables with (grads, m, v), the spans between, each block's part there.
+        tables = [n for n, p in params.items() if p.reached is not None and n not in skip]
+        self._tables = [(params[n], *(buf[self.slices[n]].reshape(params[n].shape)
+                                      for buf in (self.grads, self.m, self.v))) for n in tables]
+        ends = [0, *(x for n in tables for x in (self.slices[n].start, self.slices[n].stop)),
+                self.values.size]
+        self._dense = list(zip(ends[::2], ends[1::2]))
+        self._parts = [[(max(lo, a), min(hi, b)) for a, b in self._dense
+                        if max(lo, a) < min(hi, b)] for lo, hi in self._blocks]
+
+    def zero_grad(self):
+        """Zero every gradient, but of a row table only the rows it reached."""
+        for a, b in self._dense:
+            self.grads[a:b] = 0.0
+        for table, g, _, _ in self._tables:
+            g[list(table.reached)] = 0.0
+            table.reached = set()
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self):
@@ -205,18 +226,27 @@ class AdamOptimizer:
         b1, b2, lr = self.beta1, self.beta2, self.learning_rate
         correct1 = 1.0 - b1 ** self.t
         correct2 = 1.0 - b2 ** self.t
-        for lo, hi in self._blocks:
-            g, m, v = grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+        for table, g, m, v in self._tables:
+            rows = np.fromiter(table.reached, np.intp, len(table.reached))
+            g = g[rows]
+            m *= b1
+            m[rows] += (1 - b1) * g
+            v *= b2
+            v[rows] += ((1 - b2) * g) * g
+        for (lo, hi), parts in zip(self._blocks, self._parts):
+            for a, b in parts:
+                g, m, v, s1 = grads[a:b], self.m[a:b], self.v[a:b], self._scratch[0, :b - a]
+                # m = b1*m + (1-b1)*g
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1 - b1, out=s1)
+                m += s1
+                # v = b2*v + ((1-b2)*g)*g
+                np.multiply(v, b2, out=v)
+                np.multiply(g, 1 - b2, out=s1)
+                s1 *= g
+                v += s1
+            m, v = self.m[lo:hi], self.v[lo:hi]
             s1, s2 = self._scratch[0, :hi - lo], self._scratch[1, :hi - lo]
-            # m = b1*m + (1-b1)*g
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1 - b1, out=s1)
-            m += s1
-            # v = b2*v + ((1-b2)*g)*g
-            np.multiply(v, b2, out=v)
-            np.multiply(g, 1 - b2, out=s1)
-            s1 *= g
-            v += s1
             # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
             np.divide(m, correct1, out=s1)
             s1 *= lr
@@ -224,7 +254,8 @@ class AdamOptimizer:
             np.sqrt(s2, out=s2)
             s2 += self.epsilon
             s1 /= s2
-            if not np.isfinite(s1).all():
+            # A finite sum of squares proves every entry finite.
+            if not math.isfinite(np.dot(s1, s1)) and not np.isfinite(s1).all():
                 self._diverged(lo + int(np.flatnonzero(~np.isfinite(s1))[0]))
             self.values[lo:hi] -= s1
 
@@ -274,7 +305,8 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
     Training keeps a seeded train_fraction of the training set. With no
     dev utterances and dev_fraction > 0, a seeded slice of what it keeps
     is held out. Passing an explicit dev set disables the holdout. The
-    log, when requested, gets one JSON line per epoch.
+    log, when requested, gets one JSON line per epoch. Adam's moments and
+    the gradient clearing touch only the embedding rows an update reached.
     Floating-point warnings are off: the non-finite checks report instead.
     Outside chain mode, a parse that does not fit its utterance raises.
     """
@@ -329,7 +361,7 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
                         and unk_rng.random() < config.unk_replace_prob else tid
                         for tid in token_ids]
                 tag_ids = vocab.encode_tags(utt.tags)
-                optimizer.grads.fill(0.0)
+                optimizer.zero_grad()
                 loss = model.loss(token_ids, tag_ids, subs_table.get(utt.id),
                                   config.dropout, dropout_rng)
                 loss_value = float(loss.value)
@@ -386,7 +418,7 @@ def save_checkpoint(model: SlotModel, path: str | Path):
     """Self-describing JSON checkpoint: config, vocabulary, parameters."""
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
         "vocab": model.vocab.to_dict(),
         "params": {
@@ -408,6 +440,8 @@ def load_checkpoint(path: str | Path) -> SlotModel:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a recognized checkpoint file")
+    if type(version := payload.get("version")) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         config = TrainConfig.from_dict(payload["config"])
         vocab = Vocabulary.from_dict(payload["vocab"])

@@ -235,6 +235,18 @@ def test_embed_repeated_ids_accumulate():
     assert np.array_equal(e.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("rows", [[3, 0, 5], [1, 4, 1, 1]], ids=["distinct", "repeated"])
+def test_row_scatter_is_bitwise_add_at(rows):
+    rng = np.random.default_rng(2)
+    t = Tensor(rng.normal(size=(6, 3)))
+    t.grad = rng.normal(size=(6, 3))
+    g = rng.normal(size=(len(rows), 3))
+    expected = t.grad.copy()
+    np.add.at(expected, rows, g)
+    t._accumulate(g, rows)
+    assert t.grad.tobytes() == expected.tobytes()
+
+
 def test_embed_rejects_ids_out_of_range():
     # numpy would wrap -1 to the last row without the check.
     for ids in ([0, 3], [-1]):

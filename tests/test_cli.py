@@ -326,6 +326,26 @@ def test_non_finite_checkpoint_exits_3(workspace, tmp_path, capsys):
     assert "'embedding'" in capsys.readouterr().err
 
 
+def test_checkpoint_without_unknown_token_exits_3(workspace, tmp_path, capsys):
+    # A consistent file otherwise: the vocabulary reindexed without <unk>,
+    # the embedding one row shorter.
+    payload = json.loads(workspace["ckpt"].read_text())
+    tokens = sorted(payload["vocab"]["tokens"], key=payload["vocab"]["tokens"].get)
+    tokens.remove("<unk>")
+    payload["vocab"]["tokens"] = {t: i for i, t in enumerate(tokens)}
+    entry = payload["params"]["embedding"]
+    rows = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(
+        entry["shape"])
+    entry["shape"] = [len(tokens), rows.shape[1]]
+    entry["data"] = base64.b64encode(np.delete(rows, 1, axis=0).tobytes()).decode("ascii")
+    bad = tmp_path / "no-unk.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(bad),
+                 "--data", str(workspace["data"] / "corpus.tsv")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "<unk>" in lines[0]
+
+
 def test_non_numeric_amr_token_index_exits_2(tmp_path, capsys):
     graphs = tmp_path / "graphs.tsv"
     graphs.write_text("node\tn0\twant\t1\nroot\tn0\n\n"

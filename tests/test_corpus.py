@@ -163,6 +163,13 @@ def test_vocabulary_dict_roundtrip():
     assert back.tag_index == vocab.tag_index
 
 
+@pytest.mark.parametrize("tokens", [
+    {"<pad>": 0, "x": 1}, {"<unk>": 0, "<pad>": 1, "x": 2}, {"x": 0, "<pad>": 1, "<unk>": 2}])
+def test_vocabulary_dict_needs_reserved_tokens_first(tokens):
+    with pytest.raises(ValueError, match="must have indices"):
+        Vocabulary.from_dict({"tokens": tokens, "tags": {"O": 0}})
+
+
 def test_write_split_manifest(tmp_path):
     utts = _dummy_corpus(4)
     path = tmp_path / "splits.json"

@@ -210,6 +210,148 @@ def test_packed_adam_matches_per_parameter_adam_bitwise(shapes, skip):
             assert opt.v[sl].tobytes() == reference.v[name].tobytes(), name
 
 
+# Table rows of 10 floats after a 7-float head: row 1637 straddles the
+# first block boundary, so both blocks hold table rows and other values.
+_BOUNDARY_ROW = (ADAM_BLOCK - 7) // 10
+
+
+def _row_table(value):
+    table = Tensor(value)
+    table.reached = set()
+    return table
+
+
+@pytest.mark.parametrize("rows, extra, skip, clip_norm", [
+    ([0, _BOUNDARY_ROW, 1699], 3, set(), None),
+    ([], 0, set(), None),
+    ([5, _BOUNDARY_ROW], 3, {"embedding"}, None),
+    ([1, _BOUNDARY_ROW], 3, set(), 0.5),
+], ids=["rows-at-a-block-boundary", "empty-row-set", "skipped-table", "clip-norm"])
+def test_row_table_adam_matches_dense_adam(rows, extra, skip, clip_norm):
+    """A row table changes nothing but the sign of zero moments: values and
+    v bitwise, m under ==. The reference is `_ReferenceAdam`, or with a clip
+    norm the dense packed optimizer."""
+    shapes = {"head": (7,), "embedding": (1700, 10), "tail": (40, 3)}
+    rng = np.random.default_rng(5)
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    params = {name: Tensor(value.copy()) for name, value in start.items()}
+    table = params["embedding"] = _row_table(start["embedding"].copy())
+    opt = AdamOptimizer(params, learning_rate=0.01, clip_norm=clip_norm, skip=skip)
+    if clip_norm is None:
+        reference = _ReferenceAdam(start, learning_rate=0.01)
+    else:
+        dense_params = {name: Tensor(value.copy()) for name, value in start.items()}
+        dense = AdamOptimizer(dense_params, learning_rate=0.01, clip_norm=clip_norm,
+                              skip=skip)
+    for _ in range(6):
+        used = sorted({*rows, *rng.choice(1700, extra).tolist()})
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        outside = np.ones(1700, dtype=bool)
+        outside[used] = False
+        grads["embedding"][outside] = 0.0
+        opt.zero_grad()
+        for name, p in params.items():
+            if p is not table:
+                p.grad += grads[name]
+        table._accumulate(grads["embedding"][used], used)
+        assert table.reached >= set(used)
+        opt.step()
+        if clip_norm is None:
+            reference.step(grads, skip)
+            ref_values, ref_m, ref_v = reference.values, reference.m, reference.v
+        else:
+            for name, p in dense_params.items():
+                p.grad[...] = grads[name]
+            dense.step()
+            ref_values, ref_m, ref_v = ({name: buf[sl] for name, sl in dense.slices.items()}
+                                        for buf in (dense.values, dense.m, dense.v))
+        for name, p in params.items():
+            sl = opt.slices[name]
+            assert p.value.tobytes() == ref_values[name].tobytes(), name
+            assert opt.v[sl].tobytes() == ref_v[name].reshape(-1).tobytes(), name
+            assert np.array_equal(opt.m[sl], ref_m[name].reshape(-1)), name
+        opt.zero_grad()
+        assert not opt.grads.any()
+        assert table.reached == set() or "embedding" in skip
+
+
+def test_row_table_with_a_dense_gradient_updates_every_row_bitwise():
+    """A whole-table addition reaches every row, so the step is the dense one."""
+    rng = np.random.default_rng(8)
+    start = {"embedding": rng.normal(size=(30, 4)), "tail": rng.normal(size=(5,))}
+    table, tail = _row_table(start["embedding"].copy()), Tensor(start["tail"].copy())
+    opt = AdamOptimizer({"embedding": table, "tail": tail}, learning_rate=0.01)
+    reference = _ReferenceAdam(start, learning_rate=0.01)
+    for _ in range(3):
+        grads = {name: rng.normal(size=value.shape) for name, value in start.items()}
+        opt.zero_grad()
+        table._accumulate(grads["embedding"][:2], [3, 3])
+        table._accumulate(grads["embedding"])
+        grads["embedding"][3] += grads["embedding"][:2].sum(axis=0)
+        tail.grad += grads["tail"]
+        assert table.reached == set(range(30))
+        opt.step()
+        reference.step(grads, set())
+        for name, sl in opt.slices.items():
+            assert opt.values[sl].tobytes() == reference.values[name].reshape(-1).tobytes()
+            assert opt.m[sl].tobytes() == reference.m[name].reshape(-1).tobytes()
+            assert opt.v[sl].tobytes() == reference.v[name].reshape(-1).tobytes()
+    opt.zero_grad()
+    assert not opt.grads.any() and table.reached == set()
+
+
+def test_row_table_adam_rejects_non_finite_table_gradient():
+    table, tail = _row_table(np.ones((4, 2))), _param([1.0])
+    opt = AdamOptimizer({"embedding": table, "tail": tail})
+    table._accumulate(np.array([[0.5, np.nan]]), [2])
+    tail.grad[:] = 1.0
+    with pytest.raises(TrainingDivergedError, match="gradient in parameter 'embedding'"):
+        opt.step()
+    np.testing.assert_array_equal(opt.values, 1.0)    # the one block is not written
+
+
+@pytest.mark.parametrize("mode, encoder, cell", [
+    ("chain", "nn", "elman"), ("chain", "nn", "gru"),
+    ("knowledge", "nn", "elman"), ("knowledge", "cnn", "gru"),
+    ("knowledge", "rnn", "elman"), ("joint", "rnn", "gru"),
+    ("joint", "cnn", "elman"), ("joint", "nn", "gru")])
+def test_training_records_every_embedding_row_it_reaches(tmp_path, monkeypatch,
+                                                         mode, encoder, cell):
+    """Under dropout and unknown-token replacement, every update's embedding
+    gradient is zero outside the rows the table recorded, those rows are
+    the utterance's few ids, and the optimizer's clearing leaves no
+    gradient and no recorded row behind."""
+    recorded = []
+
+    class Checking(AdamOptimizer):
+        def __init__(self, params, **kwargs):
+            super().__init__(params, **kwargs)
+            self.table = params["embedding"]
+
+        def step(self):
+            reached = np.flatnonzero(self.table.grad.any(axis=1)).tolist()
+            assert set(reached) <= self.table.reached
+            recorded.append(set(self.table.reached))
+            super().step()
+
+        def zero_grad(self):
+            super().zero_grad()
+            assert not self.grads.any() and self.table.reached == set()
+
+    monkeypatch.setattr(trainer_module, "AdamOptimizer", Checking)
+    paths = generate(SyntheticConfig(n_utterances=12), 3).write(tmp_path)
+    utts = load_corpus(paths["corpus"])
+    parses = {p.id: p for p in load_dependency(paths["dependency"])}
+    config = _tiny_config(mode=mode, encoder=encoder, cell=cell, dropout=0.3,
+                          unk_replace_prob=0.5, epochs=2)
+    result = train(utts, config, parses)
+    assert len(recorded) == 2 * len(utts)
+    assert any(1 in rows for rows in recorded)    # the unknown row
+    longest = max(len(u.tokens) for u in utts)
+    assert all(0 < len(rows) <= longest for rows in recorded)
+    assert longest < len(result.model.embedding.value)
+
+
 def _assert_views_of(params, opt):
     for name, p in params.items():
         assert np.shares_memory(p.value, opt.values), name
@@ -563,6 +705,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+@pytest.mark.parametrize("version", [2, "1", 1.0, None], ids=repr)
+def test_checkpoint_of_another_version_is_rejected(tmp_path, version):
+    _, path, _ = _trained(tmp_path)
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 1
+    if version is None:
+        del payload["version"]
+    else:
+        payload["version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=f"version {version!r}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_of_unallocatable_size_is_a_checkpoint_error(tmp_path):
