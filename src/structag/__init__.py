@@ -10,7 +10,7 @@ from .attention import (AttentionRecord, KnowledgeMemory,
                         build_attention_record, knowledge_representation)
 from .autodiff import Tensor
 from .corpus import (Utterance, Vocabulary, fractional_split, load_corpus,
-                     save_corpus, split_dev, validate_iob)
+                     split_dev, validate_iob)
 from .errors import (CheckpointError, ConfigError, CorpusFormatError,
                      DataError, DimensionError, ParseFileError, StructagError,
                      TrainingDivergedError)
@@ -35,6 +35,6 @@ __all__ = [
     "derive_seed", "evaluate", "evaluate_model", "extract_chunks",
     "extract_substructures", "format_report", "fractional_split", "generate",
     "knowledge_representation", "load_amr", "load_checkpoint", "load_corpus",
-    "load_dependency", "save_checkpoint", "save_corpus", "split_dev",
+    "load_dependency", "save_checkpoint", "split_dev",
     "substructure_stats", "substructures_with_fallback", "train", "validate_iob",
 ]

@@ -5,11 +5,11 @@ gradient to the operands. Each model stage is one fused op beside the
 layer it computes (`embed` in model.py, the encoders, the recurrences
 in cells.py, `attention`, and `tag_output` in tagger.py, which ends in
 the loss); here live the tensor, the backward pass, the two ops joining
-the encoder to the attention step (`stack_rows` for the nn and cnn
-encodings, `row_view` for the rows of the rnn encoder's batch), and the
-numpy helpers the fused ops share. Tensors are rank 0..2, stored
-row-major as float64. A graph and its tensors belong to one thread;
-independent graphs are safe in parallel.
+the stages (`row_view` for the runs of the embedded rows and the rows
+of the encoder's final states, `stack_rows` for the nn and cnn
+encodings), and the numpy helpers the fused ops share. Tensors are
+rank 0..2, stored row-major as float64. A graph and its tensors belong
+to one thread; independent graphs are safe in parallel.
 
 No op reads the switch: inside `no_grad()`, a per-thread switch that
 inference uses, the `Tensor` constructor drops the op name, parents and

@@ -36,6 +36,15 @@ def check_rows(x: Tensor, dim: int, what: str):
             f"{what} must be a non-empty (length, {dim}) matrix, got {x.shape}")
 
 
+def check_runs(x: Tensor, dim: int, lengths: list[int]) -> np.ndarray:
+    """The run lengths as an array, if runs of >= 1 rows cover x (T, dim)."""
+    check_rows(x, dim, "final_states input")
+    if sum(lengths) != x.shape[0] or min(lengths) < 1:
+        raise DimensionError(f"final_states: runs {list(lengths)} must have "
+                             f"length >= 1 and cover all {x.shape[0]} rows")
+    return np.array(lengths, dtype=int)
+
+
 def zero_vector(n: int) -> Tensor:
     return Tensor(np.zeros(n))
 
@@ -161,11 +170,7 @@ class GruCell(_Recurrence):
         runs are packed time-major, longest first, so step t updates only
         the rows of runs longer than t (no masks), and each final state is
         read at its run's own length."""
-        check_rows(x, self.input_dim, "final_states input")
-        runs = np.array(lengths, dtype=int)
-        if runs.sum() != x.shape[0] or runs.min() < 1:
-            raise DimensionError(f"final_states: runs {runs.tolist()} must have "
-                                 f"length >= 1 and cover all {x.shape[0]} rows")
+        runs = check_runs(x, self.input_dim, lengths)
         order = np.argsort(-runs, kind="stable")
         step, rank = np.nonzero(runs[order] > np.arange(runs.max())[:, None])
         # The row of x of each packed row, and the packed row of each run's end.

@@ -70,8 +70,6 @@ def _load_utterances(path: str, id_prefix: str = "u") -> list:
 def _load_train_config(args) -> TrainConfig:
     if args.config:
         cfg_path = Path(args.config)
-        if not cfg_path.is_file():
-            raise DataError(f"config file not found: {cfg_path}")
         try:
             data = json.loads(cfg_path.read_text(encoding="utf-8"))
         except ValueError as exc:    # not UTF-8, or not JSON
@@ -275,8 +273,10 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the interpreter's final flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:    # a missing file, a directory, an existing file, ...
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {reason}: {exc.filename}" if reason and exc.filename
+              else f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except StructagError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -88,16 +88,6 @@ def load_corpus(path: str | Path, id_prefix: str = "u") -> list[Utterance]:
     return utterances
 
 
-def save_corpus(utterances: list[Utterance], path: str | Path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for i, utt in enumerate(utterances):
-            if i:
-                fh.write("\n")
-            for token, tag in zip(utt.tokens, utt.tags):
-                fh.write(f"{token}\t{tag}\n")
-
-
 @dataclass
 class Vocabulary:
     """Dense token and tag index maps with reserved pad/unknown tokens."""
@@ -154,8 +144,8 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        """Raises ValueError unless each index maps to 0..n-1 and the
-        reserved tokens sit where `build` puts them."""
+        """Raises ValueError unless each index maps to 0..n-1, the reserved
+        tokens sit where `build` puts them, and the tags are one or more IOB tags."""
         vocab = cls(token_index=dict(data["tokens"]), tag_index=dict(data["tags"]),
                     token_freq=dict(data.get("token_freq", {})))
         for index in (vocab.token_index, vocab.tag_index):
@@ -163,6 +153,9 @@ class Vocabulary:
                 raise ValueError(f"indices are not 0..{len(index) - 1}")
         if [vocab.token_index.get(t) for t in (PAD_TOKEN, UNK_TOKEN)] != [0, 1]:
             raise ValueError(f"tokens {PAD_TOKEN} and {UNK_TOKEN} must have indices 0 and 1")
+        if not vocab.tag_index or not all(map(_TAG_RE.match, vocab.tag_index)):
+            raise ValueError("the tag index needs at least one tag, each O, B-<type> "
+                             f"or I-<type>; got {list(vocab.tag_index)}")
         return vocab
 
 

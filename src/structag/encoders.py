@@ -1,50 +1,54 @@
 """Sequence encoders mapping token embeddings to fixed-size vectors.
 
-The same encoder instance embeds both the input sentence and every
-substructure, so their weights are tied by construction: there is only
-one set of parameter tensors. Each encoding is one graph op: the nn and
-cnn encoders are fused ops here, and the rnn encoder is its GRU run,
-which returns only the final state. `encode_knowledge` gives the
-sentence vector and the knowledge memory: one lookup and one GRU batch
-for rnn, one lookup and encoding per sequence for nn and cnn.
+One encoder instance encodes the sentence and every substructure, so
+their weights are tied by construction. Every encoder has one contract,
+`final_states(x, lengths)`: the (runs, d) encodings of the runs of one
+embedded matrix x, run i over the next `lengths[i]` rows. The rnn
+encoder is a GRU, whose `final_states` is one batched graph op; the nn
+and cnn encoders run their fused op, `encode`, on a row view of each
+run and stack the results.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .autodiff import Tensor, row_view, stack_rows
-from .cells import GruCell, check_rows, glorot_uniform, zero_vector
+from .cells import GruCell, check_rows, check_runs, glorot_uniform, zero_vector
 
 CNN_WINDOW = 3
 
 
-class _PerSequence:
-    def encode_knowledge(self, lookup: Callable[[list[int]], Tensor],
-                         sentence: list[int], parts: list[list[int]]
-                         ) -> tuple[Tensor, Tensor]:
-        """(u (d,), memory (n, d)) from the token ids of a sentence and its
-        substructures: each part looked up and encoded, then the sentence."""
-        memory = stack_rows([self.encode(lookup(ids)) for ids in parts])
-        return self.encode(lookup(sentence)), memory
+class _Dense:
+    """A glorot-uniform (WIDTH * rows, cols) weight and a zero (cols,) bias,
+    over `rows`-wide inputs: the nn and cnn encoders and the output network."""
+
+    WIDTH = 1
+
+    def __init__(self, rng: np.random.Generator, rows: int, cols: int):
+        self.input_dim = rows
+        self.weight = glorot_uniform(rng, self.WIDTH * rows, cols)
+        self.bias = zero_vector(cols)
+
+    def params(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
+
+
+class _PerSequence(_Dense):
+    def final_states(self, x: Tensor, lengths: list[int]) -> Tensor:
+        """`encode` of each run of x, checked as the GRU checks its runs."""
+        ends = np.cumsum(check_runs(x, self.input_dim, lengths)).tolist()
+        return stack_rows([self.encode(row_view(x, slice(end - n, end)))
+                           for end, n in zip(ends, lengths)])
 
 
 class LinearEncoder(_PerSequence):
     """Mean of the embeddings followed by a linear layer (no nonlinearity)."""
 
-    def __init__(self, rng: np.random.Generator, embed_dim: int, out_dim: int):
-        self.weight = glorot_uniform(rng, embed_dim, out_dim)  # (E, d)
-        self.bias = zero_vector(out_dim)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
-
     def encode(self, embedded: Tensor) -> Tensor:
         """One graph node: mean of the rows, then `@ weight + bias`."""
         x, w, b = embedded, self.weight, self.bias
-        check_rows(x, w.shape[0], "encoder input")
+        check_rows(x, self.input_dim, "encoder input")
         n = x.shape[0]
         mean = x.value.mean(axis=0)
         value = mean @ w.value + b.value
@@ -56,27 +60,12 @@ class LinearEncoder(_PerSequence):
         return Tensor(value, "nn_encoder", (x, w, b), bw)
 
 
-class RecurrentEncoder:
-    """Final hidden state of a gated recurrent pass over the sequence;
-    `encode_knowledge` runs an utterance's sequences as one batched GRU op."""
+class RecurrentEncoder(GruCell):
+    """A GRU whose final state encodes each run (`final_states`)."""
 
-    def __init__(self, rng: np.random.Generator, embed_dim: int, out_dim: int):
-        self.cell = GruCell(rng, embed_dim, out_dim)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return self.cell.params(prefix)
-
+    # No caller in src/: bench/spans.py patches it to count encodings.
     def encode(self, embedded: Tensor) -> Tensor:
-        return row_view(self.cell.final_states(embedded, [embedded.shape[0]]), 0)
-
-    def encode_knowledge(self, lookup: Callable[[list[int]], Tensor],
-                         sentence: list[int], parts: list[list[int]]
-                         ) -> tuple[Tensor, Tensor]:
-        """(u, memory): row views of one GRU batch over one lookup of the
-        parts, then the sentence."""
-        ids = [i for seq in (*parts, sentence) for i in seq]
-        finals = self.cell.final_states(lookup(ids), [*map(len, parts), len(sentence)])
-        return row_view(finals, len(parts)), row_view(finals, slice(0, len(parts)))
+        return row_view(self.final_states(embedded, [embedded.shape[0]]), 0)
 
 
 class ConvolutionalEncoder(_PerSequence):
@@ -87,12 +76,7 @@ class ConvolutionalEncoder(_PerSequence):
     toward the earliest position.
     """
 
-    def __init__(self, rng: np.random.Generator, embed_dim: int, out_dim: int):
-        self.weight = glorot_uniform(rng, CNN_WINDOW * embed_dim, out_dim)
-        self.bias = zero_vector(out_dim)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
+    WIDTH = CNN_WINDOW
 
     @staticmethod
     def windows(x: np.ndarray) -> np.ndarray:
@@ -104,7 +88,7 @@ class ConvolutionalEncoder(_PerSequence):
     def encode(self, embedded: Tensor) -> Tensor:
         """One graph node: window, `tanh(windows @ weight + bias)`, pool."""
         x, w, b = embedded, self.weight, self.bias
-        check_rows(x, w.shape[0] // CNN_WINDOW, "encoder input")
+        check_rows(x, self.input_dim, "encoder input")
         n, e = x.shape
         windows = self.windows(x.value)
         act = np.tanh(windows @ w.value + b.value)
@@ -123,16 +107,12 @@ class ConvolutionalEncoder(_PerSequence):
         return Tensor(act.max(axis=0), "cnn_encoder", (x, w, b), bw)
 
 
-class OutputNetwork:
+class OutputNetwork(_Dense):
     """Weights of the dense tanh layer that `attention.knowledge_representation`
     applies to the summed sentence and memory vectors."""
 
     def __init__(self, rng: np.random.Generator, dim: int):
-        self.weight = glorot_uniform(rng, dim, dim)
-        self.bias = zero_vector(dim)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
+        super().__init__(rng, dim, dim)
 
 
 ENCODER_CLASSES = {"nn": LinearEncoder, "rnn": RecurrentEncoder,

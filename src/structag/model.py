@@ -1,5 +1,7 @@
 """Full tagging model: embeddings, encoders, attention, and tagger wired
-into one differentiable graph per utterance.
+into one differentiable graph per utterance. Its substructures and then
+its sentence are one lookup and one encoder `final_states` call, whose
+rows are the memory and the sentence vector; the towers look it up again.
 """
 
 from __future__ import annotations
@@ -8,7 +10,7 @@ import numpy as np
 
 from .attention import (AttentionRecord, KnowledgeMemory,
                         build_attention_record, knowledge_representation)
-from .autodiff import Tensor, dropout_mask, no_grad
+from .autodiff import Tensor, dropout_mask, no_grad, row_view
 from .corpus import Utterance, Vocabulary
 from .encoders import OutputNetwork, make_encoder
 from .errors import DimensionError
@@ -83,9 +85,10 @@ class SlotModel:
             if not all(0 <= pos < n for sub in subs for pos in sub.positions):
                 raise DimensionError(f"substructure positions out of range for a {n}-"
                                      f"token utterance: {[s.positions for s in subs]}")
-            u, vectors = self.encoder.encode_knowledge(
-                lambda ids: embed(self.embedding, ids, dropout_rate, rng), token_ids,
-                [[token_ids[pos] for pos in sub.positions] for sub in subs])
+            ids = [*(token_ids[pos] for sub in subs for pos in sub.positions), *token_ids]
+            finals = self.encoder.final_states(embed(self.embedding, ids, dropout_rate, rng),
+                                               [*(len(sub.positions) for sub in subs), n])
+            u, vectors = row_view(finals, len(subs)), row_view(finals, slice(0, len(subs)))
             guided, weights = knowledge_representation(
                 u, KnowledgeMemory(vectors, list(subs)), self.output_net)
         embedded = embed(self.embedding, token_ids, dropout_rate, rng)

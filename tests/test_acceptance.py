@@ -150,19 +150,22 @@ def _per_op_worst() -> tuple[float, set]:
     check(lambda: _weighted(cell.final_states(batch, [2, 4, 1, 4]), wb),
           list(cell.params("c").values()) + [batch])
 
-    # The rnn encoder's sentence vector and memory, two row views of one
-    # batch whose gradients meet again through the attention step; the
+    # Every encoder's sentence vector and memory: two row views of one
+    # `final_states` over one lookup of the parts and then the sentence,
+    # whose gradients meet again through the attention step; the
     # sentence ties the longest part.
-    enc, net = make_encoder("rnn", rng, 3, 4), OutputNetwork(rng, 4)
-    table, wo = mat(6, 3), rng.normal(size=4)
     subs = [Substructure((i,), (), i) for i in range(3)]
+    for kind in ENCODER_KINDS:
+        enc, net = make_encoder(kind, rng, 3, 4), OutputNetwork(rng, 4)
+        table, wo = mat(6, 3), rng.normal(size=4)
 
-    def attend_rnn():
-        u, vectors = enc.encode_knowledge(lambda ids: embed(table, ids),
-                                          [0, 1, 2, 3], [[5], [3, 2, 1, 0], [2, 4]])
-        return knowledge_representation(u, KnowledgeMemory(vectors, subs), net)[0]
-    check(lambda: _weighted(attend_rnn(), wo),
-          list(enc.params("e").values()) + [table, net.weight, net.bias])
+        def attend():
+            finals = enc.final_states(embed(table, [5, 3, 2, 1, 0, 2, 4, 0, 1, 2, 3]),
+                                      [1, 4, 2, 4])
+            u, vectors = ad.row_view(finals, 3), ad.row_view(finals, slice(0, 3))
+            return knowledge_representation(u, KnowledgeMemory(vectors, subs), net)[0]
+        check(lambda: _weighted(attend(), wo),
+              list(enc.params("e").values()) + [table, net.weight, net.bias])
 
     # The fused nn and cnn encoders over one token and over several.
     for kind in ("nn", "cnn"):

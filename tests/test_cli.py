@@ -346,6 +346,44 @@ def test_checkpoint_without_unknown_token_exits_3(workspace, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:") and "<unk>" in lines[0]
 
 
+def test_checkpoint_with_empty_tag_index_exits_3(workspace, tmp_path, capsys):
+    # A consistent file otherwise: the output layer has no tag columns.
+    payload = json.loads(workspace["ckpt"].read_text())
+    payload["vocab"]["tags"] = {}
+    for name in ("tagger.out_weight", "tagger.out_bias"):
+        entry = payload["params"][name]
+        entry["shape"], entry["data"] = entry["shape"][:-1] + [0], ""
+    bad = tmp_path / "no-tags.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(bad),
+                 "--data", str(workspace["data"] / "corpus.tsv")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "tags" in lines[0]
+
+
+@pytest.mark.parametrize("flag", ["train --out", "train --train", "train --dev",
+                                  "train --config", "eval --data", "eval --report",
+                                  "gen-synthetic --out"])
+def test_path_of_the_wrong_kind_exits_2_naming_it(workspace, tmp_path, capsys, flag):
+    # A directory where a file is wanted, or for gen-synthetic's output
+    # directory an existing file: one error line naming the path.
+    corpus = str(workspace["data"] / "corpus.tsv")
+    command, option = flag.split()
+    path = str(workspace["ckpt"] if command == "gen-synthetic" else tmp_path)
+    args = {
+        "train": ["train", "--train", corpus, "--out", str(tmp_path / "m.json"),
+                  "--epochs", "1", "--embed-dim", "4", "--hidden-size", "4",
+                  "--mode", "chain", "--quiet"],
+        "eval": ["eval", "--model", str(workspace["ckpt"]), "--data", corpus],
+        "gen-synthetic": ["gen-synthetic", "--count", "2"],
+    }[command]
+    capsys.readouterr()
+    assert main(args + [option, path]) == 2
+    err = capsys.readouterr().err    # eval also warns about unknown tokens
+    lines = [ln for ln in err.splitlines() if not ln.startswith("warning:")]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and path in lines[0]
+
+
 def test_non_numeric_amr_token_index_exits_2(tmp_path, capsys):
     graphs = tmp_path / "graphs.tsv"
     graphs.write_text("node\tn0\twant\t1\nroot\tn0\n\n"

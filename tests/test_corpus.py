@@ -5,8 +5,7 @@ import json
 import pytest
 
 from structag.corpus import (PAD_TOKEN, UNK_TOKEN, Utterance, Vocabulary,
-                             fractional_split, load_corpus, save_corpus,
-                             split_dev, validate_iob, write_split_manifest)
+                             fractional_split, load_corpus, split_dev, validate_iob, write_split_manifest)
 from structag.errors import ConfigError, CorpusFormatError
 
 FLIGHT_QUERY = """show\tO
@@ -82,7 +81,9 @@ def test_roundtrip(tmp_path):
         Utterance("u0001", ("to", "boston"), ("O", "B-to_city")),
     ]
     path = tmp_path / "round.tsv"
-    save_corpus(original, path)
+    path.write_text("\n".join("".join(f"{token}\t{tag}\n" for token, tag in
+                                     zip(u.tokens, u.tags)) for u in original),
+                    encoding="utf-8")
     loaded = load_corpus(path)
     assert [(u.tokens, u.tags) for u in loaded] == \
         [(u.tokens, u.tags) for u in original]
@@ -168,6 +169,12 @@ def test_vocabulary_dict_roundtrip():
 def test_vocabulary_dict_needs_reserved_tokens_first(tokens):
     with pytest.raises(ValueError, match="must have indices"):
         Vocabulary.from_dict({"tokens": tokens, "tags": {"O": 0}})
+
+
+@pytest.mark.parametrize("tags", [{}, {"O": 0, "X": 1}, {"B-": 0}, {"B-a b": 0}])
+def test_vocabulary_dict_needs_valid_tags(tags):
+    with pytest.raises(ValueError, match="at least one tag"):
+        Vocabulary.from_dict({"tokens": {"<pad>": 0, "<unk>": 1}, "tags": tags})
 
 
 def test_write_split_manifest(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.attention import KnowledgeMemory, knowledge_representation
-from structag.autodiff import Tensor
+from structag.autodiff import Tensor, row_view
 from structag.encoders import (CNN_WINDOW, ENCODER_KINDS, ConvolutionalEncoder,
                                OutputNetwork, make_encoder)
 from structag.errors import DimensionError
@@ -78,16 +78,16 @@ def test_rnn_single_token_equals_one_cell_step():
     enc = make_encoder("rnn", RNG(5), 3, 4)
     x = _embed([[0.2, -0.4, 0.9]])
     via_encoder = enc.encode(x)
-    via_cell = enc.cell.sequence(x)
+    via_cell = enc.sequence(x)
     assert via_cell.shape == (1, 4)
     np.testing.assert_array_equal(via_encoder.value, via_cell.value[0])
 
 
 def test_rnn_zero_weights_yield_zero_state():
     enc = make_encoder("rnn", RNG(6), 2, 3)
-    for g in enc.cell.GATES:
-        enc.cell.w[g].value[:] = 0.0
-        enc.cell.u[g].value[:] = 0.0
+    for g in enc.GATES:
+        enc.w[g].value[:] = 0.0
+        enc.u[g].value[:] = 0.0
     out = enc.encode(_embed([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]]))
     np.testing.assert_array_equal(out.value, np.zeros(3))
 
@@ -96,7 +96,7 @@ def test_rnn_three_token_oracle():
     enc = make_encoder("rnn", RNG(7), 2, 2)
     xs = RNG(70).normal(size=(3, 2))
     out = enc.encode(Tensor(xs.copy()))
-    np.testing.assert_allclose(out.value, _gru_numpy(enc.cell, xs), rtol=1e-12)
+    np.testing.assert_allclose(out.value, _gru_numpy(enc, xs), rtol=1e-12)
 
 
 def test_rnn_order_sensitive():
@@ -107,49 +107,44 @@ def test_rnn_order_sensitive():
     assert np.abs(a - b).max() > 1e-6
 
 
-def _lookup(seed, calls=None):
-    """An 8-row embedding table and a lookup into it that logs its calls."""
+def _runs(seed, parts, sentence):
+    """An 8-row embedding table, one lookup of the parts' ids followed by
+    the sentence's (as the model does it), and the run lengths."""
     table = Tensor(RNG(seed).normal(size=(8, 3)))
-
-    def lookup(ids):
-        if calls is not None:
-            calls.append(list(ids))
-        return embed(table, ids)
-    return table, lookup
+    x = embed(table, [i for ids in (*parts, sentence) for i in ids])
+    return table, x, [*map(len, parts), len(sentence)]
 
 
 def test_rnn_memory_matches_per_sequence_runs():
     # One batched GRU node over one lookup: ragged lengths, a length-1
     # run, a tie, and rows out of length order, each read at its own
-    # final state; the sentence is the last run, and u and the memory
-    # are views of the batch.
+    # final state; the sentence is the last run.
     enc = make_encoder("rnn", RNG(30), 3, 4)
-    table, lookup = _lookup(300)
     sentence, parts = [0, 1, 2, 3], [[4, 0, 5], [6], [7, 1, 2, 3], [5, 5]]
-    u, memory = enc.encode_knowledge(lookup, sentence, parts)
-    assert memory.shape == (4, 4) and u.shape == (4,)
-    assert memory.op == u.op == "row_view" and memory.parents == u.parents
-    (batch,) = u.parents
-    assert batch.op == "gru_sequence" and batch.parents[0].op == "embed"
-    for row, ids in zip([*memory.value, u.value], parts + [sentence]):
-        x = embed(table, ids)
-        np.testing.assert_allclose(row, enc.encode(x).value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(row, enc.cell.sequence(x).value[-1],
+    table, x, lengths = _runs(300, parts, sentence)
+    finals = enc.final_states(x, lengths)
+    assert finals.shape == (5, 4)
+    assert finals.op == "gru_sequence" and finals.parents[0] is x
+    for row, ids in zip(finals.value, parts + [sentence]):
+        one = embed(table, ids)
+        np.testing.assert_allclose(row, enc.encode(one).value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, enc.sequence(one).value[-1],
                                    rtol=0, atol=1e-12)
 
 
 def test_rnn_memory_gradients_match_per_sequence_runs():
     # Parts of a 4-token sentence: one part, four ragged parts with a
     # length-1 run, and a fallback part that is the whole sentence, so two
-    # runs tie for the longest. Both vectors reach the loss through the
-    # attention step, as in the model; the separate runs are the memory
-    # batch and the sentence on its own.
+    # runs tie for the longest. The sentence vector and the memory are
+    # row views of one batch, as in the model, and both reach the loss
+    # through the attention step; the separate runs are the memory batch
+    # and the sentence on its own.
     enc, net = make_encoder("rnn", RNG(31), 3, 4), OutputNetwork(RNG(314), 4)
-    table, lookup = _lookup(310)
     const = Tensor(RNG(312).normal(size=4))
     sentence = [0, 1, 2, 3]
-    tensors = [*enc.params("enc").values(), *net.params("net").values(), table]
     for parts in ([[4, 1]], [[5, 6, 1], [7], [0, 1, 2, 3], [3, 2]], [sentence]):
+        table, x, lengths = _runs(310, parts, sentence)
+        tensors = [*enc.params("enc").values(), *net.params("net").values(), table]
         subs = [Substructure((i,), (), i) for i in range(len(parts))]
 
         def grads(u, vectors):
@@ -160,42 +155,48 @@ def test_rnn_memory_gradients_match_per_sequence_runs():
             sum_all(elementwise_mul(guided, const)).backward()
             return [u.value, vectors.value] + [t.grad.copy() for t in tensors]
 
-        merged = grads(*enc.encode_knowledge(lookup, sentence, parts))
-        separate = grads(enc.encode(lookup(sentence)), enc.cell.final_states(
-            lookup([i for ids in parts for i in ids]), [len(ids) for ids in parts]))
+        finals = enc.final_states(x, lengths)
+        merged = grads(row_view(finals, len(parts)),
+                       row_view(finals, slice(0, len(parts))))
+        separate = grads(enc.encode(embed(table, sentence)), enc.final_states(
+            embed(table, [i for ids in parts for i in ids]), lengths[:-1]))
         for a, b in zip(merged, separate):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
 def test_encode_knowledge_gives_one_row_per_part(kind):
-    # nn and cnn look up each part, then the sentence; rnn looks them up
-    # in that order as one sequence.
-    enc, calls = make_encoder(kind, RNG(32), 3, 4), []
-    table, lookup = _lookup(320, calls)
+    # `final_states` over one lookup of the parts and then the sentence
+    # gives one row per run, each the run's own encoding; nn and cnn
+    # encode a row view of each run and stack the results.
+    enc = make_encoder(kind, RNG(32), 3, 4)
     sentence, parts = [0, 1, 2], [[3, 4], [5, 6, 7, 0, 1], [2]]
-    u, memory = enc.encode_knowledge(lookup, sentence, parts)
-    assert memory.shape == (3, 4) and u.shape == (4,)
-    for row, ids in zip([*memory.value, u.value], parts + [sentence]):
+    table, x, lengths = _runs(320, parts, sentence)
+    finals = enc.final_states(x, lengths)
+    assert finals.shape == (4, 4)
+    for row, ids in zip(finals.value, parts + [sentence]):
         np.testing.assert_allclose(row, enc.encode(embed(table, ids)).value,
                                    rtol=0, atol=1e-12)
-    expected = parts + [sentence]
-    assert calls == ([sum(expected, [])] if kind == "rnn" else expected)
+    if kind != "rnn":
+        assert finals.op == "stack_rows"
+        assert [p.op for p in finals.parents] == [f"{kind}_encoder"] * 4
+        assert all(p.parents[0].op == "row_view" and p.parents[0].parents == (x,)
+                   for p in finals.parents)
 
 
 def test_rnn_memory_rejects_bad_sequences():
-    enc = make_encoder("rnn", RNG(33), 3, 4)
-    _, lookup = _lookup(330)
+    # Every encoder rejects empty runs and runs that miss or overrun x's
+    # rows with the same error as the GRU.
     x = Tensor(RNG(331).normal(size=(4, 3)))
     for bad_x, lengths in ((x, []), (x, [2, 0, 2]), (x, [2, 1]), (x, [5]),
                            (Tensor(np.zeros((0, 3))), []),
                            (Tensor(np.zeros((2, 2))), [2])):
-        with pytest.raises(DimensionError):
-            enc.cell.final_states(bad_x, lengths)
-    with pytest.raises(DimensionError):
-        enc.encode_knowledge(lookup, [0, 1], [[1], []])
-    with pytest.raises(DimensionError):
-        enc.encode_knowledge(lookup, [], [[1]])
+        messages = set()
+        for kind in ENCODER_KINDS:
+            with pytest.raises(DimensionError) as err:
+                make_encoder(kind, RNG(33), 3, 4).final_states(bad_x, lengths)
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
 
 
 # ---------------------------------------------------------------------------

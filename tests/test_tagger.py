@@ -434,19 +434,20 @@ def _graph_ops(root) -> list[str]:
 
 
 @pytest.mark.parametrize("mode,encoder,cell,nodes", [
-    ("joint", "rnn", "gru", 35), ("joint", "nn", "gru", 34),
-    ("joint", "cnn", "gru", 34), ("chain", "nn", "elman", 8)])
+    ("joint", "rnn", "gru", 35), ("joint", "nn", "gru", 37),
+    ("joint", "cnn", "gru", 37), ("chain", "nn", "elman", 8)])
 def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                                                         nodes):
     # Each model stage is one graph node however many tokens it runs over,
     # so a 12-token loss graph is exactly as large as a 3-token one. The
     # chain graph is 5 parameters, embed, elman_sequence and tag_output.
     # The joint graphs over two substructures end in attention and
-    # tag_output. With rnn they hold 26 parameters, 2 embeds (the batch,
-    # the towers' input), 3 GRU runs (one batch of the two substructures
-    # and the sentence, 2 towers) and 2 row views of the batch (the
-    # sentence vector and the memory); with nn or cnn, 22 parameters,
-    # 4 embeds, 3 encodings, stack_rows and the 2 towers.
+    # tag_output. Both hold 2 embeds (the encoder's runs, the towers'
+    # input) and 2 row views of the encoder's final states (the sentence
+    # vector and the memory). With rnn they also hold 26 parameters and
+    # 3 GRU runs (one batch of the two substructures and the sentence,
+    # 2 towers); with nn or cnn, 22 parameters, a row view of each of
+    # the 3 runs, 3 encodings, stack_rows and the 2 towers.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -488,6 +489,68 @@ def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
     ops = _graph_ops(loss)
     assert ops.count("gru_sequence") == 3 and ops.count("row_view") == 2
     assert ops.count("embed") == 2 and "stack_rows" not in ops
+
+
+def _reference_loss(model, token_ids, tag_ids, subs, rate, rng):
+    """The loss as the model built it before every encoder took its runs
+    through `final_states`: under nn and cnn one lookup and one encoding
+    per substructure and then the sentence, joined by stack_rows; under
+    rnn one lookup of the parts and the sentence and one GRU batch."""
+    from structag.attention import KnowledgeMemory, knowledge_representation
+    from structag.autodiff import row_view, stack_rows
+    from structag.model import embed
+
+    def lookup(ids):
+        return embed(model.embedding, ids, rate, rng)
+
+    enc, parts = model.encoder, [[token_ids[p] for p in s.positions] for s in subs]
+    if model.config.encoder == "rnn":
+        finals = enc.final_states(lookup([i for ids in (*parts, token_ids) for i in ids]),
+                                  [*map(len, parts), len(token_ids)])
+        u, memory = row_view(finals, len(parts)), row_view(finals, slice(0, len(parts)))
+    else:
+        memory = stack_rows([enc.encode(lookup(ids)) for ids in parts])
+        u = enc.encode(lookup(token_ids))
+    guided, _ = knowledge_representation(u, KnowledgeMemory(memory, subs),
+                                         model.output_net)
+    return model.tagger.distributions(lookup(token_ids), guided, rate, rng, tag_ids)
+
+
+@pytest.mark.parametrize("encoder", ["nn", "cnn", "rnn"])
+@pytest.mark.parametrize("n_subs", [1, 3, 6])
+def test_loss_matches_the_per_sequence_reference_bitwise(encoder, n_subs):
+    # Part 0 is a single token; dropout draws one mask over all runs,
+    # which must read the generator exactly as one draw per run did.
+    from structag.corpus import Utterance, Vocabulary
+    from structag.knowledge import Substructure
+    from structag.model import SlotModel
+    from structag.trainer import TrainConfig
+
+    tokens = ("w0", "w1", "w2", "w1", "w3", "w4", "w0")
+    tags = ("O", "B-x", "I-x", "O", "B-y", "O", "O")
+    vocab = Vocabulary.build([Utterance(id="u", tokens=tokens, tags=tags)])
+    config = TrainConfig(mode="joint", encoder=encoder, cell="gru", embed_dim=4,
+                         hidden_size=3, dropout=0.3)
+    model = SlotModel(config, vocab, RNG(31))
+    subs = [Substructure(positions=(0, *range(i, 7)) if i else (0,), forms=(), leaf=i)
+            for i in range(n_subs)]
+    token_ids, tag_ids = vocab.encode_tokens(tokens), vocab.encode_tags(tags)
+    params = model.params()
+
+    def run(build):
+        for t in params.values():
+            t.grad = None
+        loss = build(RNG(310))
+        loss.backward()
+        return loss, {name: t.grad.copy() for name, t in params.items()}
+
+    loss, grads = run(lambda rng: model.loss(token_ids, tag_ids, subs, 0.3, rng))
+    ref, ref_grads = run(lambda rng: _reference_loss(model, token_ids, tag_ids,
+                                                     subs, 0.3, rng))
+    assert _graph_ops(loss).count("embed") == 2
+    assert loss.value.tobytes() == ref.value.tobytes()
+    for name, g in grads.items():
+        assert g.tobytes() == ref_grads[name].tobytes(), name
 
 
 def _small_model(mode="joint", encoder="cnn", cell="gru"):
