@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -43,12 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_parses(path: str | None, kind: str, utterances: list | None,
                  id_prefix: str = "u") -> dict | None:
-    """Parses by utterance id. Blocks align to a corpus by ordinal, so
-    given its `utterances`, each block must fit its utterance
-    (`check_alignment`)."""
+    """Parses by utterance id. Blocks align to a corpus by ordinal, so given
+    its `utterances`, each block must fit its utterance (`check_alignment`)."""
     if path is None:
         return None
-    if not Path(path).is_file():
+    if not Path(path).exists():    # any other bad path fails in the loader
         raise DataError(f"parse file not found: {path}")
     loader = load_dependency if kind == "dependency" else load_amr
     parses = {p.id: p for p in loader(path, id_prefix=id_prefix)}
@@ -67,7 +67,27 @@ def _load_utterances(path: str, id_prefix: str = "u") -> list:
     return utterances
 
 
+def _load_scored(args) -> tuple:
+    """The checkpoint, corpus and parses that `eval` and `inspect-attention` read."""
+    model = load_checkpoint(args.model)
+    utterances = _load_utterances(args.data)
+    parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
+    return model, utterances, parses
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would, creating and changing nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.exists(path):
+        os.close(os.open(path, os.O_WRONLY))    # no O_TRUNC: the file stays as it is
+    elif not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        code = (errno.EACCES if os.path.isdir(parent) else
+                errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+        raise OSError(code, os.strerror(code), path)
+
+
 def _load_train_config(args) -> TrainConfig:
+    config = TrainConfig()
     if args.config:
         cfg_path = Path(args.config)
         try:
@@ -75,13 +95,9 @@ def _load_train_config(args) -> TrainConfig:
         except ValueError as exc:    # not UTF-8, or not JSON
             raise ConfigError(f"{cfg_path}: invalid JSON: {exc}") from exc
         config = TrainConfig.from_dict(data)
-    else:
-        config = TrainConfig()
-    # Each TrainConfig field with a flag of the same name; an absent flag is None.
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(config, f.name, value)
+    for f in dataclasses.fields(TrainConfig):    # each has a flag; absent is None
+        if getattr(args, f.name) is not None:
+            setattr(config, f.name, getattr(args, f.name))
     config.validate()
     return config
 
@@ -102,6 +118,7 @@ def cmd_train(args) -> int:
     dev_utterances = _load_utterances(args.dev, id_prefix="d") if args.dev else None
     dev_parses = _load_parses(args.dev_parses, args.parse_kind,
                               dev_utterances or [], id_prefix="d")
+    _check_writable(args.out)    # before training, which opens --log
     result = train(utterances, config, parses=parses,
                    dev_utterances=dev_utterances, dev_parses=dev_parses,
                    log_path=args.log, quiet=args.quiet)
@@ -110,8 +127,7 @@ def cmd_train(args) -> int:
     write_split_manifest(manifest_path, {"train": result.train_ids,
                                          "dev": result.dev_ids})
     summary = {"checkpoint": str(args.out), "epochs_run": len(result.history),
-               "split_manifest": str(manifest_path),
-               "best_epoch": result.best_epoch}
+               "split_manifest": str(manifest_path), "best_epoch": result.best_epoch}
     if result.best_dev_f1 is not None:
         summary["best_dev_f1"] = result.best_dev_f1
     print(json.dumps(summary, indent=2))
@@ -119,9 +135,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.model)
-    utterances = _load_utterances(args.data)
-    parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
+    model, utterances, parses = _load_scored(args)
     known = model.vocab.token_index
     oov = sum(1 for u in utterances for t in u.tokens if t not in known)
     if oov:
@@ -129,30 +143,21 @@ def cmd_eval(args) -> int:
         print(f"warning: {oov}/{total} tokens are outside the checkpoint "
               f"vocabulary and map to the unknown token", file=sys.stderr)
     report = evaluate_model(model, utterances, parses)
-    if args.text:
-        print(format_report(report), end="")
-    else:
-        print(json.dumps(report, indent=2))
+    text = format_report(report) if args.text else json.dumps(report, indent=2) + "\n"
+    print(text, end="")
     if args.report:
         save_report(report, args.report)
     return EXIT_OK
 
 
 def cmd_inspect(args) -> int:
-    model = load_checkpoint(args.model)
-    utterances = _load_utterances(args.data)
-    parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
+    model, utterances, parses = _load_scored(args)
+    selected = utterances
     if args.ids:
         by_id = {u.id: u for u in utterances}
-        selected = []
-        for utt_id in args.ids:
-            if utt_id in by_id:
-                selected.append(by_id[utt_id])
-            else:
-                print(f"note: skipping unknown utterance id {utt_id!r}",
-                      file=sys.stderr)
-    else:
-        selected = utterances
+        for utt_id in (i for i in args.ids if i not in by_id):
+            print(f"note: skipping unknown utterance id {utt_id!r}", file=sys.stderr)
+        selected = [by_id[i] for i in args.ids if i in by_id]
     records = []
     for utt in selected:
         _, record = model.tag_utterance(utt, parses.get(utt.id))
@@ -174,11 +179,9 @@ def cmd_gen_synthetic(args) -> int:
                              ambiguous_fraction=args.ambiguous_fraction)
     corpus = generate(config, args.seed)
     paths = corpus.write(args.out)
-    print(json.dumps({
-        "n_utterances": corpus.n_utterances,
-        "n_ambiguous": corpus.n_ambiguous,
-        "files": {k: str(v) for k, v in paths.items()},
-    }, indent=2))
+    print(json.dumps({"n_utterances": corpus.n_utterances,
+                      "n_ambiguous": corpus.n_ambiguous,
+                      "files": {k: str(v) for k, v in paths.items()}}, indent=2))
     return EXIT_OK
 
 
@@ -190,6 +193,21 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _add_parse_options(p, required: bool = False):
+    p.add_argument("--parses", required=required,
+                   help="parse file aligned with the corpus")
+    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
+
+
+def _add_scoring_parser(sub, name: str, help: str, func):
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--model", required=True, help="checkpoint path")
+    p.add_argument("--data", required=True, help="corpus to tag")
+    _add_parse_options(p)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="structag",
                      description="Slot tagging with parse-guided attention.")
@@ -199,51 +217,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model and write a checkpoint")
     p.add_argument("--train", required=True, help="training corpus (token<TAB>tag)")
     p.add_argument("--dev", help="development corpus for model selection")
-    p.add_argument("--parses", help="parse file aligned with the training corpus")
+    _add_parse_options(p)
     p.add_argument("--dev-parses", help="parse file aligned with the dev corpus")
-    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
     p.add_argument("--config", help="JSON file of TrainConfig fields")
     p.add_argument("--out", default="model.json", help="checkpoint path")
     p.add_argument("--log", help="per-epoch JSONL log path")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-epoch progress lines")
-    p.add_argument("--mode", choices=TAGGER_MODES)
-    p.add_argument("--encoder", choices=ENCODER_KINDS)
-    p.add_argument("--cell", choices=CELL_KINDS)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--hidden-size", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dev-fraction", type=float)
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--clip-norm", type=float)
-    p.add_argument("--max-substructures", type=int)
-    p.add_argument("--freeze-embeddings", action="store_true", default=None)
+    # One flag per TrainConfig field, of the same name; an absent flag is None.
+    choices = {"mode": TAGGER_MODES, "encoder": ENCODER_KINDS, "cell": CELL_KINDS}
+    for f in dataclasses.fields(TrainConfig):
+        flag, hint = "--" + f.name.replace("_", "-"), f"default: {f.default}"
+        if f.type == "bool":
+            p.add_argument(flag, action="store_true", default=None, help=hint)
+        else:
+            kind = f.type.removesuffix(" | None")
+            p.add_argument(flag, type={"str": str, "int": int, "float": float}[kind],
+                           choices=choices.get(f.name), help=hint)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on a corpus")
-    p.add_argument("--model", required=True, help="checkpoint path")
-    p.add_argument("--data", required=True, help="corpus to score")
-    p.add_argument("--parses", help="parse file aligned with the corpus")
-    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
+    p = _add_scoring_parser(sub, "eval", "score a checkpoint on a corpus", cmd_eval)
     p.add_argument("--report", help="also write the JSON report here")
     p.add_argument("--text", action="store_true",
                    help="print the classic text table instead of JSON")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect-attention",
-                       help="dump attention weights and salience as JSON")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--parses")
-    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
+    p = _add_scoring_parser(sub, "inspect-attention",
+                            "dump attention weights and salience as JSON", cmd_inspect)
     p.add_argument("--ids", nargs="+", help="utterance ids (default: all)")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("gen-synthetic",
                        help="generate a disambiguation corpus with parses")
@@ -254,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("stats", help="substructure counts for a parse file")
-    p.add_argument("--parses", required=True)
-    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
+    _add_parse_options(p, required=True)
     p.add_argument("--max-substructures", type=int,
                    default=DEFAULT_MAX_SUBSTRUCTURES)
     p.set_defaults(func=cmd_stats)
@@ -263,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()    # a closed pipe fails here, not at exit

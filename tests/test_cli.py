@@ -109,8 +109,9 @@ def test_train_fraction_shrinks_training_split(workspace, capsys):
 def test_every_train_flag_lands_in_its_config_field():
     flags = {"mode": "chain", "encoder": "rnn", "cell": "elman", "embed_dim": 7,
              "hidden_size": 9, "alpha": 0.3, "dropout": 0.1, "learning_rate": 0.02,
-             "epochs": 3, "patience": 4, "seed": 99, "dev_fraction": 0.2,
-             "train_fraction": 0.5, "clip_norm": 2.5, "max_substructures": 5}
+             "beta1": 0.8, "beta2": 0.99, "epsilon": 1e-6, "epochs": 3, "patience": 4,
+             "seed": 99, "dev_fraction": 0.2, "train_fraction": 0.5, "clip_norm": 2.5,
+             "max_substructures": 5, "unk_replace_prob": 0.25}
     argv = ["train", "--train", "corpus.tsv", "--freeze-embeddings"]
     for name, value in flags.items():
         argv += ["--" + name.replace("_", "-"), str(value)]
@@ -362,19 +363,26 @@ def test_checkpoint_with_empty_tag_index_exits_3(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["train --out", "train --train", "train --dev",
-                                  "train --config", "eval --data", "eval --report",
+                                  "train --config", "train --parses", "eval --data",
+                                  "eval --report", "eval --parses",
+                                  "inspect-attention --parses", "stats --parses",
                                   "gen-synthetic --out"])
 def test_path_of_the_wrong_kind_exits_2_naming_it(workspace, tmp_path, capsys, flag):
     # A directory where a file is wanted, or for gen-synthetic's output
-    # directory an existing file: one error line naming the path.
+    # directory an existing file: one error line naming the path, which
+    # exists, so it is not reported as missing. Chain mode reads no parses.
     corpus = str(workspace["data"] / "corpus.tsv")
     command, option = flag.split()
     path = str(workspace["ckpt"] if command == "gen-synthetic" else tmp_path)
+    mode = "knowledge" if option == "--parses" else "chain"
     args = {
         "train": ["train", "--train", corpus, "--out", str(tmp_path / "m.json"),
                   "--epochs", "1", "--embed-dim", "4", "--hidden-size", "4",
-                  "--mode", "chain", "--quiet"],
+                  "--mode", mode, "--quiet"],
         "eval": ["eval", "--model", str(workspace["ckpt"]), "--data", corpus],
+        "inspect-attention": ["inspect-attention", "--model", str(workspace["ckpt"]),
+                              "--data", corpus],
+        "stats": ["stats"],
         "gen-synthetic": ["gen-synthetic", "--count", "2"],
     }[command]
     capsys.readouterr()
@@ -382,6 +390,43 @@ def test_path_of_the_wrong_kind_exits_2_naming_it(workspace, tmp_path, capsys, f
     err = capsys.readouterr().err    # eval also warns about unknown tokens
     lines = [ln for ln in err.splitlines() if not ln.startswith("warning:")]
     assert len(lines) == 1 and lines[0].startswith("error: ") and path in lines[0]
+    assert "not found" not in lines[0]
+
+
+@pytest.mark.parametrize("where", ("a directory", "under a missing directory",
+                                   "under a file"))
+def test_unwritable_out_exits_2_before_training(workspace, tmp_path, capsys, where):
+    # Found before the first epoch, so the log that training opens is
+    # never created and no progress line is printed.
+    (tmp_path / "file").write_text("")
+    out, reason = {
+        "a directory": (tmp_path, "Is a directory"),
+        "under a missing directory": (tmp_path / "missing" / "m.json", "file not found"),
+        "under a file": (tmp_path / "file" / "m.json", "Not a directory"),
+    }[where]
+    log = tmp_path / "train.jsonl"
+    assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                 "--out", str(out), "--log", str(log), "--mode", "chain",
+                 "--epochs", "1", "--embed-dim", "4", "--hidden-size", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {reason}: {out}"]
+    assert not captured.out and not log.exists()
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_failed_training_leaves_out_untouched(workspace, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    out.write_bytes(workspace["ckpt"].read_bytes())
+    before = out.read_bytes(), out.stat().st_mtime_ns
+    assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                 "--parses", str(workspace["data"] / "dependencies.tsv"),
+                 "--out", str(out), "--mode", "joint", "--encoder", "nn",
+                 "--cell", "elman", "--embed-dim", "8", "--hidden-size", "8",
+                 "--epochs", "2", "--learning-rate", "1e308", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (out.read_bytes(), out.stat().st_mtime_ns) == before
+    assert sorted(tmp_path.iterdir()) == [out]    # no split manifest either
 
 
 def test_non_numeric_amr_token_index_exits_2(tmp_path, capsys):
