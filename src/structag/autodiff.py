@@ -4,12 +4,11 @@ Every graph op is a forward value plus a closure routing the upstream
 gradient to the operands. Each model stage is one fused op beside the
 layer it computes (`embed` in model.py, the encoders, the recurrences
 in cells.py, `attention`, and `tag_output` in tagger.py, which ends in
-the loss); here live the tensor, the backward pass, the two ops joining
-the stages (`row_view` for the runs of the embedded rows and the rows
-of the encoder's final states, `stack_rows` for the nn and cnn
-encodings), and the numpy helpers the fused ops share. Tensors are
-rank 0..2, stored row-major as float64. A graph and its tensors belong
-to one thread; independent graphs are safe in parallel.
+the loss); here live the tensor, the backward pass, the one op joining
+the stages (`row_view`, for the rows of the encoder's final states),
+and the numpy helpers the fused ops share. Tensors are rank 0..2,
+stored row-major as float64. A graph and its tensors belong to one
+thread; independent graphs are safe in parallel.
 
 No op reads the switch: inside `no_grad()`, a per-thread switch that
 inference uses, the `Tensor` constructor drops the op name, parents and
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -133,22 +132,7 @@ def _require(cond: bool, msg: str):
 
 
 # ---------------------------------------------------------------------------
-# the ops joining the encoder to the attention step
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack vectors as the rows of a matrix."""
-    _require(len(parts) > 0, "stack_rows: no operands")
-    dim = parts[0].shape[0]
-    for p in parts:
-        _require(p.value.ndim == 1 and p.shape[0] == dim,
-                 f"stack_rows: expected vectors of size {dim}, got {p.shape}")
-    value = np.stack([p.value for p in parts])
-
-    def bw(g):
-        for i, p in enumerate(parts):
-            p._accumulate(g[i])
-    return Tensor(value, "stack_rows", tuple(parts), bw)
+# the op joining the encoder to the attention step
 
 
 def row_view(t: Tensor, index: int | slice) -> Tensor:

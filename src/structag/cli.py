@@ -118,16 +118,17 @@ def cmd_train(args) -> int:
     dev_utterances = _load_utterances(args.dev, id_prefix="d") if args.dev else None
     dev_parses = _load_parses(args.dev_parses, args.parse_kind,
                               dev_utterances or [], id_prefix="d")
-    _check_writable(args.out)    # before training, which opens --log
+    manifest_path = str(args.out) + ".splits.json"
+    for path in (args.out, manifest_path):    # before training, which opens --log
+        _check_writable(path)
     result = train(utterances, config, parses=parses,
                    dev_utterances=dev_utterances, dev_parses=dev_parses,
                    log_path=args.log, quiet=args.quiet)
     save_checkpoint(result.model, args.out)
-    manifest_path = Path(str(args.out) + ".splits.json")
     write_split_manifest(manifest_path, {"train": result.train_ids,
                                          "dev": result.dev_ids})
     summary = {"checkpoint": str(args.out), "epochs_run": len(result.history),
-               "split_manifest": str(manifest_path), "best_epoch": result.best_epoch}
+               "split_manifest": manifest_path, "best_epoch": result.best_epoch}
     if result.best_dev_f1 is not None:
         summary["best_dev_f1"] = result.best_dev_f1
     print(json.dumps(summary, indent=2))

@@ -3,18 +3,18 @@
 One encoder instance encodes the sentence and every substructure, so
 their weights are tied by construction. Every encoder has one contract,
 `final_states(x, lengths)`: the (runs, d) encodings of the runs of one
-embedded matrix x, run i over the next `lengths[i]` rows. The rnn
-encoder is a GRU, whose `final_states` is one batched graph op; the nn
-and cnn encoders run their fused op, `encode`, on a row view of each
-run and stack the results.
+embedded matrix x, run i over the next `lengths[i]` rows, as one graph
+node. The rnn encoder is a GRU, whose `final_states` runs the runs as one
+ragged batch; the nn and cnn encoders run their numpy kernel, `encode`,
+once per run inside their node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, row_view, stack_rows
-from .cells import GruCell, check_rows, check_runs, glorot_uniform, zero_vector
+from .autodiff import Tensor, row_view
+from .cells import GruCell, check_runs, glorot_uniform, zero_vector
 
 CNN_WINDOW = 3
 
@@ -35,29 +35,40 @@ class _Dense:
 
 
 class _PerSequence(_Dense):
+    """An encoder whose `encode(x)` maps one run's rows x (n, E) to its
+    encoding and a closure that adds the weight and bias gradients of an
+    upstream gradient and returns the gradient at x; OP names its node."""
+
     def final_states(self, x: Tensor, lengths: list[int]) -> Tensor:
-        """`encode` of each run of x, checked as the GRU checks its runs."""
+        """One graph node: `encode` of each run of x, checked as the GRU
+        checks its runs. The backward pass takes the runs in forward order."""
         ends = np.cumsum(check_runs(x, self.input_dim, lengths)).tolist()
-        return stack_rows([self.encode(row_view(x, slice(end - n, end)))
-                           for end, n in zip(ends, lengths)])
+        runs = [slice(end - n, end) for end, n in zip(ends, lengths)]
+        values, closures = zip(*(self.encode(x.value[run]) for run in runs))
+
+        def bw(g):
+            for run, closure, d in zip(runs, closures, g):
+                x._accumulate(closure(d), run)
+        return Tensor(np.stack(values), self.OP, (x, self.weight, self.bias), bw)
 
 
 class LinearEncoder(_PerSequence):
     """Mean of the embeddings followed by a linear layer (no nonlinearity)."""
 
-    def encode(self, embedded: Tensor) -> Tensor:
-        """One graph node: mean of the rows, then `@ weight + bias`."""
-        x, w, b = embedded, self.weight, self.bias
-        check_rows(x, self.input_dim, "encoder input")
+    OP = "nn_encoder"
+
+    def encode(self, x: np.ndarray):
+        """Mean of the rows, then `@ weight + bias`."""
+        w, b = self.weight, self.bias
         n = x.shape[0]
-        mean = x.value.mean(axis=0)
+        mean = x.mean(axis=0)
         value = mean @ w.value + b.value
 
         def bw(g):
             b._accumulate(g)
             w._accumulate(np.outer(mean, g))
-            x._accumulate(np.tile((w.value @ g) / n, (n, 1)))
-        return Tensor(value, "nn_encoder", (x, w, b), bw)
+            return np.tile((w.value @ g) / n, (n, 1))
+        return value, bw
 
 
 class RecurrentEncoder(GruCell):
@@ -77,6 +88,7 @@ class ConvolutionalEncoder(_PerSequence):
     """
 
     WIDTH = CNN_WINDOW
+    OP = "cnn_encoder"
 
     @staticmethod
     def windows(x: np.ndarray) -> np.ndarray:
@@ -85,12 +97,11 @@ class ConvolutionalEncoder(_PerSequence):
         out[1:, 0], out[:, 1], out[:-1, 2] = x[:-1], x, x[1:]
         return out.reshape(x.shape[0], -1)
 
-    def encode(self, embedded: Tensor) -> Tensor:
-        """One graph node: window, `tanh(windows @ weight + bias)`, pool."""
-        x, w, b = embedded, self.weight, self.bias
-        check_rows(x, self.input_dim, "encoder input")
+    def encode(self, x: np.ndarray):
+        """Window, `tanh(windows @ weight + bias)`, pool."""
+        w, b = self.weight, self.bias
         n, e = x.shape
-        windows = self.windows(x.value)
+        windows = self.windows(x)
         act = np.tanh(windows @ w.value + b.value)
 
         def bw(g):
@@ -103,8 +114,8 @@ class ConvolutionalEncoder(_PerSequence):
             d_padded = np.zeros((n + 2, e))
             for k in range(CNN_WINDOW):
                 d_padded[k:k + n] += d_windows[:, k * e:(k + 1) * e]
-            x._accumulate(d_padded[1:n + 1])
-        return Tensor(act.max(axis=0), "cnn_encoder", (x, w, b), bw)
+            return d_padded[1:n + 1]
+        return act.max(axis=0), bw
 
 
 class OutputNetwork(_Dense):

@@ -34,9 +34,6 @@ class KnowledgeParse:
     kind: str = "amr"  # "dependency": one node per token, its form the token
     line: int | None = None  # the file line (1-based) its block starts on
 
-    def edges(self) -> list[tuple]:
-        return [(h, d) for h, deps in self.children.items() for d in deps]
-
 
 @dataclass(frozen=True)
 class Substructure:

@@ -51,7 +51,7 @@ def _weighted(expr: Tensor, w) -> Tensor:
 # losses of the whole mode x encoder x cell grid use exactly these.
 CHECKED_OPS = frozenset({
     "embed", "nn_encoder", "cnn_encoder", "elman_sequence", "gru_sequence",
-    "stack_rows", "row_view", "attention", "tag_output"})
+    "row_view", "attention", "tag_output"})
 
 
 def _graph_ops(root: Tensor) -> set:
@@ -84,15 +84,11 @@ def _per_op_worst() -> tuple[float, set]:
 
     # Every weight array is drawn once, outside the loss closure, so the
     # loss is a fixed function during the finite-difference sweeps.
-    wa, wb = mat(3), mat(3)
-    ww = rng.normal(size=(2, 3))
-    check(lambda: _weighted(ad.stack_rows([wa, wb]), ww), [wa, wb])
-
-    # Row views of one matrix: one row taken twice, whose gradients must
-    # add up, and a block of rows.
+    # Row views of one matrix: one row taken twice and multiplied by
+    # itself, whose gradients must add up, and a block of rows.
     wm = mat(4, 3)
-    wr, wblock = rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
-    check(lambda: _weighted(ad.stack_rows([ad.row_view(wm, 3), ad.row_view(wm, 3)]),
+    wr, wblock = rng.normal(size=3), rng.normal(size=(3, 3))
+    check(lambda: _weighted(elementwise_mul(ad.row_view(wm, 3), ad.row_view(wm, 3)),
                             wr), [wm])
     check(lambda: _weighted(ad.row_view(wm, slice(0, 3)), wblock), [wm])
 
@@ -167,13 +163,14 @@ def _per_op_worst() -> tuple[float, set]:
         check(lambda: _weighted(attend(), wo),
               list(enc.params("e").values()) + [table, net.weight, net.bias])
 
-    # The fused nn and cnn encoders over one token and over several.
+    # The nn and cnn encoders' one node over one run of one token, one
+    # run of several, and ragged runs.
     for kind in ("nn", "cnn"):
         enc = make_encoder(kind, rng, 3, 4)
-        for length in (1, 5):
-            xs = mat(length, 3)
-            we = rng.normal(size=4)
-            check(lambda: _weighted(enc.encode(xs), we),
+        for lengths in ([1], [5], [1, 4, 2]):
+            xs = mat(sum(lengths), 3)
+            we = rng.normal(size=(len(lengths), 4))
+            check(lambda: _weighted(enc.final_states(xs, lengths), we),
                   [enc.weight, enc.bias, xs])
     # A pooled column where all five positions tie: its weights are zero,
     # so it reads tanh(bias) everywhere. Only one position may pass the
@@ -182,8 +179,8 @@ def _per_op_worst() -> tuple[float, set]:
     enc = make_encoder("cnn", rng, 3, 4)
     enc.weight.value[:, 2] = 0.0
     xs = mat(5, 3)
-    we = rng.normal(size=4)
-    check(lambda: _weighted(enc.encode(xs), we), [enc.bias, xs])
+    we = rng.normal(size=(1, 4))
+    check(lambda: _weighted(enc.final_states(xs, [5]), we), [enc.bias, xs])
     return worst, checked - {"sum", "mul"}
 
 

@@ -383,14 +383,6 @@ def test_grad_softmax_vector_and_rows():
         lambda: tag_output([states], 0.5, wo, b, gold=[3, 3, 0]), [states, wo, b])
 
 
-def test_grad_stack_rows():
-    rng = np.random.default_rng(17)
-    v1, v2, v3 = _t(rng, 4), _t(rng, 4), _t(rng, 4)
-    ws = _const(rng, 3, 4)
-    assert_grads_match(
-        lambda: _weighted_sum(ad.stack_rows([v1, v2, v3]), ws), [v1, v2, v3])
-
-
 def test_grad_row_ops():
     rng = np.random.default_rng(18)
     a = _t(rng, 5, 3)

@@ -394,23 +394,27 @@ def test_path_of_the_wrong_kind_exits_2_naming_it(workspace, tmp_path, capsys, f
 
 
 @pytest.mark.parametrize("where", ("a directory", "under a missing directory",
-                                   "under a file"))
+                                   "under a file", "a directory at its manifest"))
 def test_unwritable_out_exits_2_before_training(workspace, tmp_path, capsys, where):
     # Found before the first epoch, so the log that training opens is
-    # never created and no progress line is printed.
+    # never created, no progress line is printed and no checkpoint is
+    # left without its split manifest.
     (tmp_path / "file").write_text("")
-    out, reason = {
-        "a directory": (tmp_path, "Is a directory"),
-        "under a missing directory": (tmp_path / "missing" / "m.json", "file not found"),
-        "under a file": (tmp_path / "file" / "m.json", "Not a directory"),
+    (tmp_path / "m.json.splits.json").mkdir()
+    out, named, reason = {
+        "a directory": (tmp_path, tmp_path, "Is a directory"),
+        "under a missing directory": (tmp_path / "missing" / "m.json",) * 2 + ("file not found",),
+        "under a file": (tmp_path / "file" / "m.json",) * 2 + ("Not a directory",),
+        "a directory at its manifest": (tmp_path / "m.json", tmp_path / "m.json.splits.json",
+                                        "Is a directory"),
     }[where]
     log = tmp_path / "train.jsonl"
     assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
                  "--out", str(out), "--log", str(log), "--mode", "chain",
                  "--epochs", "1", "--embed-dim", "4", "--hidden-size", "4"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: {reason}: {out}"]
-    assert not captured.out and not log.exists()
+    assert captured.err.splitlines() == [f"error: {reason}: {named}"]
+    assert not captured.out and not log.exists() and not out.is_file()
     assert not (tmp_path / "missing").exists()
 
 

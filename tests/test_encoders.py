@@ -19,6 +19,11 @@ def _embed(rows):
     return Tensor(np.array(rows, dtype=float))
 
 
+def _encode(enc, x):
+    """The encoding of x (n, E) as one run: row 0 of `final_states`."""
+    return row_view(enc.final_states(x, [x.shape[0]]), 0)
+
+
 # ---------------------------------------------------------------------------
 # averaging encoder
 
@@ -26,7 +31,7 @@ def _embed(rows):
 def test_nn_single_token_is_projection():
     enc = make_encoder("nn", RNG(1), 3, 2)
     x = np.array([0.5, -1.0, 2.0])
-    out = enc.encode(_embed([x]))
+    out = _encode(enc, _embed([x]))
     expected = x @ enc.weight.value + enc.bias.value
     np.testing.assert_allclose(out.value, expected, rtol=1e-12)
 
@@ -34,15 +39,15 @@ def test_nn_single_token_is_projection():
 def test_nn_repeated_token_matches_single():
     enc = make_encoder("nn", RNG(2), 4, 3)
     row = [0.3, 0.7, -0.2, 1.1]
-    once = enc.encode(_embed([row]))
-    thrice = enc.encode(_embed([row, row, row]))
+    once = _encode(enc, _embed([row]))
+    thrice = _encode(enc, _embed([row, row, row]))
     np.testing.assert_allclose(once.value, thrice.value, atol=1e-15)
 
 
 def test_nn_three_token_oracle():
     enc = make_encoder("nn", RNG(3), 3, 5)
     rows = RNG(30).normal(size=(3, 3))
-    out = enc.encode(Tensor(rows.copy()))
+    out = _encode(enc, Tensor(rows.copy()))
     expected = rows.mean(axis=0) @ enc.weight.value + enc.bias.value
     np.testing.assert_allclose(out.value, expected, rtol=1e-12)
 
@@ -50,8 +55,8 @@ def test_nn_three_token_oracle():
 def test_nn_order_insensitive():
     enc = make_encoder("nn", RNG(4), 3, 3)
     rows = RNG(40).normal(size=(4, 3))
-    a = enc.encode(Tensor(rows.copy()))
-    b = enc.encode(Tensor(rows[::-1].copy()))
+    a = _encode(enc, Tensor(rows.copy()))
+    b = _encode(enc, Tensor(rows[::-1].copy()))
     np.testing.assert_allclose(a.value, b.value, atol=1e-12)
 
 
@@ -167,21 +172,19 @@ def test_rnn_memory_gradients_match_per_sequence_runs():
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
 def test_encode_knowledge_gives_one_row_per_part(kind):
     # `final_states` over one lookup of the parts and then the sentence
-    # gives one row per run, each the run's own encoding; nn and cnn
-    # encode a row view of each run and stack the results.
+    # gives one row per run, each the run's own encoding, as one graph
+    # node over x and the weights.
     enc = make_encoder(kind, RNG(32), 3, 4)
     sentence, parts = [0, 1, 2], [[3, 4], [5, 6, 7, 0, 1], [2]]
     table, x, lengths = _runs(320, parts, sentence)
     finals = enc.final_states(x, lengths)
     assert finals.shape == (4, 4)
     for row, ids in zip(finals.value, parts + [sentence]):
-        np.testing.assert_allclose(row, enc.encode(embed(table, ids)).value,
+        np.testing.assert_allclose(row, _encode(enc, embed(table, ids)).value,
                                    rtol=0, atol=1e-12)
     if kind != "rnn":
-        assert finals.op == "stack_rows"
-        assert [p.op for p in finals.parents] == [f"{kind}_encoder"] * 4
-        assert all(p.parents[0].op == "row_view" and p.parents[0].parents == (x,)
-                   for p in finals.parents)
+        assert finals.op == f"{kind}_encoder"
+        assert finals.parents == (x, enc.weight, enc.bias)
 
 
 def test_rnn_memory_rejects_bad_sequences():
@@ -218,22 +221,22 @@ def test_cnn_window_constant():
 def test_cnn_single_token_oracle():
     enc = make_encoder("cnn", RNG(9), 2, 3)
     rows = np.array([[1.0, -2.0]])
-    out = enc.encode(Tensor(rows.copy()))
+    out = _encode(enc, Tensor(rows.copy()))
     np.testing.assert_allclose(out.value, _cnn_numpy(enc, rows), rtol=1e-12)
 
 
 def test_cnn_four_token_oracle():
     enc = make_encoder("cnn", RNG(10), 3, 2)
     rows = RNG(100).normal(size=(4, 3))
-    out = enc.encode(Tensor(rows.copy()))
+    out = _encode(enc, Tensor(rows.copy()))
     np.testing.assert_allclose(out.value, _cnn_numpy(enc, rows), rtol=1e-12)
 
 
 def test_cnn_order_sensitive():
     enc = make_encoder("cnn", RNG(11), 2, 4)
     rows = RNG(110).normal(size=(3, 2))
-    a = enc.encode(Tensor(rows.copy())).value
-    b = enc.encode(Tensor(rows[::-1].copy())).value
+    a = _encode(enc, Tensor(rows.copy())).value
+    b = _encode(enc, Tensor(rows[::-1].copy())).value
     assert np.abs(a - b).max() > 1e-6
 
 
@@ -243,8 +246,8 @@ def test_cnn_dominant_window_survives_appended_token():
     enc = make_encoder("cnn", RNG(12), 1, 1)
     enc.weight.value[:] = 1.0
     enc.bias.value[:] = 0.0
-    short = enc.encode(_embed([[10.0], [0.0], [0.0]]))
-    longer = enc.encode(_embed([[10.0], [0.0], [0.0], [1.0]]))
+    short = _encode(enc, _embed([[10.0], [0.0], [0.0]]))
+    longer = _encode(enc, _embed([[10.0], [0.0], [0.0], [1.0]]))
     assert short.value[0] == np.tanh(10.0)
     np.testing.assert_array_equal(short.value, longer.value)
 
@@ -255,7 +258,7 @@ def test_cnn_pool_tie_goes_to_first_row():
     enc.weight.value[:] = [[0.0], [1.0], [0.0]]
     enc.bias.value[:] = 0.0
     x = _embed([[1.0], [1.0]])
-    sum_all(enc.encode(x)).backward()
+    sum_all(_encode(enc, x)).backward()
     assert np.array_equal(x.grad, [[1.0 - np.tanh(1.0) ** 2], [0.0]])
 
 
@@ -275,12 +278,16 @@ def test_cnn_windows_equal_padded_construction(n):
 
 @pytest.mark.parametrize("kind", ("nn", "cnn"))
 def test_encode_adds_one_graph_node(kind):
+    # Encoding any number of runs adds one node; `encode` adds none.
     enc = make_encoder(kind, RNG(21), 3, 4)
     x = Tensor(RNG(210).normal(size=(4, 3)))
-    out = enc.encode(x)
-    assert out.op == f"{kind}_encoder"
-    assert out.parents == (x, enc.weight, enc.bias)
-    assert all(p.op == "leaf" for p in out.parents)
+    for lengths in ([4], [1, 3], [2, 1, 1]):
+        out = enc.final_states(x, lengths)
+        assert out.op == f"{kind}_encoder"
+        assert out.parents == (x, enc.weight, enc.bias)
+        assert all(p.op == "leaf" for p in out.parents)
+    value, _ = enc.encode(x.value)    # a numpy kernel over one run's rows
+    assert value.tobytes() == enc.final_states(x, [4]).value[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
@@ -288,7 +295,7 @@ def test_output_is_vector_of_requested_size(kind):
     enc = make_encoder(kind, RNG(13), 3, 4)
     for length in range(1, 6):
         rows = RNG(length).normal(size=(length, 3))
-        out = enc.encode(Tensor(rows))
+        out = _encode(enc, Tensor(rows))
         assert out.shape == (4,)
         assert np.all(np.isfinite(out.value))
 
@@ -297,9 +304,9 @@ def test_output_is_vector_of_requested_size(kind):
 def test_empty_sequence_rejected(kind):
     enc = make_encoder(kind, RNG(14), 3, 4)
     with pytest.raises(DimensionError):
-        enc.encode(Tensor(np.zeros((0, 3))))
+        _encode(enc, Tensor(np.zeros((0, 3))))
     with pytest.raises(DimensionError):
-        enc.encode(Tensor(np.zeros(3)))
+        _encode(enc, Tensor(np.zeros(3)))
 
 
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
@@ -310,7 +317,7 @@ def test_encoder_gradients(kind):
     tensors = list(enc.params("enc").values()) + [x]
 
     def build_loss():
-        return sum_all(elementwise_mul(enc.encode(x), Tensor(const)))
+        return sum_all(elementwise_mul(_encode(enc, x), Tensor(const)))
 
     assert_grads_match(build_loss, tensors, tol=1e-4)
 

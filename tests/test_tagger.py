@@ -434,8 +434,8 @@ def _graph_ops(root) -> list[str]:
 
 
 @pytest.mark.parametrize("mode,encoder,cell,nodes", [
-    ("joint", "rnn", "gru", 35), ("joint", "nn", "gru", 37),
-    ("joint", "cnn", "gru", 37), ("chain", "nn", "elman", 8)])
+    ("joint", "rnn", "gru", 35), ("joint", "nn", "gru", 31),
+    ("joint", "cnn", "gru", 31), ("chain", "nn", "elman", 8)])
 def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                                                         nodes):
     # Each model stage is one graph node however many tokens it runs over,
@@ -446,8 +446,9 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
     # input) and 2 row views of the encoder's final states (the sentence
     # vector and the memory). With rnn they also hold 26 parameters and
     # 3 GRU runs (one batch of the two substructures and the sentence,
-    # 2 towers); with nn or cnn, 22 parameters, a row view of each of
-    # the 3 runs, 3 encodings, stack_rows and the 2 towers.
+    # 2 towers); with nn or cnn, 22 parameters (the encoder's weight and
+    # bias in place of the GRU's six), one encoder node over the 3 runs
+    # and the 2 towers.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -469,9 +470,10 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
 
 @pytest.mark.parametrize("n_subs", [2, 5])
 def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
-    # One embedding and one GRU batch of the substructures and the
-    # sentence, and the towers' embedding and two runs, however many
-    # substructures the utterance has.
+    # Under every encoder, not only rnn: one embedding and one encoder
+    # node over the substructures and the sentence, its 2 row views, and
+    # the towers' embedding and two runs, however many substructures the
+    # utterance has.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -479,25 +481,45 @@ def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
 
     tokens = tuple(f"w{i}" for i in range(6))
     vocab = Vocabulary.build([Utterance(id="u", tokens=tokens, tags=("O",) * 6)])
-    config = TrainConfig(mode="joint", encoder="rnn", cell="gru", embed_dim=3,
-                         hidden_size=2)
-    model = SlotModel(config, vocab, RNG(27))
     subs = [Substructure(positions=(0, *range(1 + i, 6)), forms=(), leaf=i)
             for i in range(n_subs)]
-    loss = model.loss(vocab.encode_tokens(tokens), vocab.encode_tags(("O",) * 6),
-                      subs, 0.25, RNG(270))
-    ops = _graph_ops(loss)
-    assert ops.count("gru_sequence") == 3 and ops.count("row_view") == 2
-    assert ops.count("embed") == 2 and "stack_rows" not in ops
+    for encoder, counts in (("rnn", {"gru_sequence": 3}),
+                            ("nn", {"nn_encoder": 1, "gru_sequence": 2}),
+                            ("cnn", {"cnn_encoder": 1, "gru_sequence": 2})):
+        config = TrainConfig(mode="joint", encoder=encoder, cell="gru", embed_dim=3,
+                             hidden_size=2)
+        model = SlotModel(config, vocab, RNG(27))
+        loss = model.loss(vocab.encode_tokens(tokens), vocab.encode_tags(("O",) * 6),
+                          subs, 0.25, RNG(270))
+        ops = _graph_ops(loss)
+        for op, n in {**counts, "row_view": 2, "embed": 2}.items():
+            assert ops.count(op) == n, (encoder, op)
+
+
+def _encoded(enc, x):
+    """`enc.encode` of one run x as its own graph node (nn and cnn)."""
+    value, backward = enc.encode(x.value)
+    return Tensor(value, "encode", (x, enc.weight, enc.bias),
+                  lambda g: x._accumulate(backward(g)))
+
+
+def _stacked(parts):
+    """Vectors stacked as the rows of a matrix node, each row's gradient
+    landing on its vector in order."""
+    def bw(g):
+        for p, d in zip(parts, g):
+            p._accumulate(d)
+    return Tensor(np.stack([p.value for p in parts]), "stack", tuple(parts), bw)
 
 
 def _reference_loss(model, token_ids, tag_ids, subs, rate, rng):
     """The loss as the model built it before every encoder took its runs
     through `final_states`: under nn and cnn one lookup and one encoding
-    per substructure and then the sentence, joined by stack_rows; under
-    rnn one lookup of the parts and the sentence and one GRU batch."""
+    node per substructure and then the sentence, the substructures'
+    stacked as the memory; under rnn one lookup of the parts and the
+    sentence and one GRU batch."""
     from structag.attention import KnowledgeMemory, knowledge_representation
-    from structag.autodiff import row_view, stack_rows
+    from structag.autodiff import row_view
     from structag.model import embed
 
     def lookup(ids):
@@ -509,8 +531,8 @@ def _reference_loss(model, token_ids, tag_ids, subs, rate, rng):
                                   [*map(len, parts), len(token_ids)])
         u, memory = row_view(finals, len(parts)), row_view(finals, slice(0, len(parts)))
     else:
-        memory = stack_rows([enc.encode(lookup(ids)) for ids in parts])
-        u = enc.encode(lookup(token_ids))
+        memory = _stacked([_encoded(enc, lookup(ids)) for ids in parts])
+        u = _encoded(enc, lookup(token_ids))
     guided, _ = knowledge_representation(u, KnowledgeMemory(memory, subs),
                                          model.output_net)
     return model.tagger.distributions(lookup(token_ids), guided, rate, rng, tag_ids)
