@@ -42,6 +42,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _path(text: str) -> str:
+    """argparse type of every path option: "" is refused, not read as "." or as absent."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return text
+
+
 def _load_parses(path: str | None, kind: str, utterances: list | None,
                  id_prefix: str = "u") -> dict | None:
     """Parses by utterance id. Blocks align to a corpus by ordinal, so given
@@ -195,15 +202,15 @@ def cmd_stats(args) -> int:
 
 
 def _add_parse_options(p, required: bool = False):
-    p.add_argument("--parses", required=required,
+    p.add_argument("--parses", type=_path, required=required,
                    help="parse file aligned with the corpus")
     p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
 
 
 def _add_scoring_parser(sub, name: str, help: str, func):
     p = sub.add_parser(name, help=help)
-    p.add_argument("--model", required=True, help="checkpoint path")
-    p.add_argument("--data", required=True, help="corpus to tag")
+    p.add_argument("--model", type=_path, required=True, help="checkpoint path")
+    p.add_argument("--data", type=_path, required=True, help="corpus to tag")
     _add_parse_options(p)
     p.set_defaults(func=func)
     return p
@@ -216,13 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("train", help="fit a model and write a checkpoint")
-    p.add_argument("--train", required=True, help="training corpus (token<TAB>tag)")
-    p.add_argument("--dev", help="development corpus for model selection")
+    p.add_argument("--train", type=_path, required=True,
+                   help="training corpus (token<TAB>tag)")
+    p.add_argument("--dev", type=_path, help="development corpus for model selection")
     _add_parse_options(p)
-    p.add_argument("--dev-parses", help="parse file aligned with the dev corpus")
-    p.add_argument("--config", help="JSON file of TrainConfig fields")
-    p.add_argument("--out", default="model.json", help="checkpoint path")
-    p.add_argument("--log", help="per-epoch JSONL log path")
+    p.add_argument("--dev-parses", type=_path, help="parse file aligned with the dev corpus")
+    p.add_argument("--config", type=_path, help="JSON file of TrainConfig fields")
+    p.add_argument("--out", type=_path, default="model.json", help="checkpoint path")
+    p.add_argument("--log", type=_path, help="per-epoch JSONL log path")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-epoch progress lines")
     # One flag per TrainConfig field, of the same name; an absent flag is None.
@@ -238,18 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = _add_scoring_parser(sub, "eval", "score a checkpoint on a corpus", cmd_eval)
-    p.add_argument("--report", help="also write the JSON report here")
+    p.add_argument("--report", type=_path, help="also write the JSON report here")
     p.add_argument("--text", action="store_true",
                    help="print the classic text table instead of JSON")
 
     p = _add_scoring_parser(sub, "inspect-attention",
                             "dump attention weights and salience as JSON", cmd_inspect)
     p.add_argument("--ids", nargs="+", help="utterance ids (default: all)")
-    p.add_argument("--out", help="write JSON here instead of stdout")
+    p.add_argument("--out", type=_path, help="write JSON here instead of stdout")
 
     p = sub.add_parser("gen-synthetic",
                        help="generate a disambiguation corpus with parses")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--ambiguous-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=13)

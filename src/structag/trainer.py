@@ -89,8 +89,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0.0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.epsilon < np.finfo(float).tiny:    # so that eps*sqrt(1-b2^t) > 0
+            raise ConfigError(f"epsilon must be a normal float > 0, got {self.epsilon}")
         if not 0.0 <= self.unk_replace_prob <= 1.0:
             raise ConfigError("unk_replace_prob must be in [0, 1], "
                               f"got {self.unk_replace_prob}")
@@ -156,12 +156,13 @@ class AdamOptimizer:
     maps names to slices), so backward passes, checkpoints and the
     optimizer share memory. The moments `m` and `v` are flat as well.
     Parameters named in `skip` are never updated or checked and do not
-    count toward the clip norm. `step` updates in place, block by block, with
-    the elementwise operation order of the per-parameter formula, so its
-    results are bitwise those of a loop over the named arrays, except that
-    a row table (see `Tensor._accumulate`) adds gradient terms to its
-    moments only on the rows reached, skipping an exact `+ 0.0`, so a
-    moment that has decayed to zero may stay -0.0.
+    count toward the clip norm. `step` orders the update as the paper does
+    after Algorithm 1, equal to it up to rounding: p -= m*a / (sqrt(v) + e)
+    with a = lr*sqrt(1-b2^t)/(1-b1^t) and e = eps*sqrt(1-b2^t). Done in
+    place, block by block, it is bitwise that formula looped over the named
+    arrays, except that a row table (see `Tensor._accumulate`) adds gradient
+    terms to its moments only on the rows reached, skipping an exact `+ 0.0`,
+    so a moment that has decayed to zero may stay -0.0.
     """
 
     def __init__(self, params: dict[str, Tensor], learning_rate=0.001,
@@ -223,9 +224,10 @@ class AdamOptimizer:
                 for lo, hi in self._blocks:
                     grads[lo:hi] *= scale
         self.t += 1
-        b1, b2, lr = self.beta1, self.beta2, self.learning_rate
-        correct1 = 1.0 - b1 ** self.t
-        correct2 = 1.0 - b2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        root2 = math.sqrt(1.0 - b2 ** self.t)
+        step_size = self.learning_rate * root2 / (1.0 - b1 ** self.t)
+        eps_hat = self.epsilon * root2
         for table, g, m, v in self._tables:
             rows = np.fromiter(table.reached, np.intp, len(table.reached))
             g = g[rows]
@@ -247,12 +249,10 @@ class AdamOptimizer:
                 v += s1
             m, v = self.m[lo:hi], self.v[lo:hi]
             s1, s2 = self._scratch[0, :hi - lo], self._scratch[1, :hi - lo]
-            # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
-            np.divide(m, correct1, out=s1)
-            s1 *= lr
-            np.divide(v, correct2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.epsilon
+            # p -= (m*step_size) / (sqrt(v) + eps_hat)
+            np.multiply(m, step_size, out=s1)
+            np.sqrt(v, out=s2)
+            s2 += eps_hat
             s1 /= s2
             # A finite sum of squares proves every entry finite.
             if not math.isfinite(np.dot(s1, s1)) and not np.isfinite(s1).all():

@@ -393,6 +393,48 @@ def test_path_of_the_wrong_kind_exits_2_naming_it(workspace, tmp_path, capsys, f
     assert "not found" not in lines[0]
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--train"), ("train", "--dev"), ("train", "--parses"),
+    ("train", "--dev-parses"), ("train", "--config"), ("train", "--out"),
+    ("train", "--log"), ("eval", "--model"), ("eval", "--data"), ("eval", "--parses"),
+    ("eval", "--report"), ("inspect-attention", "--model"),
+    ("inspect-attention", "--data"), ("inspect-attention", "--parses"),
+    ("inspect-attention", "--out"), ("gen-synthetic", "--out"), ("stats", "--parses")])
+def test_empty_path_is_a_usage_error_naming_the_flag(workspace, tmp_path, monkeypatch,
+                                                     capsys, command, flag):
+    # "" is the working directory to some calls and false to `if args.x:`,
+    # so it would be misread or ignored. It exits 1 before anything is
+    # read or written, in the working directory or anywhere else.
+    cwd, out = tmp_path / "cwd", tmp_path / "out"
+    cwd.mkdir(), out.mkdir()
+    monkeypatch.chdir(cwd)
+    corpus, ckpt = str(workspace["data"] / "corpus.tsv"), str(workspace["ckpt"])
+    args = {
+        "train": ["train", "--train", corpus, "--out", str(out / "m.json"),
+                  "--mode", "chain", "--epochs", "1", "--embed-dim", "4",
+                  "--hidden-size", "4", "--quiet"],
+        "eval": ["eval", "--model", ckpt, "--data", corpus],
+        "inspect-attention": ["inspect-attention", "--model", ckpt, "--data", corpus,
+                              "--ids", "u0000"],
+        "gen-synthetic": ["gen-synthetic", "--out", str(out), "--count", "2"],
+        "stats": ["stats", "--parses", str(workspace["data"] / "dependencies.tsv")],
+    }[command]
+    if flag in args:
+        args[args.index(flag) + 1] = ""
+    else:
+        args += [flag, ""]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.splitlines()[-1] == (
+        f"structag {command}: error: argument {flag}: "
+        "expected a path, got an empty string")
+    assert not any(cwd.iterdir()) and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("where", ("a directory", "under a missing directory",
                                    "under a file", "a directory at its manifest"))
 def test_unwritable_out_exits_2_before_training(workspace, tmp_path, capsys, where):
@@ -499,10 +541,28 @@ def test_diverged_training_exits_1_without_traceback(tmp_path, capsys):
                      "--embed-dim", "8", "--hidden-size", "8", "--epochs", "2",
                      "--learning-rate", "1e308", "--quiet"])
     assert proc.returncode == 1
-    # One error line: no traceback and no numpy overflow warnings.
+    # One error line: no traceback and no numpy overflow warnings. The
+    # first update moves parameters by about the learning rate; the next
+    # forward pass overflows and the non-finite loss check stops it.
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("error: non-finite update for parameter")
+    assert lines[0].startswith("error: loss became non-finite at epoch 1, ")
+
+
+def test_infinite_step_size_exits_1_naming_the_parameter(tmp_path):
+    # At beta1 0.999999 the first step size lr*sqrt(1-b2)/(1-b1) is
+    # infinite at lr 1e308, so the first update is refused by the optimizer.
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", "--out", str(data), "--count", "20"]) == 0
+    proc = _run_cli(["train", "--train", str(data / "corpus.tsv"),
+                     "--out", str(tmp_path / "model.json"), "--mode", "chain",
+                     "--embed-dim", "8", "--hidden-size", "8", "--epochs", "1",
+                     "--learning-rate", "1e308", "--beta1", "0.999999", "--quiet"])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: non-finite update for parameter ")
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("rate", ("1e100", "1e300"))

@@ -81,6 +81,19 @@ def test_adam_zero_gradient_is_identity():
     assert opt.t == 1
 
 
+def test_adam_smallest_epsilon_leaves_zero_moments_still():
+    # At the smallest epsilon and the largest beta2 that the config admits,
+    # eps*sqrt(1-b2^t) is still positive, so a zero moment moves by 0, not NaN.
+    config = _tiny_config(epsilon=float(np.finfo(float).tiny), beta2=1.0 - 2.0 ** -53)
+    config.validate()
+    p = _param([1.5, -2.5], 0.0)
+    q = _param([0.25], 1.0)
+    opt = AdamOptimizer({"p": p, "q": q}, beta2=config.beta2, epsilon=config.epsilon)
+    opt.step()
+    np.testing.assert_array_equal(p.value, [1.5, -2.5])
+    assert q.value[0] < 0.25
+
+
 def test_adam_constant_gradient_moves_by_learning_rate():
     # With a constant gradient the bias corrections cancel exactly, so
     # every step moves by lr * sign(g) up to the epsilon in the root.
@@ -106,13 +119,14 @@ def test_adam_rejects_non_finite_gradient():
 
 
 def test_adam_rejects_overflowing_update_without_warnings():
-    # At learning rate 1e308 a gradient of 10 moves its parameter by
-    # 1e309, which overflows; a gradient of 0.5 stays finite.
+    # At learning rate 1e308 the first step size is lr*sqrt(0.001)/0.1,
+    # about 3.2e307, and m = 0.1*g. So a gradient of 100 overflows m*step_size,
+    # while gradients of 1 and 0.5 stay finite.
     p = _param([1.0])
     q = _param([2.0, 3.0])
     opt = AdamOptimizer({"finite": p, "overflows": q}, learning_rate=1e308)
     p.grad[:] = 0.5
-    q.grad[:] = [1.0, 10.0]
+    q.grad[:] = [1.0, 100.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")    # any numpy warning fails the test
         with pytest.raises(TrainingDivergedError) as err:
@@ -120,6 +134,22 @@ def test_adam_rejects_overflowing_update_without_warnings():
     assert "non-finite update" in str(err.value)
     assert "'overflows'" in str(err.value) and "'finite'" not in str(err.value)
     # Both share one block, which was not written.
+    np.testing.assert_array_equal(opt.values, [1.0, 2.0, 3.0])
+
+
+def test_adam_infinite_step_size_is_diverged_not_nan():
+    # With beta1 near 1 the first step size, lr*sqrt(1-b2)/(1-b1), is
+    # infinite at lr 1e308: m*step_size is NaN for the zero moment and
+    # infinite for the other. The block is refused, naming its parameter.
+    p = _param([1.0, 2.0])
+    p.grad[:] = [0.0, 1.0]
+    opt = AdamOptimizer({"first": p, "second": _param([3.0])}, learning_rate=1e308,
+                        beta1=0.999999)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError,
+                           match="non-finite update for parameter 'first'"):
+            opt.step()
     np.testing.assert_array_equal(opt.values, [1.0, 2.0, 3.0])
 
 
@@ -172,17 +202,41 @@ class _ReferenceAdam:
         self.t = 0
 
     def step(self, grads, skip):
+        # Kingma & Ba's order after Algorithm 1: the bias corrections fold
+        # into one step size and one epsilon per step.
         self.t += 1
-        correct1 = 1.0 - self.b1 ** self.t
-        correct2 = 1.0 - self.b2 ** self.t
+        root2 = np.sqrt(1.0 - self.b2 ** self.t)
+        step_size = self.lr * root2 / (1.0 - self.b1 ** self.t)
+        eps_hat = self.eps * root2
         for name in self.values:
             if name in skip:
                 continue
             g = grads[name]
             m = self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
             v = self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            self.values[name] = self.values[name] - self.lr * (m / correct1) / (
-                np.sqrt(v / correct2) + self.eps)
+            self.values[name] = self.values[name] - (m * step_size) / (np.sqrt(v) + eps_hat)
+
+
+def test_packed_adam_is_algorithm_1_up_to_rounding():
+    """Every update stays within 1e-12 relative of Algorithm 1's
+    lr*(m/c1) / (sqrt(v/c2) + eps), also past the step where c1 = 1 - b1^t
+    has rounded to exactly 1.0."""
+    rng = np.random.default_rng(3)
+    size = ADAM_BLOCK + 21
+    p = Tensor(np.zeros(size))
+    opt = AdamOptimizer({"p": p}, learning_rate=0.01)
+    m, v = np.zeros(size), np.zeros(size)
+    for t in range(1, 401):
+        # Gradients over 14 decades, so that eps dominates some roots.
+        g = rng.normal(size=size) * 10.0 ** rng.uniform(-12.0, 2.0, size)
+        p.grad[...] = g
+        p.value[...] = 0.0    # so that the update is exactly -p.value
+        opt.step()
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        update = 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        np.testing.assert_allclose(-p.value, update, rtol=1e-12, atol=0.0)
+    assert 1.0 - 0.9 ** 400 == 1.0
 
 
 @pytest.mark.parametrize("shapes, skip", [
@@ -419,11 +473,11 @@ def test_config_rejects_non_finite_optimizer_settings(name, value):
         _tiny_config(**{name: value}).validate()
 
 
-# Unchecked, epsilon=0 and beta2=1 stop training at the first update,
-# beta1=1.5 and clip_norm=NaN train wrongly without an error, and a
+# Unchecked, epsilon=0 or subnormal and beta2=1 stop training at the first
+# update, beta1=1.5 and clip_norm=NaN train wrongly without an error, and a
 # dev_fraction beside an explicit dev set is stored unused.
-OUT_OF_RANGE = [("epsilon", 0.0), ("epsilon", -1e-8), ("beta1", 1.5),
-                ("beta1", -0.1), ("beta2", 1.0), ("clip_norm", float("nan")),
+OUT_OF_RANGE = [("epsilon", 0.0), ("epsilon", -1e-8), ("epsilon", 5e-324),
+                ("beta1", 1.5), ("beta1", -0.1), ("beta2", 1.0), ("clip_norm", float("nan")),
                 ("dev_fraction", 7.0), ("dev_fraction", 1.0),
                 ("train_fraction", 1.5), ("train_fraction", 0.0)]
 
