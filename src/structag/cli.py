@@ -74,11 +74,18 @@ def _load_utterances(path: str, id_prefix: str = "u") -> list:
     return utterances
 
 
+def _note_without_parses(mode: str, parses_path: str | None):
+    if mode != "chain" and parses_path is None:
+        print("note: no parse file given; each utterance falls back to "
+              "a single whole-sentence substructure", file=sys.stderr)
+
+
 def _load_scored(args) -> tuple:
     """The checkpoint, corpus and parses that `eval` and `inspect-attention` read."""
     model = load_checkpoint(args.model)
     utterances = _load_utterances(args.data)
     parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
+    _note_without_parses(model.config.mode, args.parses)
     return model, utterances, parses
 
 
@@ -115,13 +122,9 @@ def cmd_train(args) -> int:
                           "is held out of --train and uses --parses)")
     config = _load_train_config(args)
     utterances = _load_utterances(args.train)
-    parses = None
-    if config.mode != "chain":
-        if args.parses:
-            parses = _load_parses(args.parses, args.parse_kind, utterances)
-        else:
-            print("note: no parse file given; each utterance falls back to "
-                  "a single whole-sentence substructure", file=sys.stderr)
+    parses = (None if config.mode == "chain" else
+              _load_parses(args.parses, args.parse_kind, utterances))
+    _note_without_parses(config.mode, args.parses)
     dev_utterances = _load_utterances(args.dev, id_prefix="d") if args.dev else None
     dev_parses = _load_parses(args.dev_parses, args.parse_kind,
                               dev_utterances or [], id_prefix="d")

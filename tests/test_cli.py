@@ -127,16 +127,40 @@ def test_every_train_flag_lands_in_its_config_field():
         assert name not in expected or getattr(default, name) != expected[name], name
 
 
-def test_train_without_parses_notes_fallback(workspace, capsys):
-    ckpt = workspace["root"] / "noparse.json"
-    code = main(["train",
-                 "--train", str(workspace["data"] / "corpus.tsv"),
-                 "--out", str(ckpt),
-                 "--epochs", "1", "--embed-dim", "8", "--hidden-size", "8",
-                 "--quiet"])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "whole-sentence substructure" in captured.err
+_FALLBACK_NOTE = ("note: no parse file given; each utterance falls back to "
+                  "a single whole-sentence substructure")
+
+
+@pytest.fixture(scope="module")
+def chain_ckpt(workspace):
+    ckpt = workspace["root"] / "chain-model.json"
+    assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                 "--out", str(ckpt), "--mode", "chain", "--epochs", "1",
+                 "--embed-dim", "8", "--hidden-size", "8", "--quiet"]) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "inspect-attention"])
+@pytest.mark.parametrize("mode", ["joint", "chain"])
+def test_knowledge_model_without_parses_notes_fallback(workspace, chain_ckpt, tmp_path,
+                                                       capsys, command, mode):
+    """Train, eval and inspect-attention each print the fallback note once
+    when a knowledge model runs without --parses; a chain model, or a run
+    given --parses, prints none."""
+    data = str(workspace["data"] / "corpus.tsv")
+    if command == "train":
+        args = ["train", "--train", data, "--out", str(tmp_path / "m.json"), "--mode", mode,
+                "--epochs", "1", "--embed-dim", "8", "--hidden-size", "8", "--quiet"]
+    else:
+        model = workspace["ckpt"] if mode == "joint" else chain_ckpt
+        args = [command, "--model", str(model), "--data", data]
+        if command == "inspect-attention":
+            args += ["--ids", "u0000"]
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().err.splitlines().count(_FALLBACK_NOTE) == (mode != "chain")
+    assert main([*args, "--parses", str(workspace["data"] / "dependencies.tsv")]) == 0
+    assert _FALLBACK_NOTE not in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(workspace, tmp_path, capsys):
@@ -387,8 +411,9 @@ def test_path_of_the_wrong_kind_exits_2_naming_it(workspace, tmp_path, capsys, f
     }[command]
     capsys.readouterr()
     assert main(args + [option, path]) == 2
-    err = capsys.readouterr().err    # eval also warns about unknown tokens
-    lines = [ln for ln in err.splitlines() if not ln.startswith("warning:")]
+    # eval also warns about unknown tokens and notes that it runs without parses
+    err = capsys.readouterr().err
+    lines = [ln for ln in err.splitlines() if not ln.startswith(("warning:", "note:"))]
     assert len(lines) == 1 and lines[0].startswith("error: ") and path in lines[0]
     assert "not found" not in lines[0]
 

@@ -15,7 +15,7 @@ from structag.knowledge import load_dependency, substructures_with_fallback
 from structag.model import SlotModel
 from structag.seeding import derive_seed
 from structag.synthetic import SyntheticConfig, generate
-from structag.trainer import (ADAM_BLOCK, AdamOptimizer, TrainConfig,
+from structag.trainer import (ADAM_BLOCK, COMPACT_SHARE, AdamOptimizer, TrainConfig,
                               evaluate_model, load_checkpoint, save_checkpoint,
                               train)
 
@@ -320,10 +320,10 @@ def test_row_table_adam_matches_dense_adam(rows, extra, skip, clip_norm):
             ref_values, ref_m, ref_v = ({name: buf[sl] for name, sl in dense.slices.items()}
                                         for buf in (dense.values, dense.m, dense.v))
         for name, p in params.items():
-            sl = opt.slices[name]
+            m, v = opt.moments(name)
             assert p.value.tobytes() == ref_values[name].tobytes(), name
-            assert opt.v[sl].tobytes() == ref_v[name].reshape(-1).tobytes(), name
-            assert np.array_equal(opt.m[sl], ref_m[name].reshape(-1)), name
+            assert v.tobytes() == ref_v[name].reshape(-1).tobytes(), name
+            assert np.array_equal(m, ref_m[name].reshape(-1)), name
         opt.zero_grad()
         assert not opt.grads.any()
         assert table.reached == set() or "embedding" in skip
@@ -362,6 +362,98 @@ def test_row_table_adam_rejects_non_finite_table_gradient():
     with pytest.raises(TrainingDivergedError, match="gradient in parameter 'embedding'"):
         opt.step()
     np.testing.assert_array_equal(opt.values, 1.0)    # the one block is not written
+
+
+@pytest.mark.parametrize("skip, clip_norm", [(set(), None), (set(), 0.5), ({"head"}, None),
+                                             ({"embedding"}, 0.5)],
+                         ids=["plain", "clip-norm", "skipped-head", "skipped-table"])
+def test_row_table_adam_matches_dense_adam_across_the_switch(skip, clip_norm):
+    """Over 48 steps, 40 rows reached per step of a 1700-row table go from
+    none live to more than COMPACT_SHARE live: values and v stay bitwise
+    those of `_ReferenceAdam` (with a clip norm, of the packed optimizer
+    without a row table), and m equal under ==."""
+    shapes = {"head": (7,), "embedding": (1700, 10), "tail": (40, 3)}
+    rng = np.random.default_rng(17)
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    params = {name: Tensor(value.copy()) for name, value in start.items()}
+    table = params["embedding"] = _row_table(start["embedding"].copy())
+    opt = AdamOptimizer(params, learning_rate=0.01, clip_norm=clip_norm, skip=skip)
+    dense_params = {name: Tensor(value.copy()) for name, value in start.items()}
+    dense = AdamOptimizer(dense_params, learning_rate=0.01, clip_norm=clip_norm, skip=skip)
+    reference = _ReferenceAdam(start, learning_rate=0.01)
+    live, shares = set(), []
+    for _ in range(48):
+        used = rng.choice(1700, 40, replace=False).tolist()
+        live |= set(used)
+        shares.append(len(live) / 1700)
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        outside = np.ones(1700, dtype=bool)
+        outside[used] = False
+        grads["embedding"][outside] = 0.0
+        opt.zero_grad()
+        for name, p in params.items():
+            if p is not table:
+                p.grad += grads[name]
+        table._accumulate(grads["embedding"][used], used)
+        opt.step()
+        if clip_norm is None:
+            reference.step(grads, skip)
+            ref_values, ref_m, ref_v = reference.values, reference.m, reference.v
+        else:
+            for name, p in dense_params.items():
+                p.grad[...] = grads[name]
+            dense.step()
+            ref_values = {name: p.value for name, p in dense_params.items()}
+            ref_m, ref_v = ({name: dense.moments(name)[i] for name in shapes} for i in (0, 1))
+        for name, p in params.items():
+            m, v = opt.moments(name)
+            assert p.value.tobytes() == ref_values[name].tobytes(), name
+            assert v.tobytes() == ref_v[name].reshape(-1).tobytes(), name
+            assert np.array_equal(m, ref_m[name].reshape(-1)), name
+    assert shares[0] < 0.1 and shares[-1] > COMPACT_SHARE
+
+
+def test_row_table_rows_no_update_reached_stay_bitwise_as_they_were():
+    """Rows never reached keep their values, -0.0 included, and read +0.0
+    moments, before and after more than COMPACT_SHARE of the rows are live."""
+    rng = np.random.default_rng(23)
+    start = rng.normal(size=(50, 6))
+    start[45:] = -0.0
+    table, tail = _row_table(start.copy()), _param(np.ones(4))
+    opt = AdamOptimizer({"embedding": table, "tail": tail}, learning_rate=0.05)
+    reachable = rng.permutation(45)[:40]    # 80% of the rows, so the table switches
+    for step in range(60):
+        opt.zero_grad()
+        used = sorted(set(reachable[:4 + step].tolist()))
+        table._accumulate(rng.normal(size=(len(used), 6)), used)
+        tail.grad[...] = rng.normal(size=4)
+        opt.step()
+        never = np.setdiff1d(np.arange(50), used)
+        m, v = (buf.reshape(50, 6)[never] for buf in opt.moments("embedding"))
+        assert table.value[never].tobytes() == start[never].tobytes()
+        assert m.tobytes() == v.tobytes() == np.zeros_like(m).tobytes()
+    assert len(used) > COMPACT_SHARE * 50
+
+
+def test_compact_table_with_a_non_finite_update_writes_no_row():
+    """A NaN gradient in a live row raises before any table row or later
+    parameter is written. The message names the kind of the smallest flat
+    index that is not finite: row 2's NaN gradient, not row 5's overflowing
+    update, although row 5 went live first."""
+    table, tail = _row_table(np.arange(40.0).reshape(10, 4)), _param([1.0, 2.0])
+    opt = AdamOptimizer({"embedding": table, "tail": tail}, learning_rate=1e308)
+    table._accumulate(np.ones((1, 4)), [5])
+    opt.step()
+    opt.zero_grad()
+    table._accumulate(np.array([[1.0, np.nan, 1.0, 1.0], [1e300] * 4, [0.5] * 4]), [2, 5, 7])
+    tail.grad[...] = 1.0
+    before = opt.values.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError,
+                           match="non-finite gradient in parameter 'embedding'"):
+            opt.step()
+    assert opt.values.tobytes() == before
 
 
 @pytest.mark.parametrize("mode, encoder, cell", [
