@@ -21,40 +21,32 @@ from .knowledge import Substructure
 
 @dataclass
 class KnowledgeMemory:
-    """Stacked substructure vectors plus the substructures they encode."""
-    vectors: Tensor                      # (n, d), one row per substructure
+    """The substructures whose encodings are the memory rows, in row order."""
     substructures: list[Substructure]
-
-    def __post_init__(self):
-        if self.vectors.value.ndim != 2 or self.vectors.shape[0] < 1:
-            raise DimensionError(
-                f"knowledge memory must be a non-empty (n, d) matrix, "
-                f"got {self.vectors.shape}")
-        if self.vectors.shape[0] != len(self.substructures):
-            raise DimensionError(
-                f"{self.vectors.shape[0]} memory rows for "
-                f"{len(self.substructures)} substructures")
 
     @property
     def size(self) -> int:
-        return self.vectors.shape[0]
+        return len(self.substructures)
 
 
-def knowledge_representation(u: Tensor, memory: KnowledgeMemory,
+def knowledge_representation(states: Tensor, memory: KnowledgeMemory,
                              output_net: OutputNetwork) -> tuple[Tensor, Tensor]:
     """Full attention step as one graph node: (guided representation o, weights p).
 
-    p = softmax(M u) over raw inner products (no scaling factor), and
-    o = tanh(W (pᵀM + u) + b). The weights come back as a constant
-    tensor; gradients reach M and u through o.
+    `states` is the encoder's `final_states` as it comes: the memory M,
+    one row per substructure of `memory`, then the sentence vector u as
+    its last row. p = softmax(M u) over raw inner products (no scaling
+    factor), and o = tanh(W (pᵀM + u) + b). The weights come back as a
+    constant tensor; gradients reach `states` through o.
     """
-    m, w, b = memory.vectors, output_net.weight, output_net.bias
-    if u.shape != (m.shape[1],):
+    n, w, b = memory.size, output_net.weight, output_net.bias
+    if n < 1 or states.shape != (n + 1, w.shape[1]):
         raise DimensionError(
-            f"sentence vector {u.shape} does not match memory row "
-            f"dimension {m.shape[1]}")
-    p = softmax_array(m.value @ u.value)
-    s = p @ m.value + u.value
+            f"attention takes ({n + 1}, {w.shape[1]}) final states, {n} substructure "
+            f"rows (at least 1) and the sentence row; got {states.shape}")
+    m, u = states.value[:n], states.value[n]
+    p = softmax_array(m @ u)
+    s = p @ m + u
     o = np.tanh(w.value @ s + b.value)
 
     def bw(g):
@@ -62,14 +54,12 @@ def knowledge_representation(u: Tensor, memory: KnowledgeMemory,
         b._accumulate(d_pre)
         w._accumulate(np.outer(d_pre, s))
         d_s = w.value.T @ d_pre
-        u._accumulate(d_s)
-        m._accumulate(np.outer(p, d_s))
-        d_scores = softmax_array_grad(p, m.value @ d_s)
-        m._accumulate(np.outer(d_scores, u.value))
-        u._accumulate(m.value.T @ d_scores)
-    # Memory before u: the backward pass reaches the substructure encodings
-    # first, the order in which the shared encoder and embedding sum.
-    return Tensor(o, "attention", (m, u, w, b), bw), Tensor(p)
+        d_scores = softmax_array_grad(p, m @ d_s)
+        states._accumulate(np.outer(p, d_s), slice(0, n))
+        states._accumulate(np.outer(d_scores, u), slice(0, n))
+        states._accumulate(d_s, n)
+        states._accumulate(m.T @ d_scores, n)
+    return Tensor(o, "attention", (states, w, b), bw), Tensor(p)
 
 
 @dataclass

@@ -4,11 +4,10 @@ Every graph op is a forward value plus a closure routing the upstream
 gradient to the operands. Each model stage is one fused op beside the
 layer it computes (`embed` in model.py, the encoders, the recurrences
 in cells.py, `attention`, and `tag_output` in tagger.py, which ends in
-the loss); here live the tensor, the backward pass, the one op joining
-the stages (`row_view`, for the rows of the encoder's final states),
-and the numpy helpers the fused ops share. Tensors are rank 0..2,
-stored row-major as float64. A graph and its tensors belong to one
-thread; independent graphs are safe in parallel.
+the loss), so this module defines no op: here live the tensor, the
+backward pass and the numpy helpers the fused ops share. Tensors are
+rank 0..2, stored row-major as float64. A graph and its tensors belong
+to one thread; independent graphs are safe in parallel.
 
 No op reads the switch: inside `no_grad()`, a per-thread switch that
 inference uses, the `Tensor` constructor drops the op name, parents and
@@ -126,20 +125,6 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise DimensionError(msg)
-
-
-# ---------------------------------------------------------------------------
-# the op joining the encoder to the attention step
-
-
-def row_view(t: Tensor, index: int | slice) -> Tensor:
-    """Row `index` (a vector) or rows `index` (a matrix) of t, as a view."""
-    return Tensor(t.value[index], "row_view", (t,), lambda g: t._accumulate(g, index))
-
-
 # ---------------------------------------------------------------------------
 # numpy helpers of the fused ops
 
@@ -161,5 +146,6 @@ def dropout_mask(shape: tuple, rate: float,
     no rescaling), or None when `rate <= 0` or no `rng` is given."""
     if rate <= 0.0 or rng is None:
         return None
-    _require(rate < 1.0, f"dropout: rate must be < 1, got {rate}")
+    if not rate < 1.0:    # NaN too
+        raise DimensionError(f"dropout: rate must be < 1, got {rate}")
     return (rng.random(shape) >= rate) / (1.0 - rate)

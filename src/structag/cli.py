@@ -22,8 +22,8 @@ from .encoders import ENCODER_KINDS
 from .errors import (CheckpointError, ConfigError, CorpusFormatError,
                      DataError, ParseFileError, StructagError)
 from .evaluator import format_report, save_report
-from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, PARSE_KINDS, check_alignment,
-                        load_amr, load_dependency, substructure_stats)
+from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, check_alignment, load_parses,
+                        substructure_stats)
 from .synthetic import SyntheticConfig, generate
 from .tagger import CELL_KINDS, TAGGER_MODES
 from .trainer import (TrainConfig, evaluate_model, load_checkpoint,
@@ -49,7 +49,7 @@ def _path(text: str) -> str:
     return text
 
 
-def _load_parses(path: str | None, kind: str, utterances: list | None,
+def _load_parses(path: str | None, utterances: list | None,
                  id_prefix: str = "u") -> dict | None:
     """Parses by utterance id. Blocks align to a corpus by ordinal, so given
     its `utterances`, each block must fit its utterance (`check_alignment`)."""
@@ -57,8 +57,7 @@ def _load_parses(path: str | None, kind: str, utterances: list | None,
         return None
     if not Path(path).exists():    # any other bad path fails in the loader
         raise DataError(f"parse file not found: {path}")
-    loader = load_dependency if kind == "dependency" else load_amr
-    parses = {p.id: p for p in loader(path, id_prefix=id_prefix)}
+    parses = {p.id: p for p in load_parses(path, id_prefix=id_prefix)}
     if utterances is not None:
         if len(parses) != len(utterances):
             raise DataError(f"{path}: {len(parses)} parse blocks for a corpus of "
@@ -84,7 +83,7 @@ def _load_scored(args) -> tuple:
     """The checkpoint, corpus and parses that `eval` and `inspect-attention` read."""
     model = load_checkpoint(args.model)
     utterances = _load_utterances(args.data)
-    parses = _load_parses(args.parses, args.parse_kind, utterances) or {}
+    parses = _load_parses(args.parses, utterances) or {}
     _note_without_parses(model.config.mode, args.parses)
     return model, utterances, parses
 
@@ -123,11 +122,10 @@ def cmd_train(args) -> int:
     config = _load_train_config(args)
     utterances = _load_utterances(args.train)
     parses = (None if config.mode == "chain" else
-              _load_parses(args.parses, args.parse_kind, utterances))
+              _load_parses(args.parses, utterances))
     _note_without_parses(config.mode, args.parses)
     dev_utterances = _load_utterances(args.dev, id_prefix="d") if args.dev else None
-    dev_parses = _load_parses(args.dev_parses, args.parse_kind,
-                              dev_utterances or [], id_prefix="d")
+    dev_parses = _load_parses(args.dev_parses, dev_utterances or [], id_prefix="d")
     manifest_path = str(args.out) + ".splits.json"
     for path in (args.out, manifest_path):    # before training, which opens --log
         _check_writable(path)
@@ -169,14 +167,10 @@ def cmd_inspect(args) -> int:
         for utt_id in (i for i in args.ids if i not in by_id):
             print(f"note: skipping unknown utterance id {utt_id!r}", file=sys.stderr)
         selected = [by_id[i] for i in args.ids if i in by_id]
-    records = []
-    for utt in selected:
-        _, record = model.tag_utterance(utt, parses.get(utt.id))
-        if record is None:
-            print(f"note: {utt.id}: chain model, no attention to inspect",
-                  file=sys.stderr)
-        else:
-            records.append(record.to_dict())
+    if model.config.mode == "chain":
+        print("note: chain model, no attention to inspect", file=sys.stderr)
+        selected = []
+    records = [model.tag_utterance(u, parses.get(u.id))[1].to_dict() for u in selected]
     payload = json.dumps({"records": records}, indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
@@ -197,24 +191,23 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    parses = _load_parses(args.parses, args.parse_kind, None)
+    parses = _load_parses(args.parses, None)
     stats = substructure_stats(list(parses.values()),
                                max_substructures=args.max_substructures)
     print(json.dumps(stats, indent=2))
     return EXIT_OK
 
 
-def _add_parse_options(p, required: bool = False):
+def _add_parses_option(p, required: bool = False):
     p.add_argument("--parses", type=_path, required=required,
-                   help="parse file aligned with the corpus")
-    p.add_argument("--parse-kind", choices=PARSE_KINDS, default="dependency")
+                   help="parse file aligned with the corpus, of either kind")
 
 
 def _add_scoring_parser(sub, name: str, help: str, func):
     p = sub.add_parser(name, help=help)
     p.add_argument("--model", type=_path, required=True, help="checkpoint path")
     p.add_argument("--data", type=_path, required=True, help="corpus to tag")
-    _add_parse_options(p)
+    _add_parses_option(p)
     p.set_defaults(func=func)
     return p
 
@@ -229,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=_path, required=True,
                    help="training corpus (token<TAB>tag)")
     p.add_argument("--dev", type=_path, help="development corpus for model selection")
-    _add_parse_options(p)
+    _add_parses_option(p)
     p.add_argument("--dev-parses", type=_path, help="parse file aligned with the dev corpus")
     p.add_argument("--config", type=_path, help="JSON file of TrainConfig fields")
     p.add_argument("--out", type=_path, default="model.json", help="checkpoint path")
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("stats", help="substructure counts for a parse file")
-    _add_parse_options(p, required=True)
+    _add_parses_option(p, required=True)
     p.add_argument("--max-substructures", type=int,
                    default=DEFAULT_MAX_SUBSTRUCTURES)
     p.set_defaults(func=cmd_stats)

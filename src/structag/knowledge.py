@@ -14,7 +14,6 @@ from pathlib import Path
 from .errors import ConfigError, DataError, ParseFileError
 
 DEFAULT_MAX_SUBSTRUCTURES = 64
-PARSE_KINDS = ("dependency", "amr")
 
 
 @dataclass
@@ -66,6 +65,15 @@ def _blocks(path: Path):
         block.append(line)
     if block:
         yield ordinal, first, block
+
+
+def load_parses(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
+    """Read a parse file of either kind, told apart by its first block's first
+    line: concept-graph lines start with node, edge or root, dependency rows
+    with a token index."""
+    first = next((lines[0] for _, _, lines in _blocks(Path(path))), "")
+    graph = first.split("\t")[0] in ("node", "edge", "root")
+    return (load_amr if graph else load_dependency)(path, id_prefix)
 
 
 def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:

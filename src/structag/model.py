@@ -10,7 +10,7 @@ import numpy as np
 
 from .attention import (AttentionRecord, KnowledgeMemory,
                         build_attention_record, knowledge_representation)
-from .autodiff import Tensor, dropout_mask, no_grad, row_view
+from .autodiff import Tensor, dropout_mask, no_grad
 from .corpus import Utterance, Vocabulary
 from .encoders import OutputNetwork, make_encoder
 from .errors import DimensionError
@@ -88,9 +88,8 @@ class SlotModel:
             ids = [*(token_ids[pos] for sub in subs for pos in sub.positions), *token_ids]
             finals = self.encoder.final_states(embed(self.embedding, ids, dropout_rate, rng),
                                                [*(len(sub.positions) for sub in subs), n])
-            u, vectors = row_view(finals, len(subs)), row_view(finals, slice(0, len(subs)))
             guided, weights = knowledge_representation(
-                u, KnowledgeMemory(vectors, list(subs)), self.output_net)
+                finals, KnowledgeMemory(list(subs)), self.output_net)
         embedded = embed(self.embedding, token_ids, dropout_rate, rng)
         dist = self.tagger.distributions(embedded, guided, dropout_rate, rng, gold)
         return dist, weights, list(subs)

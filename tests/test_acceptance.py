@@ -15,7 +15,6 @@ import numpy as np
 
 import conlleval_reference as ref
 from gradcheck_util import assert_grads_match, elementwise_mul, set_know, sum_all
-from structag import autodiff as ad
 from structag.attention import KnowledgeMemory, knowledge_representation
 from structag.autodiff import Tensor
 from structag.cells import make_cell
@@ -51,7 +50,7 @@ def _weighted(expr: Tensor, w) -> Tensor:
 # losses of the whole mode x encoder x cell grid use exactly these.
 CHECKED_OPS = frozenset({
     "embed", "nn_encoder", "cnn_encoder", "elman_sequence", "gru_sequence",
-    "row_view", "attention", "tag_output"})
+    "attention", "tag_output"})
 
 
 def _graph_ops(root: Tensor) -> set:
@@ -84,14 +83,6 @@ def _per_op_worst() -> tuple[float, set]:
 
     # Every weight array is drawn once, outside the loss closure, so the
     # loss is a fixed function during the finite-difference sweeps.
-    # Row views of one matrix: one row taken twice and multiplied by
-    # itself, whose gradients must add up, and a block of rows.
-    wm = mat(4, 3)
-    wr, wblock = rng.normal(size=3), rng.normal(size=(3, 3))
-    check(lambda: _weighted(elementwise_mul(ad.row_view(wm, 3), ad.row_view(wm, 3)),
-                            wr), [wm])
-    check(lambda: _weighted(ad.row_view(wm, slice(0, 3)), wblock), [wm])
-
     # The embedding lookup with a repeated id, without and with dropout
     # (a fresh generator per call keeps the mask fixed).
     table = mat(5, 3)
@@ -100,15 +91,15 @@ def _per_op_worst() -> tuple[float, set]:
     check(lambda: _weighted(embed(table, [0, 2, 0, 4], 0.5,
                                   np.random.default_rng(3)), wt), [table])
 
-    # The attention step over one memory row and over three.
+    # The attention step over one memory row and over three, with respect
+    # to the whole final-states matrix (the memory rows, then u).
     net = OutputNetwork(rng, 4)
     for n_rows in (1, 3):
-        rows, u = mat(n_rows, 4), mat(4)
+        states = mat(n_rows + 1, 4)
         wo = rng.normal(size=4)
-        memory = KnowledgeMemory(rows, [Substructure((i,), (), i)
-                                        for i in range(n_rows)])
-        check(lambda: _weighted(knowledge_representation(u, memory, net)[0], wo),
-              [rows, u, net.weight, net.bias])
+        memory = KnowledgeMemory([Substructure((i,), (), i) for i in range(n_rows)])
+        check(lambda: _weighted(knowledge_representation(states, memory, net)[0], wo),
+              [states, net.weight, net.bias])
 
     # The output layer and its loss over one tower and over two, without
     # and with a dropout mask.
@@ -138,18 +129,18 @@ def _per_op_worst() -> tuple[float, set]:
     # and of a ragged batch with a length-1 run and a tie (the memory).
     cell = make_cell("gru", rng, 3, 4)
     xs = mat(6, 3)
-    wv = rng.normal(size=4)
-    check(lambda: _weighted(ad.row_view(cell.final_states(xs, [6]), 0), wv),
+    wv = rng.normal(size=(1, 4))
+    check(lambda: _weighted(cell.final_states(xs, [6]), wv),
           list(cell.params("c").values()) + [xs])
     batch = mat(11, 3)
     wb = rng.normal(size=(4, 4))
     check(lambda: _weighted(cell.final_states(batch, [2, 4, 1, 4]), wb),
           list(cell.params("c").values()) + [batch])
 
-    # Every encoder's sentence vector and memory: two row views of one
+    # Every encoder's memory and sentence vector: the rows of one
     # `final_states` over one lookup of the parts and then the sentence,
-    # whose gradients meet again through the attention step; the
-    # sentence ties the longest part.
+    # which the attention step reads whole; the sentence ties the longest
+    # part.
     subs = [Substructure((i,), (), i) for i in range(3)]
     for kind in ENCODER_KINDS:
         enc, net = make_encoder(kind, rng, 3, 4), OutputNetwork(rng, 4)
@@ -158,8 +149,7 @@ def _per_op_worst() -> tuple[float, set]:
         def attend():
             finals = enc.final_states(embed(table, [5, 3, 2, 1, 0, 2, 4, 0, 1, 2, 3]),
                                       [1, 4, 2, 4])
-            u, vectors = ad.row_view(finals, 3), ad.row_view(finals, slice(0, 3))
-            return knowledge_representation(u, KnowledgeMemory(vectors, subs), net)[0]
+            return knowledge_representation(finals, KnowledgeMemory(subs), net)[0]
         check(lambda: _weighted(attend(), wo),
               list(enc.params("e").values()) + [table, net.weight, net.bias])
 
@@ -240,10 +230,12 @@ def test_criterion_1_checks_every_op_a_training_loss_builds():
 # criterion 2: attention weight properties
 
 
-def attend(u: Tensor, memory: KnowledgeMemory) -> Tensor:
-    """The attention weights of one step, output network drawn at random."""
-    net = OutputNetwork(np.random.default_rng(0), memory.vectors.shape[1])
-    return knowledge_representation(u, memory, net)[1]
+def attend(rows, u) -> Tensor:
+    """The attention weights of `u` over the memory `rows`, output network
+    drawn at random."""
+    memory = KnowledgeMemory([Substructure((i,), (), i) for i in range(len(rows))])
+    net = OutputNetwork(np.random.default_rng(0), len(u))
+    return knowledge_representation(Tensor(np.vstack([rows, u])), memory, net)[1]
 
 
 def test_criterion_2_attention():
@@ -251,17 +243,12 @@ def test_criterion_2_attention():
     normalized = positive = True
     for _ in range(50):
         n, d = rng.integers(1, 9), rng.integers(1, 7)
-        mem = KnowledgeMemory(
-            vectors=Tensor(rng.normal(size=(n, d))),
-            substructures=[Substructure((i,), (), i) for i in range(n)])
-        p = attend(Tensor(rng.normal(size=d)), mem).value
+        rows = rng.normal(size=(n, d))
+        p = attend(rows, rng.normal(size=d)).value
         normalized &= abs(p.sum() - 1.0) < 1e-12
         positive &= bool(np.all(p > 0.0))
 
-    mem = KnowledgeMemory(
-        vectors=Tensor(np.array([[1.0, 0.0], [0.0, 1.0]])),
-        substructures=[Substructure((0,), (), 0), Substructure((1,), (), 1)])
-    p = attend(Tensor(np.array([1.0, 0.0])), mem).value
+    p = attend(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0])).value
     hand = np.abs(p - [0.7311, 0.2689]).max()
     ok = normalized and positive and hand < 1e-4
     _report(2, ok, f"50 random draws normalized and positive, unit logit gap "

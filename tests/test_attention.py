@@ -16,23 +16,27 @@ from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.attention import (KnowledgeMemory, build_attention_record,
                                 knowledge_representation)
 from structag.autodiff import Tensor
-from structag.encoders import OutputNetwork
+from structag.encoders import ENCODER_KINDS, OutputNetwork, make_encoder
 from structag.errors import DimensionError
 from structag.knowledge import Substructure
 
 
-def _memory(rows, n_subs=None):
-    rows = np.array(rows, dtype=float)
-    n = rows.shape[0] if n_subs is None else n_subs
-    subs = [Substructure(positions=(i,), forms=(f"w{i}",), leaf=i)
-            for i in range(n)]
-    return KnowledgeMemory(vectors=Tensor(rows), substructures=subs)
+def _memory(n):
+    return KnowledgeMemory([Substructure(positions=(i,), forms=(f"w{i}",), leaf=i)
+                            for i in range(n)])
 
 
-def attend(u: Tensor, memory: KnowledgeMemory) -> Tensor:
+def _states(rows, u) -> Tensor:
+    """The encoder's final states for memory `rows` and sentence `u`: the
+    rows, then u."""
+    return Tensor(np.vstack([np.asarray(rows, float), np.asarray(u, float)]))
+
+
+def attend(rows, u) -> Tensor:
     """The attention weights of one step, output network drawn at random."""
-    net = OutputNetwork(np.random.default_rng(0), memory.vectors.shape[1])
-    return knowledge_representation(u, memory, net)[1]
+    rows = np.asarray(rows, float)
+    net = OutputNetwork(np.random.default_rng(0), rows.shape[1])
+    return knowledge_representation(_states(rows, u), _memory(len(rows)), net)[1]
 
 
 def compose(rows, u, scale=1.0):
@@ -40,26 +44,23 @@ def compose(rows, u, scale=1.0):
     rows = np.array(rows, dtype=float)
     net = OutputNetwork(np.random.default_rng(0), rows.shape[1])
     net.weight.value[:] = scale * np.eye(rows.shape[1])
-    o, p = knowledge_representation(Tensor(np.array(u, dtype=float)),
-                                    _memory(rows), net)
+    o, p = knowledge_representation(_states(rows, u), _memory(len(rows)), net)
     return p.value, o.value
 
 
 def test_single_row_memory_gets_full_weight():
-    p = attend(Tensor(np.array([0.3, -0.7])), _memory([[1.0, 2.0]]))
+    p = attend([[1.0, 2.0]], [0.3, -0.7])
     np.testing.assert_array_equal(p.value, [1.0])
 
 
 def test_orthogonal_rows_share_weight_uniformly():
-    mem = _memory([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    p = attend(Tensor(np.zeros(3)), mem)
+    p = attend([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.zeros(3))
     np.testing.assert_allclose(p.value, [1 / 3] * 3, rtol=1e-12)
 
 
 def test_two_row_logit_gap_of_one():
     # scores 1 and 0 -> weights [e/(e+1), 1/(e+1)]
-    mem = _memory([[1.0, 0.0], [0.0, 1.0]])
-    p = attend(Tensor(np.array([1.0, 0.0])), mem)
+    p = attend([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     e = math.e
     np.testing.assert_allclose(p.value, [e / (e + 1), 1 / (e + 1)], atol=1e-4)
     np.testing.assert_allclose(p.value, [0.7311, 0.2689], atol=1e-4)
@@ -69,8 +70,8 @@ def test_weights_normalize_on_random_draws():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n, d = rng.integers(1, 8), rng.integers(1, 6)
-        mem = _memory(rng.normal(size=(n, d)))
-        p = attend(Tensor(rng.normal(size=d)), mem)
+        rows = rng.normal(size=(n, d))
+        p = attend(rows, rng.normal(size=d))
         assert p.value.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p.value > 0)
 
@@ -78,10 +79,10 @@ def test_weights_normalize_on_random_draws():
 def test_scaling_a_row_up_raises_its_weight():
     base = np.array([[1.0, 0.5], [0.4, 1.0]])
     u = np.array([1.0, 1.0])
-    p1 = attend(Tensor(u.copy()), _memory(base)).value
+    p1 = attend(base, u).value
     boosted = base.copy()
     boosted[0] *= 3.0
-    p2 = attend(Tensor(u.copy()), _memory(boosted)).value
+    p2 = attend(boosted, u).value
     assert p2[0] > p1[0]
 
 
@@ -89,9 +90,9 @@ def test_permuting_memory_rows_permutes_weights():
     rng = np.random.default_rng(6)
     rows = rng.normal(size=(4, 3))
     u = rng.normal(size=3)
-    p = attend(Tensor(u.copy()), _memory(rows)).value
+    p = attend(rows, u).value
     perm = [2, 0, 3, 1]
-    p_perm = attend(Tensor(u.copy()), _memory(rows[perm])).value
+    p_perm = attend(rows[perm], u).value
     np.testing.assert_allclose(p_perm, p[perm], rtol=1e-12)
 
 
@@ -126,7 +127,7 @@ def test_compose_hand_weights():
 def test_representation_with_memory_equal_to_sentence():
     net = OutputNetwork(np.random.default_rng(7), 3)
     u = np.array([0.4, -0.2, 0.9])
-    o, p = knowledge_representation(Tensor(u.copy()), _memory([u]), net)
+    o, p = knowledge_representation(_states([u], u), _memory(1), net)
     np.testing.assert_array_equal(p.value, [1.0])
     expected = np.tanh(net.weight.value @ (2 * u) + net.bias.value)
     np.testing.assert_allclose(o.value, expected, rtol=1e-12)
@@ -135,40 +136,60 @@ def test_representation_with_memory_equal_to_sentence():
 def test_representation_all_zero_inputs_give_bias_response():
     net = OutputNetwork(np.random.default_rng(8), 2)
     net.bias.value[:] = [0.3, -0.6]
-    o, p = knowledge_representation(Tensor(np.zeros(2)),
-                                    _memory([[0.0, 0.0], [0.0, 0.0]]), net)
+    o, p = knowledge_representation(Tensor(np.zeros((3, 2))), _memory(2), net)
     np.testing.assert_allclose(p.value, [0.5, 0.5], rtol=1e-12)
     np.testing.assert_allclose(o.value, np.tanh([0.3, -0.6]), rtol=1e-12)
 
 
 def test_gradients_reach_every_memory_row_and_sentence_vector():
-    rng = np.random.default_rng(9)
-    vectors = Tensor(rng.normal(size=(3, 2)))
-    u = Tensor(rng.normal(size=2))
-    net = OutputNetwork(rng, 2)
-    const = rng.normal(size=2)
+    # Checked against the whole final-states matrix, at one memory row and
+    # at three: the memory rows' gradients are states.grad[:n], the
+    # sentence vector's states.grad[n].
+    for n in (1, 3):
+        rng = np.random.default_rng(9 + n)
+        states = Tensor(rng.normal(size=(n + 1, 2)))
+        net = OutputNetwork(rng, 2)
+        const = rng.normal(size=2)
+
+        def build_loss():
+            o, _ = knowledge_representation(states, _memory(n), net)
+            return sum_all(elementwise_mul(o, Tensor(const)))
+
+        worst = assert_grads_match(build_loss, [states, net.weight, net.bias], tol=1e-4)
+        states.grad = None
+        build_loss().backward()
+        assert np.all(np.abs(states.grad[:n]).sum(axis=1) > 0)
+        assert np.abs(states.grad[n]).sum() > 0
+        assert worst < 1e-4
+
+
+@pytest.mark.parametrize("kind", ENCODER_KINDS)
+def test_gradients_through_each_encoders_final_states(kind):
+    # The attention step over `final_states` of two substructure runs and
+    # the sentence run, as the model builds it, checked down to the
+    # embedded rows and the encoder's weights.
+    rng = np.random.default_rng(40)
+    enc, net = make_encoder(kind, rng, 3, 2), OutputNetwork(rng, 2)
+    x, const = Tensor(rng.normal(size=(7, 3))), Tensor(rng.normal(size=2))
 
     def build_loss():
-        mem = KnowledgeMemory(vectors=vectors, substructures=[
-            Substructure(positions=(i,), forms=(), leaf=i) for i in range(3)])
-        o, _ = knowledge_representation(u, mem, net)
-        return sum_all(elementwise_mul(o, Tensor(const)))
+        states = enc.final_states(x, [2, 1, 4])
+        o, _ = knowledge_representation(states, _memory(2), net)
+        return sum_all(elementwise_mul(o, const))
 
-    worst = assert_grads_match(
-        build_loss, [vectors, u, net.weight, net.bias], tol=1e-4)
-    build_loss().backward()
-    assert np.all(np.abs(vectors.grad).sum(axis=1) > 0)
-    assert worst < 1e-4
+    assert_grads_match(build_loss, [x, *enc.params("enc").values(),
+                                    *net.params("net").values()])
 
 
 def test_dimension_mismatches_rejected():
-    mem = _memory([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(DimensionError):
-        attend(Tensor(np.array([1.0, 2.0, 3.0])), mem)
-    with pytest.raises(DimensionError):
-        KnowledgeMemory(vectors=Tensor(np.zeros((0, 2))), substructures=[])
-    with pytest.raises(DimensionError):
-        _memory([[1.0, 2.0]], n_subs=3)
+    # An empty memory, a row count other than memory.size + 1, and
+    # columns other than the output network's each raise.
+    net = OutputNetwork(np.random.default_rng(0), 2)
+    for states, n in ((np.zeros((1, 2)), 0), (np.zeros((0, 2)), 0),
+                      (np.zeros((2, 2)), 2), (np.zeros((4, 2)), 2),
+                      (np.zeros(3), 2), (np.zeros((3, 3)), 2)):
+        with pytest.raises(DimensionError):
+            knowledge_representation(Tensor(states), _memory(n), net)
 
 
 def test_attention_record_salience():

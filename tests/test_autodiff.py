@@ -11,11 +11,10 @@ import math
 import numpy as np
 import pytest
 
-import structag.autodiff as ad
 from structag.attention import KnowledgeMemory, knowledge_representation
 from structag.autodiff import Tensor, dropout_mask
 from structag.cells import ElmanCell, GruCell
-from structag.encoders import OutputNetwork
+from structag.encoders import OutputNetwork, RecurrentEncoder
 from structag.errors import DimensionError
 from structag.knowledge import Substructure
 from structag.model import embed
@@ -38,10 +37,13 @@ def _weighted_sum(expr, weights):
     return sum_all(elementwise_mul(expr, weights))
 
 
-def _memory(rows) -> KnowledgeMemory:
-    vectors = rows if isinstance(rows, Tensor) else Tensor(np.asarray(rows, float))
-    return KnowledgeMemory(vectors, [Substructure((i,), (), i)
-                                     for i in range(vectors.shape[0])])
+def _memory(n) -> KnowledgeMemory:
+    return KnowledgeMemory([Substructure((i,), (), i) for i in range(n)])
+
+
+def _attention(states: Tensor, net):
+    """(o, p) of the attention step over final states (memory rows, then u)."""
+    return knowledge_representation(states, _memory(states.shape[0] - 1), net)
 
 
 def _net(dim, weight=None, bias=None, seed=0) -> OutputNetwork:
@@ -55,9 +57,8 @@ def _net(dim, weight=None, bias=None, seed=0) -> OutputNetwork:
 
 def _attend(u, rows, net=None):
     """Attention weights p of `u` over the memory `rows`."""
-    rows = np.asarray(rows, float)
-    return knowledge_representation(Tensor(np.asarray(u, float)), _memory(rows),
-                                    net or _net(rows.shape[1]))[1].value
+    states = Tensor(np.vstack([np.asarray(rows, float), np.asarray(u, float)]))
+    return _attention(states, net or _net(states.shape[1]))[1].value
 
 
 def _softmax_rows(logits):
@@ -73,7 +74,7 @@ def test_add_same_shape():
     # The attention step adds the memory sum to the sentence vector: one
     # memory row m gets all the weight, so o = tanh(W (m + u) + b).
     net = _net(2, weight=np.eye(2), bias=0.0)
-    o, _ = knowledge_representation(Tensor([0.1, 0.2]), _memory([[0.3, -0.5]]), net)
+    o, _ = _attention(Tensor([[0.3, -0.5], [0.1, 0.2]]), net)
     np.testing.assert_allclose(o.value, np.tanh([0.4, -0.3]), rtol=1e-12)
 
 
@@ -88,9 +89,8 @@ def test_add_broadcast_rows():
 
 def test_add_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError) as err:
-        knowledge_representation(Tensor(np.zeros(3)), _memory(np.zeros((2, 2))),
-                                 _net(2))
-    assert "(3,)" in str(err.value) and "dimension 2" in str(err.value)
+        _attention(Tensor(np.zeros((3, 3))), _net(2))
+    assert "(3, 3)" in str(err.value) and "(3, 2)" in str(err.value)
 
 
 def test_matmul_hand_case():
@@ -307,11 +307,9 @@ def test_grad_add_same_shape():
     # With one memory row the weight is constant, so u and the row reach
     # o only through their sum.
     rng = np.random.default_rng(10)
-    u, rows, w = _t(rng, 4), _t(rng, 1, 4), _const(rng, 4)
+    states, w = _t(rng, 2, 4), _const(rng, 4)
     net = _net(4, seed=10)
-    assert_grads_match(
-        lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], w),
-        [u, rows])
+    assert_grads_match(lambda: _weighted_sum(_attention(states, net)[0], w), [states])
 
 
 def test_grad_add_broadcast():
@@ -342,11 +340,10 @@ def test_grad_matmul_all_rank_combinations():
     assert_grads_match(
         lambda: tag_output([states], 0.5, wo, b, gold=[0, 1, 1]), [states, wo])
     # matrix @ vector (M u, W s) and vector @ matrix (pᵀM) in attention
-    u, rows, w_att = _t(rng, 4), _t(rng, 3, 4), _const(rng, 4)
+    states, w_att = _t(rng, 4, 4), _const(rng, 4)
     net = _net(4, seed=14)
     assert_grads_match(
-        lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], w_att),
-        [u, rows, net.weight])
+        lambda: _weighted_sum(_attention(states, net)[0], w_att), [states, net.weight])
     # matrix @ vector: the knowledge projections K g of a recurrence
     cell = ElmanCell(rng, 2, 3, knowledge_dim=5)
     x, guided = _t(rng, 2, 2), _t(rng, 5)
@@ -361,21 +358,17 @@ def test_grad_sum_tanh():
     a = _t(rng, 3, 3)
     assert_grads_match(lambda: sum_all(a), [a])
     # tanh(W s + b) closes the attention step: its derivative reaches b.
-    u, rows, w = _t(rng, 3), _t(rng, 2, 3), _const(rng, 3)
+    states, w = _t(rng, 3, 3), _const(rng, 3)
     net = _net(3, seed=15)
-    assert_grads_match(
-        lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], w),
-        [net.bias])
+    assert_grads_match(lambda: _weighted_sum(_attention(states, net)[0], w), [net.bias])
 
 
 def test_grad_softmax_vector_and_rows():
     rng = np.random.default_rng(16)
     # Vector softmax: the attention weights, reached through the scores.
-    u, rows, wv = _t(rng, 3), _t(rng, 5, 3), _const(rng, 3)
+    states, wv = _t(rng, 6, 3), _const(rng, 3)
     net = _net(3, seed=16)
-    assert_grads_match(
-        lambda: _weighted_sum(knowledge_representation(u, _memory(rows), net)[0], wv),
-        [u, rows])
+    assert_grads_match(lambda: _weighted_sum(_attention(states, net)[0], wv), [states])
     # Row softmax: the output layer's per-token distributions, read
     # through the log-likelihood of the gold tags.
     states, wo, b = _t(rng, 3, 2), _t(rng, 2, 4), _t(rng, 4)
@@ -387,9 +380,9 @@ def test_grad_row_ops():
     rng = np.random.default_rng(18)
     a = _t(rng, 5, 3)
     # A recurrence read at its final row only: the rnn encoder's output.
-    cell, wv = GruCell(rng, 3, 2), _const(rng, 2)
+    cell, wv = GruCell(rng, 3, 2), _const(rng, 1, 2)
     assert_grads_match(
-        lambda: _weighted_sum(ad.row_view(cell.final_states(a, [5]), 0), wv),
+        lambda: _weighted_sum(cell.final_states(a, [5]), wv),
         [a, *cell.params("").values()])
     wt = _const(rng, 4, 3)
     assert_grads_match(lambda: _weighted_sum(embed(a, [0, 0, 4, 2]), wt), [a])
@@ -409,13 +402,13 @@ def test_grad_composed_chain():
     # embedding feeds two of them, and the final state of the third guides
     # one of them.
     rng = np.random.default_rng(21)
-    table, cell = _t(rng, 4, 2), GruCell(rng, 2, 3, knowledge_dim=3)
+    table, cell = _t(rng, 4, 2), RecurrentEncoder(rng, 2, 3, knowledge_dim=3)
     set_know(cell, {g: rng.normal(size=(3, 3)) for g in cell.GATES})
     wo, b = _t(rng, 3, 4), _t(rng, 4)
 
     def loss():
         x = embed(table, [0, 2, 0])
-        guided = ad.row_view(cell.final_states(embed(table, [1, 3]), [2]), 0)
+        guided = cell.encode(embed(table, [1, 3]))
         states = [cell.sequence(x), cell.sequence(x, guided)]
         return tag_output(states, 0.4, wo, b, gold=[0, 1, 3])
 

@@ -243,6 +243,18 @@ def test_inspect_attention_on_chain_model_notes_absence(workspace, tmp_path,
     assert json.loads(captured.out) == {"records": []}
 
 
+def test_inspect_attention_on_chain_model_notes_once(workspace, chain_ckpt, tmp_path,
+                                                     capsys):
+    # One note for the whole corpus, not one per utterance.
+    corpus = _write_blocks(_blocks(workspace["data"] / "corpus.tsv")[:3],
+                           tmp_path / "three.tsv")
+    assert main(["inspect-attention", "--model", str(chain_ckpt),
+                 "--data", str(corpus)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["note: chain model, no attention to inspect"]
+    assert json.loads(captured.out) == {"records": []}
+
+
 def test_stats_reports_substructure_counts(workspace, capsys):
     code = main(["stats",
                  "--parses", str(workspace["data"] / "dependencies.tsv")])
@@ -254,11 +266,55 @@ def test_stats_reports_substructure_counts(workspace, capsys):
 
 
 def test_stats_on_concept_graphs(workspace, capsys):
-    code = main(["stats", "--parses", str(workspace["data"] / "graphs.tsv"),
-                 "--parse-kind", "amr"])
+    code = main(["stats", "--parses", str(workspace["data"] / "graphs.tsv")])
     assert code == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["utterances"] == 12
+
+
+@pytest.mark.parametrize("kind", ["dependencies", "graphs"])
+def test_parse_files_of_either_kind_load_without_a_kind_flag(workspace, tmp_path,
+                                                              capsys, kind):
+    # The file says which kind it is: train, eval, inspect-attention and
+    # stats read a dependency file and a concept-graph file alike.
+    data, parses = workspace["data"], str(workspace["data"] / f"{kind}.tsv")
+    ckpt = tmp_path / "model.json"
+    assert main(["train", "--train", str(data / "corpus.tsv"), "--parses", parses,
+                 "--dev", str(data / "corpus.tsv"), "--dev-parses", parses,
+                 "--out", str(ckpt), "--epochs", "1", "--embed-dim", "4",
+                 "--hidden-size", "4", "--quiet"]) == 0
+    scored = ["--model", str(ckpt), "--data", str(data / "corpus.tsv"), "--parses", parses]
+    assert main(["eval", *scored]) == 0
+    assert main(["inspect-attention", *scored, "--ids", "u0003"]) == 0
+    assert main(["stats", "--parses", parses]) == 0
+    out = capsys.readouterr().out
+    assert '"records"' in out and '"max_substructures"' in out
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "inspect-attention", "stats"])
+def test_parse_kind_flag_is_unknown(workspace, capsys, command):
+    data = workspace["data"]
+    args = {"train": ["--train", str(data / "corpus.tsv")],
+            "stats": []}.get(command, ["--model", str(workspace["ckpt"]),
+                                       "--data", str(data / "corpus.tsv")])
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *args, "--parses", str(data / "graphs.tsv"),
+              "--parse-kind", "amr"])
+    assert exit_.value.code == 1
+    assert "unrecognized arguments: --parse-kind amr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("# a comment\n\n1\tshow\t0\n2\tme\tx\n", "non-numeric index or head"),
+    ("\n# a comment\nnode\tn0\tshow\t1\nroot\tn1\n", "bad root line"),
+    ("node\tn0\tshow\t1\nroot\tn0\n\n1\tshow\t0\n", "unknown line kind '1'")])
+def test_malformed_parse_file_of_either_kind_exits_2(tmp_path, capsys, text, expected):
+    # The first content line picks the loader, which names the fault.
+    path = tmp_path / "parses.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["stats", "--parses", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and expected in err[0], err
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
@@ -504,7 +560,7 @@ def test_non_numeric_amr_token_index_exits_2(tmp_path, capsys):
     graphs = tmp_path / "graphs.tsv"
     graphs.write_text("node\tn0\twant\t1\nroot\tn0\n\n"
                       "node\tn0\twant\tx1\nroot\tn0\n")
-    assert main(["stats", "--parses", str(graphs), "--parse-kind", "amr"]) == 2
+    assert main(["stats", "--parses", str(graphs)]) == 2
     err = capsys.readouterr().err
     assert "u0001" in err and "x1" in err
 
@@ -738,10 +794,10 @@ def test_parse_file_missing_a_block_exits_2(workspace, tmp_path, capsys,
 
 
 
-def _inspect(workspace, parses: Path, kind: str, utt_id: str) -> list:
+def _inspect(workspace, parses: Path, utt_id: str) -> list:
     return ["inspect-attention", "--model", str(workspace["ckpt"]),
             "--data", str(workspace["data"] / "corpus.tsv"),
-            "--parses", str(parses), "--parse-kind", kind, "--ids", utt_id]
+            "--parses", str(parses), "--ids", utt_id]
 
 
 @pytest.mark.parametrize("same_length", (False, True))
@@ -756,7 +812,7 @@ def test_dependency_blocks_out_of_order_exit_2(workspace, tmp_path, capsys,
              if (size[j] == size[1]) == same_length and blocks[j] != blocks[1])
     blocks[1], blocks[j] = blocks[j], blocks[1]
     swapped = _write_blocks(blocks, tmp_path / "swapped.tsv")
-    assert main(_inspect(workspace, swapped, "dependency", "u0001")) == 2
+    assert main(_inspect(workspace, swapped, "u0001")) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
@@ -780,7 +836,7 @@ def test_concept_graph_aligned_past_its_utterance_exits_2(workspace, tmp_path,
     lines[k] = "\t".join(cols[:3] + ["99"])
     blocks[-1] = "\n".join(lines)
     bad = _write_blocks(blocks, tmp_path / "graphs.tsv")
-    assert main(_inspect(workspace, bad, "amr", "u0000")) == 2
+    assert main(_inspect(workspace, bad, "u0000")) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(bad) in err[0]
     assert f"utterance u{len(blocks) - 1:04d}" in err[0]
@@ -788,6 +844,5 @@ def test_concept_graph_aligned_past_its_utterance_exits_2(workspace, tmp_path,
 
 
 def test_generated_concept_graphs_pass_the_alignment_check(workspace, capsys):
-    assert main(_inspect(workspace, workspace["data"] / "graphs.tsv", "amr",
-                         "u0003")) == 0
+    assert main(_inspect(workspace, workspace["data"] / "graphs.tsv", "u0003")) == 0
     assert json.loads(capsys.readouterr().out)["records"]

@@ -5,7 +5,7 @@ import pytest
 
 from gradcheck_util import assert_grads_match, elementwise_mul, sum_all
 from structag.attention import KnowledgeMemory, knowledge_representation
-from structag.autodiff import Tensor, row_view
+from structag.autodiff import Tensor
 from structag.encoders import (CNN_WINDOW, ENCODER_KINDS, ConvolutionalEncoder,
                                OutputNetwork, make_encoder)
 from structag.errors import DimensionError
@@ -20,8 +20,8 @@ def _embed(rows):
 
 
 def _encode(enc, x):
-    """The encoding of x (n, E) as one run: row 0 of `final_states`."""
-    return row_view(enc.final_states(x, [x.shape[0]]), 0)
+    """The encoding of x (n, E) as one run: `final_states`, a (1, d) matrix."""
+    return enc.final_states(x, [x.shape[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ def test_nn_single_token_is_projection():
     x = np.array([0.5, -1.0, 2.0])
     out = _encode(enc, _embed([x]))
     expected = x @ enc.weight.value + enc.bias.value
-    np.testing.assert_allclose(out.value, expected, rtol=1e-12)
+    np.testing.assert_allclose(out.value[0], expected, rtol=1e-12)
 
 
 def test_nn_repeated_token_matches_single():
@@ -49,7 +49,7 @@ def test_nn_three_token_oracle():
     rows = RNG(30).normal(size=(3, 3))
     out = _encode(enc, Tensor(rows.copy()))
     expected = rows.mean(axis=0) @ enc.weight.value + enc.bias.value
-    np.testing.assert_allclose(out.value, expected, rtol=1e-12)
+    np.testing.assert_allclose(out.value[0], expected, rtol=1e-12)
 
 
 def test_nn_order_insensitive():
@@ -140,31 +140,35 @@ def test_rnn_memory_matches_per_sequence_runs():
 def test_rnn_memory_gradients_match_per_sequence_runs():
     # Parts of a 4-token sentence: one part, four ragged parts with a
     # length-1 run, and a fallback part that is the whole sentence, so two
-    # runs tie for the longest. The sentence vector and the memory are
-    # row views of one batch, as in the model, and both reach the loss
-    # through the attention step; the separate runs are the memory batch
-    # and the sentence on its own.
+    # runs tie for the longest. The attention step reads the memory and
+    # the sentence vector off one batch, as in the model; its gradient at
+    # the batch's rows, sent down the separate runs (the memory batch and
+    # the sentence on its own), gives the same encoder and table gradients.
     enc, net = make_encoder("rnn", RNG(31), 3, 4), OutputNetwork(RNG(314), 4)
     const = Tensor(RNG(312).normal(size=4))
     sentence = [0, 1, 2, 3]
     for parts in ([[4, 1]], [[5, 6, 1], [7], [0, 1, 2, 3], [3, 2]], [sentence]):
         table, x, lengths = _runs(310, parts, sentence)
-        tensors = [*enc.params("enc").values(), *net.params("net").values(), table]
+        tensors = [*enc.params("enc").values(), table]
         subs = [Substructure((i,), (), i) for i in range(len(parts))]
 
-        def grads(u, vectors):
+        def grads(*outputs):
             for t in tensors:
                 t.grad = None
-            guided, _ = knowledge_representation(
-                u, KnowledgeMemory(vectors, subs), net)
-            sum_all(elementwise_mul(guided, const)).backward()
-            return [u.value, vectors.value] + [t.grad.copy() for t in tensors]
+            for out, upstream in outputs:
+                sum_all(elementwise_mul(out, Tensor(upstream))).backward()
+            return [t.grad.copy() for t in tensors]
 
         finals = enc.final_states(x, lengths)
-        merged = grads(row_view(finals, len(parts)),
-                       row_view(finals, slice(0, len(parts))))
-        separate = grads(enc.encode(embed(table, sentence)), enc.final_states(
-            embed(table, [i for ids in parts for i in ids]), lengths[:-1]))
+        guided, _ = knowledge_representation(finals, KnowledgeMemory(subs), net)
+        merged = grads((guided, const.value))
+        d = finals.grad
+        memory = enc.final_states(embed(table, [i for ids in parts for i in ids]),
+                                  lengths[:-1])
+        alone = enc.encode(embed(table, sentence))
+        separate = grads((memory, d[:-1]), (alone, d[-1]))
+        np.testing.assert_allclose(finals.value, np.vstack([memory.value, alone.value]),
+                                   rtol=0, atol=1e-12)
         for a, b in zip(merged, separate):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -180,7 +184,7 @@ def test_encode_knowledge_gives_one_row_per_part(kind):
     finals = enc.final_states(x, lengths)
     assert finals.shape == (4, 4)
     for row, ids in zip(finals.value, parts + [sentence]):
-        np.testing.assert_allclose(row, _encode(enc, embed(table, ids)).value,
+        np.testing.assert_allclose(row, _encode(enc, embed(table, ids)).value[0],
                                    rtol=0, atol=1e-12)
     if kind != "rnn":
         assert finals.op == f"{kind}_encoder"
@@ -222,14 +226,14 @@ def test_cnn_single_token_oracle():
     enc = make_encoder("cnn", RNG(9), 2, 3)
     rows = np.array([[1.0, -2.0]])
     out = _encode(enc, Tensor(rows.copy()))
-    np.testing.assert_allclose(out.value, _cnn_numpy(enc, rows), rtol=1e-12)
+    np.testing.assert_allclose(out.value[0], _cnn_numpy(enc, rows), rtol=1e-12)
 
 
 def test_cnn_four_token_oracle():
     enc = make_encoder("cnn", RNG(10), 3, 2)
     rows = RNG(100).normal(size=(4, 3))
     out = _encode(enc, Tensor(rows.copy()))
-    np.testing.assert_allclose(out.value, _cnn_numpy(enc, rows), rtol=1e-12)
+    np.testing.assert_allclose(out.value[0], _cnn_numpy(enc, rows), rtol=1e-12)
 
 
 def test_cnn_order_sensitive():
@@ -248,7 +252,7 @@ def test_cnn_dominant_window_survives_appended_token():
     enc.bias.value[:] = 0.0
     short = _encode(enc, _embed([[10.0], [0.0], [0.0]]))
     longer = _encode(enc, _embed([[10.0], [0.0], [0.0], [1.0]]))
-    assert short.value[0] == np.tanh(10.0)
+    assert short.value[0, 0] == np.tanh(10.0)
     np.testing.assert_array_equal(short.value, longer.value)
 
 
@@ -296,7 +300,7 @@ def test_output_is_vector_of_requested_size(kind):
     for length in range(1, 6):
         rows = RNG(length).normal(size=(length, 3))
         out = _encode(enc, Tensor(rows))
-        assert out.shape == (4,)
+        assert out.shape == (1, 4)
         assert np.all(np.isfinite(out.value))
 
 
@@ -313,7 +317,7 @@ def test_empty_sequence_rejected(kind):
 def test_encoder_gradients(kind):
     enc = make_encoder(kind, RNG(15), 2, 3)
     x = Tensor(RNG(150).normal(size=(3, 2)))
-    const = RNG(151).normal(size=3)
+    const = RNG(151).normal(size=(1, 3))
     tensors = list(enc.params("enc").values()) + [x]
 
     def build_loss():
@@ -335,9 +339,9 @@ def _apply(net, v):
     """The output network's response to v: a one-row memory holding v
     gets weight 1 and a zero sentence vector adds nothing, so the
     attention step returns tanh(W v + b)."""
-    memory = KnowledgeMemory(Tensor(np.array([v], dtype=float)),
-                             [Substructure((0,), ("w",), 0)])
-    return knowledge_representation(Tensor(np.zeros(len(v))), memory, net)[0]
+    states = Tensor(np.array([v, np.zeros(len(v))], dtype=float))
+    return knowledge_representation(states, KnowledgeMemory([Substructure((0,), ("w",), 0)]),
+                                    net)[0]
 
 
 def test_output_network_zero_weights():

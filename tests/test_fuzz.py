@@ -18,8 +18,7 @@ import pytest
 from structag.cli import main
 from structag.corpus import load_corpus
 from structag.errors import CheckpointError, StructagError
-from structag.knowledge import (check_alignment, load_amr, load_dependency,
-                                substructures_with_fallback)
+from structag.knowledge import check_alignment, load_parses, substructures_with_fallback
 from structag.trainer import evaluate_model, load_checkpoint
 from test_cli import _run_cli
 
@@ -62,7 +61,7 @@ def inputs(tmp_path_factory):
                  "--seed", "21"]) == 0
     ckpt = root / "model.json"
     assert main(["train", "--train", str(root / "corpus.tsv"),
-                 "--parses", str(root / "graphs.tsv"), "--parse-kind", "amr",
+                 "--parses", str(root / "graphs.tsv"),
                  "--encoder", "rnn", "--out", str(ckpt), "--epochs", "1",
                  "--embed-dim", "4", "--hidden-size", "4", "--quiet"]) == 0
     return {"corpus": root / "corpus.tsv", "dependency": root / "dependencies.tsv",
@@ -71,15 +70,15 @@ def inputs(tmp_path_factory):
 
 
 def _load_and_use(kind: str, path: Path, inputs):
-    """The loader of `kind` on `path`, then what the toolkit does next."""
+    """The loader of `kind` on `path`, then what the toolkit does next. A
+    parse file's loader is chosen from the file, as the command line does."""
     utts = inputs["utterances"]
     if kind == "corpus":
         load_corpus(path)
     elif kind == "checkpoint":
         evaluate_model(load_checkpoint(path), utts[:2])
     else:
-        loader = load_dependency if kind == "dependency" else load_amr
-        parses = {p.id: p for p in loader(path)}
+        parses = {p.id: p for p in load_parses(path)}
         check_alignment(parses, utts, path)
         for utt in utts:
             substructures_with_fallback(parses.get(utt.id), len(utt.tokens))
@@ -129,6 +128,23 @@ def test_checkpoint_with_mistyped_fields_raises_checkpoint_error(
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("kind", ("dependency", "amr"))
+def test_mutated_parse_files_exit_2_with_one_error_line(inputs, tmp_path, capsys, kind):
+    # Whichever loader a mutant's first line picks, `eval` either scores
+    # the corpus or ends in exit 2 and one `error:` line, its last.
+    rejected = 0
+    for path in _mutants(kind, inputs, tmp_path):
+        code = main(["eval", "--model", str(inputs["checkpoint"]),
+                     "--data", str(inputs["corpus"]), "--parses", str(path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2), (path.name, err)
+        if code:
+            rejected += 1
+            assert [line for line in err if line.startswith("error:")] == err[-1:], (
+                path.name, err)
+    assert rejected > MUTANTS // 2
+
+
 def test_mutated_inputs_through_the_cli_exit_cleanly(inputs, tmp_path):
     # One mutant of each file, through the command that reads it.
     corpus, ckpt = str(inputs["corpus"]), str(inputs["checkpoint"])
@@ -139,8 +155,7 @@ def test_mutated_inputs_through_the_cli_exit_cleanly(inputs, tmp_path):
          "--epochs", "1", "--embed-dim", "4", "--hidden-size", "4", "--quiet"],
         ["inspect-attention", "--model", ckpt, "--data", corpus,
          "--parses", mutant["dependency"]],
-        ["eval", "--model", ckpt, "--data", corpus, "--parse-kind", "amr",
-         "--parses", mutant["amr"]],
+        ["eval", "--model", ckpt, "--data", corpus, "--parses", mutant["amr"]],
         ["eval", "--model", mutant["checkpoint"], "--data", corpus],
     ]
     for args in commands:

@@ -8,10 +8,10 @@ import threading
 import numpy as np
 import pytest
 
-from structag.autodiff import Tensor, no_grad, row_view
+from structag.autodiff import Tensor, no_grad
 from structag.corpus import Vocabulary, load_corpus
 from structag.knowledge import load_amr, load_dependency, substructures_with_fallback
-from structag.model import SlotModel
+from structag.model import SlotModel, embed
 from structag.synthetic import SyntheticConfig, generate
 from structag.trainer import TrainConfig
 
@@ -36,7 +36,7 @@ def data(tmp_path_factory):
 
 def _records() -> bool:
     """Whether ops on this thread build graph nodes."""
-    return row_view(Tensor([1.0]), 0).op == "row_view"
+    return embed(Tensor([[1.0]]), [0]).op == "embed"
 
 
 def _collecting_init(made):

@@ -434,8 +434,8 @@ def _graph_ops(root) -> list[str]:
 
 
 @pytest.mark.parametrize("mode,encoder,cell,nodes", [
-    ("joint", "rnn", "gru", 35), ("joint", "nn", "gru", 31),
-    ("joint", "cnn", "gru", 31), ("chain", "nn", "elman", 8)])
+    ("joint", "rnn", "gru", 33), ("joint", "nn", "gru", 29),
+    ("joint", "cnn", "gru", 29), ("chain", "nn", "elman", 8)])
 def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                                                         nodes):
     # Each model stage is one graph node however many tokens it runs over,
@@ -443,8 +443,8 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
     # chain graph is 5 parameters, embed, elman_sequence and tag_output.
     # The joint graphs over two substructures end in attention and
     # tag_output. Both hold 2 embeds (the encoder's runs, the towers'
-    # input) and 2 row views of the encoder's final states (the sentence
-    # vector and the memory). With rnn they also hold 26 parameters and
+    # input), and the attention node reads the encoder's final states
+    # whole. With rnn they also hold 26 parameters and
     # 3 GRU runs (one batch of the two substructures and the sentence,
     # 2 towers); with nn or cnn, 22 parameters (the encoder's weight and
     # bias in place of the GRU's six), one encoder node over the 3 runs
@@ -471,9 +471,9 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
 @pytest.mark.parametrize("n_subs", [2, 5])
 def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
     # Under every encoder, not only rnn: one embedding and one encoder
-    # node over the substructures and the sentence, its 2 row views, and
-    # the towers' embedding and two runs, however many substructures the
-    # utterance has.
+    # node over the substructures and the sentence, read whole by the
+    # attention node, and the towers' embedding and two runs, however many
+    # substructures the utterance has.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -492,7 +492,7 @@ def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
         loss = model.loss(vocab.encode_tokens(tokens), vocab.encode_tags(("O",) * 6),
                           subs, 0.25, RNG(270))
         ops = _graph_ops(loss)
-        for op, n in {**counts, "row_view": 2, "embed": 2}.items():
+        for op, n in {**counts, "attention": 1, "embed": 2}.items():
             assert ops.count(op) == n, (encoder, op)
 
 
@@ -515,11 +515,10 @@ def _stacked(parts):
 def _reference_loss(model, token_ids, tag_ids, subs, rate, rng):
     """The loss as the model built it before every encoder took its runs
     through `final_states`: under nn and cnn one lookup and one encoding
-    node per substructure and then the sentence, the substructures'
-    stacked as the memory; under rnn one lookup of the parts and the
-    sentence and one GRU batch."""
+    node per substructure and then the sentence, stacked as the final
+    states; under rnn one lookup of the parts and the sentence and one
+    GRU batch."""
     from structag.attention import KnowledgeMemory, knowledge_representation
-    from structag.autodiff import row_view
     from structag.model import embed
 
     def lookup(ids):
@@ -527,14 +526,11 @@ def _reference_loss(model, token_ids, tag_ids, subs, rate, rng):
 
     enc, parts = model.encoder, [[token_ids[p] for p in s.positions] for s in subs]
     if model.config.encoder == "rnn":
-        finals = enc.final_states(lookup([i for ids in (*parts, token_ids) for i in ids]),
+        states = enc.final_states(lookup([i for ids in (*parts, token_ids) for i in ids]),
                                   [*map(len, parts), len(token_ids)])
-        u, memory = row_view(finals, len(parts)), row_view(finals, slice(0, len(parts)))
     else:
-        memory = _stacked([_encoded(enc, lookup(ids)) for ids in parts])
-        u = _encoded(enc, lookup(token_ids))
-    guided, _ = knowledge_representation(u, KnowledgeMemory(memory, subs),
-                                         model.output_net)
+        states = _stacked([_encoded(enc, lookup(ids)) for ids in (*parts, token_ids)])
+    guided, _ = knowledge_representation(states, KnowledgeMemory(subs), model.output_net)
     return model.tagger.distributions(lookup(token_ids), guided, rate, rng, tag_ids)
 
 
