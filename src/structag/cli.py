@@ -55,8 +55,6 @@ def _load_parses(path: str | None, utterances: list | None,
     its `utterances`, each block must fit its utterance (`check_alignment`)."""
     if path is None:
         return None
-    if not Path(path).exists():    # any other bad path fails in the loader
-        raise DataError(f"parse file not found: {path}")
     parses = {p.id: p for p in load_parses(path, id_prefix=id_prefix)}
     if utterances is not None:
         if len(parses) != len(utterances):

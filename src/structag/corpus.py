@@ -2,6 +2,8 @@
 
 Corpus file format: UTF-8, one "token<TAB>tag" line per token, blank line
 between utterances (conlleval-ready). Tokens are lowercased on load.
+`read_blocks` splits corpus and parse files alike into blocks, and
+`utterance_id` numbers them.
 """
 
 from __future__ import annotations
@@ -33,58 +35,74 @@ def validate_iob(tags: tuple[str, ...] | list[str]) -> str | None:
     """Return a description of the first IOB violation, or None if valid."""
     prev = "O"
     for i, tag in enumerate(tags):
-        if not _TAG_RE.match(tag):
-            return f"tag {tag!r} at position {i} is not O, B-<type>, or I-<type>"
-        if tag.startswith("I-"):
-            if prev == "O":
-                return f"tag {tag!r} at position {i} follows O"
-            if prev[2:] != tag[2:]:
-                return f"tag {tag!r} at position {i} follows type {prev[2:]!r}"
+        if tag != "O":    # most tags; skipping the pattern keeps loading fast
+            if not _TAG_RE.match(tag):
+                return f"tag {tag!r} at position {i} is not O, B-<type>, or I-<type>"
+            if tag[0] == "I" and prev[2:] != tag[2:]:
+                after = "O" if prev == "O" else f"type {prev[2:]!r}"
+                return f"tag {tag!r} at position {i} follows {after}"
         prev = tag
     return None
 
 
+def utterance_id(prefix: str, ordinal: int) -> str:
+    """The id of a file's `ordinal`-th block (0-based), which pairs an
+    utterance with its parse."""
+    return f"{prefix}{ordinal:04d}"
+
+
+def read_blocks(path: str | Path, error: type, comments: bool = False):
+    """Yield (first line number, lines) for each block of non-blank lines of
+    a UTF-8 file, a leading byte-order mark dropped. Undecodable text, or a
+    U+FEFF past the start, raises `error`. With `comments`, lines starting
+    with '#' are left out without breaking a block."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = text.split("\n")
+    if "\ufeff" in text:
+        number = next(n for n, line in enumerate(lines, 1) if "\ufeff" in line)
+        raise error(f"{path}:{number}: byte-order mark (U+FEFF) after the start "
+                    "of the file")
+    numbers = range(1, len(lines) + 1)
+    # Only a file that has comment lines pays for filtering them out.
+    if comments and (text.startswith("#") or "\n#" in text):
+        numbers = [n for n, line in zip(numbers, lines) if not line.startswith("#")]
+        lines = [line for line in lines if not line.startswith("#")]
+    lines.append("")    # ends a last block that has no newline after it
+    start = 0
+    for end in [i for i, line in enumerate(lines) if not line.strip()]:
+        if end > start:
+            yield numbers[start], lines[start:end]
+        start = end + 1
+
+
 def load_corpus(path: str | Path, id_prefix: str = "u") -> list[Utterance]:
-    """Parse a tab-separated corpus file into utterances, in file order."""
+    """Parse a tab-separated corpus file into utterances, in file order. A
+    line starting with '#' is a token like any other."""
     path = Path(path)
     utterances: list[Utterance] = []
-    tokens: list[str] = []
-    tags: list[str] = []
-    start_line = 1
-
-    def flush(line_no):
-        if not tokens:
-            return
+    for first, lines in read_blocks(path, CorpusFormatError):
+        tokens, tags = [], []
+        for line_no, line in enumerate(lines, first):
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise CorpusFormatError(
+                    f"{path}:{line_no}: expected 'token<TAB>tag', "
+                    f"got {len(cols)} columns")
+            token, tag = cols
+            if not token or not tag:
+                raise CorpusFormatError(f"{path}:{line_no}: empty token or tag")
+            tokens.append(token.lower())
+            tags.append(tag)
         problem = validate_iob(tags)
         if problem is not None:
             raise CorpusFormatError(
-                f"{path}: utterance starting at line {start_line}: {problem}")
-        utterances.append(Utterance(
-            id=f"{id_prefix}{len(utterances):04d}",
-            tokens=tuple(tokens), tags=tuple(tags)))
-        tokens.clear()
-        tags.clear()
-
-    try:
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            flush(line_no)
-            start_line = line_no + 1
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise CorpusFormatError(
-                f"{path}:{line_no}: expected 'token<TAB>tag', "
-                f"got {len(cols)} columns")
-        token, tag = cols
-        if not token or not tag:
-            raise CorpusFormatError(f"{path}:{line_no}: empty token or tag")
-        tokens.append(token.lower())
-        tags.append(tag)
-    flush(line_no=None)
+                f"{path}: utterance starting at line {first}: {problem}")
+        utterances.append(Utterance(id=utterance_id(id_prefix, len(utterances)),
+                                    tokens=tuple(tokens), tags=tuple(tags)))
     return utterances
 
 

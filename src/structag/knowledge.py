@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import read_blocks, utterance_id
 from .errors import ConfigError, DataError, ParseFileError
 
 DEFAULT_MAX_SUBSTRUCTURES = 64
@@ -42,36 +43,12 @@ class Substructure:
     leaf: object                # originating leaf node id, None for fallback
 
 
-def _blocks(path: Path):
-    """Yield (ordinal, first line number, lines) for each blank-line-separated
-    block."""
-    block: list[str] = []
-    ordinal = first = 0
-    try:
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise ParseFileError(f"{path}: not UTF-8 text: {exc}") from exc
-    for number, line in enumerate(lines, 1):
-        if not line.strip():
-            if block:
-                yield ordinal, first, block
-                ordinal += 1
-                block = []
-            continue
-        if line.startswith("#"):
-            continue
-        if not block:
-            first = number
-        block.append(line)
-    if block:
-        yield ordinal, first, block
-
-
 def load_parses(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
     """Read a parse file of either kind, told apart by its first block's first
     line: concept-graph lines start with node, edge or root, dependency rows
     with a token index."""
-    first = next((lines[0] for _, _, lines in _blocks(Path(path))), "")
+    blocks = read_blocks(path, ParseFileError, comments=True)
+    first = next((lines[0] for _, lines in blocks), "")
     graph = first.split("\t")[0] in ("node", "edge", "root")
     return (load_amr if graph else load_dependency)(path, id_prefix)
 
@@ -85,8 +62,9 @@ def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgePar
     """
     path = Path(path)
     parses = []
-    for ordinal, first, lines in _blocks(path):
-        utt_id = f"{id_prefix}{ordinal:04d}"
+    blocks = read_blocks(path, ParseFileError, comments=True)
+    for ordinal, (first, lines) in enumerate(blocks):
+        utt_id = utterance_id(id_prefix, ordinal)
         rows = []
         for line in lines:
             cols = line.split("\t")
@@ -142,8 +120,9 @@ def load_amr(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
     """
     path = Path(path)
     parses = []
-    for ordinal, first, lines in _blocks(path):
-        utt_id = f"{id_prefix}{ordinal:04d}"
+    blocks = read_blocks(path, ParseFileError, comments=True)
+    for ordinal, (first, lines) in enumerate(blocks):
+        utt_id = utterance_id(id_prefix, ordinal)
         parse = KnowledgeParse(id=utt_id, line=first)
         for line in lines:
             cols = line.split("\t")

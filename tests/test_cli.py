@@ -347,14 +347,61 @@ def test_unknown_flag_is_usage_error():
 def test_missing_corpus_file_exits_2(capsys):
     assert main(["train", "--train", "/no/such/corpus.tsv",
                  "--quiet"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: file not found: /no/such/corpus.tsv\n"
 
 
 def test_missing_parse_file_exits_2(workspace, capsys):
     assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
                  "--parses", "/no/such/parses.tsv", "--epochs", "1",
                  "--embed-dim", "8", "--hidden-size", "8", "--quiet"]) == 2
-    assert "parse file not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: file not found: /no/such/parses.tsv\n"
+
+
+def _with_bom(path: Path, out: Path, line: int = 1) -> Path:
+    """A copy of `path` with U+FEFF at the start of its `line`-th line."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[line - 1] = "\ufeff" + lines[line - 1]
+    out.write_text("\n".join(lines), encoding="utf-8")
+    return out
+
+
+def test_corpus_with_byte_order_mark_trains_the_same_vocabulary(workspace, tmp_path):
+    corpus = workspace["data"] / "corpus.tsv"
+    vocabularies = []
+    for data in (corpus, _with_bom(corpus, tmp_path / "bom.tsv")):
+        ckpt = tmp_path / f"{data.stem}-model.json"
+        assert main(["train", "--train", str(data), "--out", str(ckpt), "--mode", "chain",
+                     "--epochs", "1", "--embed-dim", "4", "--hidden-size", "4",
+                     "--quiet"]) == 0
+        vocabularies.append(json.loads(ckpt.read_text())["vocab"])
+    assert vocabularies[1] == vocabularies[0]
+    assert "which" in vocabularies[0]["tokens"]
+
+
+@pytest.mark.parametrize("kind", ["dependencies", "graphs"])
+def test_files_with_byte_order_mark_score_as_without(workspace, tmp_path, capsys, kind):
+    data = workspace["data"]
+    scored = []
+    for corpus, parses in ((data / "corpus.tsv", data / f"{kind}.tsv"),
+                           (_with_bom(data / "corpus.tsv", tmp_path / "c.tsv"),
+                            _with_bom(data / f"{kind}.tsv", tmp_path / "p.tsv"))):
+        assert main(["eval", "--model", str(workspace["ckpt"]), "--data", str(corpus),
+                     "--parses", str(parses)]) == 0
+        scored.append(capsys.readouterr().out)
+    assert scored[1] == scored[0]
+
+
+@pytest.mark.parametrize("name", ["corpus", "dependencies", "graphs"])
+def test_byte_order_mark_past_the_start_exits_2_naming_its_line(workspace, tmp_path,
+                                                                capsys, name):
+    data = {"corpus": workspace["data"] / "corpus.tsv",
+            "parses": workspace["data"] / "dependencies.tsv"}
+    key = "corpus" if name == "corpus" else "parses"
+    data[key] = _with_bom(workspace["data"] / f"{name}.tsv", tmp_path / "bad.tsv", line=3)
+    assert main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data["corpus"]),
+                 "--parses", str(data["parses"])]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data[key]}:3: byte-order mark (U+FEFF) after the start of the file\n")
 
 
 def test_empty_corpus_exits_2(tmp_path, capsys):

@@ -20,6 +20,12 @@ francisco\tI-toloc.city_name
 """
 
 
+def _written(tmp_path, text, name="c.tsv"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def test_load_flight_query(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text(FLIGHT_QUERY, encoding="utf-8")
@@ -70,9 +76,37 @@ def test_iob_type_switch_rejected(tmp_path):
 def test_validate_iob_directly():
     assert validate_iob(("O", "B-x", "I-x", "O")) is None
     assert validate_iob(("B-x", "B-y", "I-y")) is None
-    assert validate_iob(("O", "I-x")) is not None
-    assert validate_iob(("B-x", "I-y")) is not None
     assert validate_iob(("weird",)) is not None
+    assert validate_iob(("O", "I-x")) == "tag 'I-x' at position 1 follows O"
+    assert validate_iob(("B-x", "I-y")) == "tag 'I-y' at position 1 follows type 'x'"
+    assert validate_iob(("O", "o")) == (
+        "tag 'o' at position 1 is not O, B-<type>, or I-<type>")
+
+
+def test_hash_line_is_a_token(tmp_path):
+    # Parse files skip lines starting with '#'; a corpus never does.
+    path = _written(tmp_path, "#\tO\nflights\tO\n\n# x\tO\n")
+    assert [u.tokens for u in load_corpus(path)] == [("#", "flights"), ("# x",)]
+
+
+def test_whitespace_only_line_separates_utterances(tmp_path):
+    utts = load_corpus(_written(tmp_path, "a\tO\n \t \nb\tB-x\n"))
+    assert [(u.id, u.tokens) for u in utts] == [("u0000", ("a",)), ("u0001", ("b",))]
+    with pytest.raises(CorpusFormatError, match="utterance starting at line 3"):
+        load_corpus(_written(tmp_path, "a\tO\n \t \nb\tI-x\n"))
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    text = FLIGHT_QUERY + "\n" + FLIGHT_QUERY
+    plain = load_corpus(_written(tmp_path, text))
+    assert load_corpus(_written(tmp_path, "\ufeff" + text, "bom.tsv")) == plain
+    assert plain[0].tokens[0] == "show"
+
+
+def test_byte_order_mark_past_the_start_names_its_line(tmp_path):
+    path = _written(tmp_path, "show\tO\nme\tO\n\ufeffthe\tO\n", "bad.tsv")
+    with pytest.raises(CorpusFormatError, match=r"bad\.tsv:3: byte-order mark"):
+        load_corpus(path)
 
 
 def test_roundtrip(tmp_path):

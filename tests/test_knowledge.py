@@ -1,5 +1,6 @@
 """Parse loading and root-to-leaf substructure extraction."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,8 +9,9 @@ from structag.corpus import Utterance
 from structag.errors import DataError, ParseFileError
 from structag.knowledge import (KnowledgeParse, ParseNode, check_alignment,
                                 extract_substructures, load_amr,
-                                load_dependency, substructure_stats,
+                                load_dependency, load_parses, substructure_stats,
                                 substructures_with_fallback)
+from structag.synthetic import SyntheticConfig, generate
 
 # "show me the flights from seattle to san francisco", rooted at "show":
 # me and flights hang off show; the, seattle, and francisco off flights;
@@ -278,6 +280,59 @@ def test_substructure_stats(tmp_path):
 def test_comment_lines_ignored(tmp_path):
     text = "# sent_id = 1\n1\thello\t0\n"
     assert len(load_dependency(_write(tmp_path, text))) == 1
+
+
+# Two blocks of each kind, as written and with '#' lines before, inside,
+# between and after them.
+TWO_BLOCKS = {
+    "dependency": ["1\tshow\t0\n2\tme\t1\n", "1\thello\t0\n"],
+    "amr": ["node\tn0\tshow\t1\nnode\tn1\tme\t2\nedge\tn0\tr\tn1\nroot\tn0\n",
+            "node\tn0\thello\t1\nroot\tn0\n"],
+}
+
+
+def _commented(first: str, second: str) -> str:
+    head, tail = first.split("\n", 1)
+    return f"# before\n{head}\n# inside\n{tail}\n# between\n\n{second}# after\n"
+
+
+@pytest.mark.parametrize("kind", ["dependency", "amr"])
+def test_comment_lines_are_skipped_in_both_parse_kinds(tmp_path, kind):
+    plain = load_parses(_write(tmp_path, "\n".join(TWO_BLOCKS[kind])))
+    parses = load_parses(_write(tmp_path, _commented(*TWO_BLOCKS[kind]), "c.tsv"))
+    second_line = len(TWO_BLOCKS[kind][0].splitlines()) + 6
+    assert [(p.id, p.kind, p.line) for p in parses] == [
+        ("u0000", kind, 2), ("u0001", kind, second_line)]
+    assert [dataclasses.replace(p, line=None) for p in parses] == [
+        dataclasses.replace(p, line=None) for p in plain]
+
+
+@pytest.mark.parametrize("kind", ["dependency", "amr"])
+def test_whitespace_only_line_separates_blocks(tmp_path, kind):
+    parses = load_parses(_write(tmp_path, " \t\n".join(TWO_BLOCKS[kind])))
+    second_line = len(TWO_BLOCKS[kind][0].splitlines()) + 2
+    assert [(p.id, p.line) for p in parses] == [("u0000", 1), ("u0001", second_line)]
+
+
+@pytest.mark.parametrize("kind", ["dependency", "amr"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, kind):
+    # A generated file saved as "UTF-8 with BOM" loads as the file without
+    # it, and its first line still tells its kind.
+    corpus = generate(SyntheticConfig(n_utterances=5), 3)
+    text = corpus.dependency_text if kind == "dependency" else corpus.amr_text
+    plain = load_parses(_write(tmp_path, text))
+    marked = load_parses(_write(tmp_path, "\ufeff" + text, "bom.tsv"))
+    assert marked == plain and {p.kind for p in marked} == {kind}
+    loader = load_dependency if kind == "dependency" else load_amr
+    assert loader(tmp_path / "bom.tsv") == plain
+
+
+@pytest.mark.parametrize("kind", ["dependency", "amr"])
+def test_byte_order_mark_past_the_start_names_its_line(tmp_path, kind):
+    first, second = TWO_BLOCKS[kind]
+    path = _write(tmp_path, f"{first}\n\ufeff{second}", "bad.tsv")
+    with pytest.raises(ParseFileError, match=r"bad\.tsv:\d+: byte-order mark"):
+        load_parses(path)
 
 
 def test_alignment_error_quotes_the_file_line(tmp_path):
