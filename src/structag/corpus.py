@@ -53,19 +53,26 @@ def utterance_id(prefix: str, ordinal: int) -> str:
 
 def read_blocks(path: str | Path, error: type, comments: bool = False):
     """Yield (first line number, lines) for each block of non-blank lines of
-    a UTF-8 file, a leading byte-order mark dropped. Undecodable text, or a
-    U+FEFF past the start, raises `error`. With `comments`, lines starting
-    with '#' are left out without breaking a block."""
+    a UTF-8 file, a leading byte-order mark dropped and lines split at LF
+    only, one CR before it dropped. Undecodable text, a U+FEFF past the
+    start, or a CR elsewhere raises `error` naming the line. With
+    `comments`, lines starting with '#' are left out without breaking a
+    block."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
     lines = text.split("\n")
-    if "\ufeff" in text:
-        number = next(n for n, line in enumerate(lines, 1) if "\ufeff" in line)
-        raise error(f"{path}:{number}: byte-order mark (U+FEFF) after the start "
-                    "of the file")
+    if "\r" in text:    # only a file holding a CR pays for stripping CRLF ends
+        lines = [line.removesuffix("\r") for line in lines]
+    for mark, problem in (("\ufeff", "byte-order mark (U+FEFF) after the start "
+                                    "of the file"),
+                          ("\r", "carriage return (CR) inside a line")):
+        if mark in text:
+            number = next((n for n, line in enumerate(lines, 1) if mark in line), None)
+            if number is not None:
+                raise error(f"{path}:{number}: {problem}")
     numbers = range(1, len(lines) + 1)
     # Only a file that has comment lines pays for filtering them out.
     if comments and (text.startswith("#") or "\n#" in text):

@@ -4,9 +4,9 @@ One encoder instance encodes the sentence and every substructure, so
 their weights are tied by construction. Every encoder has one contract,
 `final_states(x, lengths)`: the (runs, d) encodings of the runs of one
 embedded matrix x, run i over the next `lengths[i]` rows, as one graph
-node. The rnn encoder is a GRU, whose `final_states` runs the runs as one
-ragged batch; the nn and cnn encoders run their numpy kernel, `encode`,
-once per run inside their node.
+node. The rnn encoder is a GRU, whose `final_states` is its packed
+`run(x, lengths, last=True)`; the nn and cnn encoders run their numpy
+kernel, `encode`, once per run inside their node.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .cells import GruCell, check_rows, check_runs, glorot_uniform, zero_vector
+from .cells import GruCell, check_runs, glorot_uniform, zero_vector
 
 CNN_WINDOW = 3
 
@@ -72,12 +72,15 @@ class LinearEncoder(_PerSequence):
 
 
 class RecurrentEncoder(GruCell):
-    """A GRU whose final state encodes each run (`final_states`)."""
+    """A GRU whose final state encodes each run."""
+
+    def final_states(self, x: Tensor, lengths: list[int]) -> Tensor:
+        return self.run(x, lengths, last=True)
 
     # No caller in src/: bench/spans.py patches it to count encodings.
     def encode(self, embedded: Tensor) -> Tensor:
-        check_rows(embedded, self.input_dim, "final_states input")
-        return self._op(embedded, ends=embedded.shape[0] - 1)
+        n = check_runs(embedded, self.input_dim, [embedded.shape[0]])[0]
+        return self._op(embedded, None, None, [1] * n, n - 1)
 
 
 class ConvolutionalEncoder(_PerSequence):

@@ -46,11 +46,11 @@ class Substructure:
 def load_parses(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
     """Read a parse file of either kind, told apart by its first block's first
     line: concept-graph lines start with node, edge or root, dependency rows
-    with a token index."""
-    blocks = read_blocks(path, ParseFileError, comments=True)
-    first = next((lines[0] for _, lines in blocks), "")
+    with a token index. The file is read once."""
+    blocks = list(read_blocks(path, ParseFileError, comments=True))
+    first = blocks[0][1][0] if blocks else ""
     graph = first.split("\t")[0] in ("node", "edge", "root")
-    return (load_amr if graph else load_dependency)(path, id_prefix)
+    return (_amr_parses if graph else _dependency_parses)(Path(path), blocks, id_prefix)
 
 
 def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
@@ -60,9 +60,13 @@ def load_dependency(path: str | Path, id_prefix: str = "u") -> list[KnowledgePar
     Rows with 7+ columns are treated as CoNLL-U (head in column 7);
     shorter rows use column 3 as the head. Relation labels are ignored.
     """
-    path = Path(path)
+    return _dependency_parses(Path(path), read_blocks(path, ParseFileError, comments=True),
+                              id_prefix)
+
+
+def _dependency_parses(path: Path, blocks, id_prefix: str) -> list[KnowledgeParse]:
+    """The dependency trees of a file's blocks (see `load_dependency`)."""
     parses = []
-    blocks = read_blocks(path, ParseFileError, comments=True)
     for ordinal, (first, lines) in enumerate(blocks):
         utt_id = utterance_id(id_prefix, ordinal)
         rows = []
@@ -118,9 +122,13 @@ def load_amr(path: str | Path, id_prefix: str = "u") -> list[KnowledgeParse]:
         root <id>
     Unaligned nodes carry no token but still sit on paths.
     """
-    path = Path(path)
+    return _amr_parses(Path(path), read_blocks(path, ParseFileError, comments=True),
+                       id_prefix)
+
+
+def _amr_parses(path: Path, blocks, id_prefix: str) -> list[KnowledgeParse]:
+    """The concept graphs of a file's blocks (see `load_amr`)."""
     parses = []
-    blocks = read_blocks(path, ParseFileError, comments=True)
     for ordinal, (first, lines) in enumerate(blocks):
         utt_id = utterance_id(id_prefix, ordinal)
         parse = KnowledgeParse(id=utt_id, line=first)

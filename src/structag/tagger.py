@@ -106,7 +106,7 @@ class Tagger:
         tower ignores `guided`."""
         if self.mode != "chain" and guided is None:
             raise DimensionError(f"{self.mode} tagger needs a guided representation")
-        return tag_output([cell.sequence(embedded, guided) for cell in self.towers],
+        return tag_output([cell.run(embedded, guided=guided) for cell in self.towers],
                           self.alpha, self.out_weight, self.out_bias,
                           dropout_rate, rng, gold)
 

@@ -111,31 +111,22 @@ def _per_op_worst() -> tuple[float, set]:
                                      np.random.default_rng(4), gold=[4, 0, 2]),
                   states + [out_w, out_b])
 
-    # The fused recurrences, with and without knowledge terms, over one
-    # step and over several.
+    # The fused recurrences, with and without knowledge terms: one run of
+    # one step, one run of several (the rnn sentence vector, a tower), and
+    # ragged runs with a length-1 run and a tie (the rnn memory), each
+    # giving every state and each run's final state.
     for kind in CELL_KINDS:
         cell = make_cell(kind, rng, 3, 4, knowledge_dim=2)
         guided = mat(2)
         know = set_know(cell, {g: rng.normal(size=(4, 2)) for g in cell.GATES})
-        for length in (1, 6):
-            xs = mat(length, 3)
-            wh = rng.normal(size=(length, 4))
+        for lengths in ([1], [6], [2, 4, 1, 4]):
+            xs = mat(sum(lengths), 3)
             tensors = [*cell.w.values(), *cell.u.values(), xs]
-            check(lambda: _weighted(cell.sequence(xs), wh), tensors)
-            check(lambda: _weighted(cell.sequence(xs, guided), wh),
-                  tensors + know + [guided])
-
-    # The GRU's final states: of one sequence (the rnn sentence vector)
-    # and of a ragged batch with a length-1 run and a tie (the memory).
-    cell = make_cell("gru", rng, 3, 4)
-    xs = mat(6, 3)
-    wv = rng.normal(size=(1, 4))
-    check(lambda: _weighted(cell.final_states(xs, [6]), wv),
-          list(cell.params("c").values()) + [xs])
-    batch = mat(11, 3)
-    wb = rng.normal(size=(4, 4))
-    check(lambda: _weighted(cell.final_states(batch, [2, 4, 1, 4]), wb),
-          list(cell.params("c").values()) + [batch])
+            for last in (False, True):
+                wh = rng.normal(size=(len(lengths) if last else len(xs.value), 4))
+                check(lambda: _weighted(cell.run(xs, lengths, last=last), wh), tensors)
+                check(lambda: _weighted(cell.run(xs, lengths, guided, last), wh),
+                      tensors + know + [guided])
 
     # Every encoder's memory and sentence vector: the rows of one
     # `final_states` over one lookup of the parts and then the sentence,

@@ -104,7 +104,7 @@ def test_matmul_hand_case():
 def test_matmul_inner_dim_mismatch():
     # x @ W_inᵀ needs the input width to equal the cell's input dimension.
     with pytest.raises(DimensionError):
-        ElmanCell(np.random.default_rng(0), 3, 2).sequence(Tensor(np.zeros((2, 2))))
+        ElmanCell(np.random.default_rng(0), 3, 2).run(Tensor(np.zeros((2, 2))))
 
 
 def test_tanh_and_sigmoid_identities():
@@ -112,7 +112,7 @@ def test_tanh_and_sigmoid_identities():
     elman = ElmanCell(np.random.default_rng(0), 1, 1)
     elman.w["cand"].value[:] = 1.0
     elman.u["cand"].value[:] = 0.0
-    h = elman.sequence(Tensor([[0.0], [50.0]])).value
+    h = elman.run(Tensor([[0.0], [50.0]])).value
     assert h[0, 0] == 0.0 and h[1, 0] == pytest.approx(1.0)
     # The sigmoid lives inside the fused GRU. Zero weights put every gate
     # at sigmoid(0) = 1/2, so each state is the mean of its predecessor
@@ -127,7 +127,7 @@ def test_tanh_and_sigmoid_identities():
     cell = zero_gru(2)
     set_know(cell, {"cand": np.eye(2)})
     cand = np.array([0.3, -2.0])
-    h = cell.sequence(Tensor(np.ones((2, 2))), Tensor(cand)).value
+    h = cell.run(Tensor(np.ones((2, 2))), guided=Tensor(cand)).value
     np.testing.assert_array_equal(h[0], 0.5 * np.tanh(cand))
     np.testing.assert_array_equal(h[1], 0.5 * np.tanh(cand) + 0.5 * h[0])
     # Pre-activations of +-1000 saturate the gates without overflow: an
@@ -139,8 +139,8 @@ def test_tanh_and_sigmoid_identities():
         set_know(cell, {"reset": [[1000.0, 0.0, 0.0], [1000.0, 0.0, 0.0]],
                         "update": [[update, 0.0, 0.0], [update, 0.0, 0.0]],
                         "cand": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})
-        big = cell.sequence(Tensor(np.ones((1, 2))),
-                            Tensor(np.array([1.0, *cand])))
+        big = cell.run(Tensor(np.ones((1, 2))),
+                       guided=Tensor(np.array([1.0, *cand])))
         assert np.all(np.isfinite(big.value))
         np.testing.assert_array_equal(big.value[0], expected)
 
@@ -350,7 +350,7 @@ def test_grad_matmul_all_rank_combinations():
     know = set_know(cell, {"cand": rng.normal(size=(3, 5))})
     w_h = _const(rng, 2, 3)
     assert_grads_match(
-        lambda: _weighted_sum(cell.sequence(x, guided), w_h), [guided, *know])
+        lambda: _weighted_sum(cell.run(x, guided=guided), w_h), [guided, *know])
 
 
 def test_grad_sum_tanh():
@@ -382,7 +382,7 @@ def test_grad_row_ops():
     # A recurrence read at its final row only: the rnn encoder's output.
     cell, wv = GruCell(rng, 3, 2), _const(rng, 1, 2)
     assert_grads_match(
-        lambda: _weighted_sum(cell.final_states(a, [5]), wv),
+        lambda: _weighted_sum(cell.run(a, [5], last=True), wv),
         [a, *cell.params("").values()])
     wt = _const(rng, 4, 3)
     assert_grads_match(lambda: _weighted_sum(embed(a, [0, 0, 4, 2]), wt), [a])
@@ -409,7 +409,7 @@ def test_grad_composed_chain():
     def loss():
         x = embed(table, [0, 2, 0])
         guided = cell.encode(embed(table, [1, 3]))
-        states = [cell.sequence(x), cell.sequence(x, guided)]
+        states = [cell.run(x), cell.run(x, guided=guided)]
         return tag_output(states, 0.4, wo, b, gold=[0, 1, 3])
 
     assert_grads_match(loss, [table, *cell.params("").values(), wo, b])

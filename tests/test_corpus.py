@@ -109,6 +109,21 @@ def test_byte_order_mark_past_the_start_names_its_line(tmp_path):
         load_corpus(path)
 
 
+def test_crlf_line_ends_load_as_lf(tmp_path):
+    text = FLIGHT_QUERY + "\n" + FLIGHT_QUERY
+    plain = load_corpus(_written(tmp_path, text))
+    assert load_corpus(_written(tmp_path, text.replace("\n", "\r\n"), "crlf.tsv")) == plain
+
+
+def test_lone_carriage_return_names_its_line(tmp_path):
+    # A CR is not a line break: read as one, `a<TAB>O<CR>b<TAB>O` would
+    # load as two tokens, and later line numbers would be off by one.
+    for text, line in (("a\tO\rb\tO\n", 1), ("a\tO\r\n\r\nb\tO\r\r\nc\tO\n", 3)):
+        with pytest.raises(CorpusFormatError,
+                           match=rf"bad\.tsv:{line}: carriage return \(CR\) inside a line"):
+            load_corpus(_written(tmp_path, text, "bad.tsv"))
+
+
 def test_roundtrip(tmp_path):
     original = [
         Utterance("u0000", ("list", "flights"), ("O", "O")),

@@ -83,7 +83,7 @@ def test_rnn_single_token_equals_one_cell_step():
     enc = make_encoder("rnn", RNG(5), 3, 4)
     x = _embed([[0.2, -0.4, 0.9]])
     via_encoder = enc.encode(x)
-    via_cell = enc.sequence(x)
+    via_cell = enc.run(x)
     assert via_cell.shape == (1, 4)
     np.testing.assert_array_equal(via_encoder.value, via_cell.value[0])
 
@@ -133,7 +133,7 @@ def test_rnn_memory_matches_per_sequence_runs():
     for row, ids in zip(finals.value, parts + [sentence]):
         one = embed(table, ids)
         np.testing.assert_allclose(row, enc.encode(one).value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(row, enc.sequence(one).value[-1],
+        np.testing.assert_allclose(row, enc.run(one).value[-1],
                                    rtol=0, atol=1e-12)
 
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from structag.corpus import Utterance
+from structag import knowledge
+from structag.corpus import Utterance, read_blocks
 from structag.errors import DataError, ParseFileError
 from structag.knowledge import (KnowledgeParse, ParseNode, check_alignment,
                                 extract_substructures, load_amr,
@@ -333,6 +334,37 @@ def test_byte_order_mark_past_the_start_names_its_line(tmp_path, kind):
     path = _write(tmp_path, f"{first}\n\ufeff{second}", "bad.tsv")
     with pytest.raises(ParseFileError, match=r"bad\.tsv:\d+: byte-order mark"):
         load_parses(path)
+
+
+@pytest.mark.parametrize("kind", ["dependency", "amr"])
+def test_crlf_line_ends_load_as_lf(tmp_path, kind):
+    text = _commented(*TWO_BLOCKS[kind])
+    plain = load_parses(_write(tmp_path, text))
+    crlf = load_parses(_write(tmp_path, text.replace("\n", "\r\n"), "crlf.tsv"))
+    assert crlf == plain and {p.kind for p in crlf} == {kind}
+
+
+@pytest.mark.parametrize("kind", ["dependency", "amr"])
+def test_lone_carriage_return_names_its_line(tmp_path, kind):
+    first, second = TWO_BLOCKS[kind]
+    line, broken = len(first.splitlines()) + 2, second.replace("\t", "\r", 1)
+    path = _write(tmp_path, f"{first}\n{broken}", "bad.tsv")
+    with pytest.raises(ParseFileError, match=rf"bad\.tsv:{line}: carriage return"):
+        load_parses(path)
+
+
+def test_load_parses_reads_the_file_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return read_blocks(*args, **kwargs)
+    monkeypatch.setattr(knowledge, "read_blocks", counted)
+    for kind in ("dependency", "amr"):
+        path = _write(tmp_path, "\n".join(TWO_BLOCKS[kind]), f"{kind}.tsv")
+        assert {p.kind for p in load_parses(path)} == {kind}
+        assert calls == [path]
+        calls.clear()
 
 
 def test_alignment_error_quotes_the_file_line(tmp_path):

@@ -36,7 +36,7 @@ def test_elman_zero_weights_give_zero_state():
     cell = ElmanCell(RNG(1), 2, 3)
     cell.w["cand"].value[:] = 0.0
     cell.u["cand"].value[:] = 0.0
-    h = cell.sequence(Tensor(np.array([[1.0, -2.0], [0.5, 3.0]])))
+    h = cell.run(Tensor(np.array([[1.0, -2.0], [0.5, 3.0]])))
     np.testing.assert_array_equal(h.value, np.zeros((2, 3)))
 
 
@@ -45,7 +45,7 @@ def test_elman_without_recurrence_is_memoryless():
     cell.u["cand"].value[:] = 0.0
     x = np.array([0.5, 1.5])
     # The same input after the zero state and after a nonzero state.
-    h = cell.sequence(Tensor(np.array([x, [-0.9, 0.4], x]))).value
+    h = cell.run(Tensor(np.array([x, [-0.9, 0.4], x]))).value
     assert np.abs(h[1]).max() > 0
     np.testing.assert_array_equal(h[0], h[2])
     expected = np.tanh(cell.w["cand"].value @ x)
@@ -55,7 +55,7 @@ def test_elman_without_recurrence_is_memoryless():
 def test_elman_two_step_oracle():
     cell = ElmanCell(RNG(3), 2, 2)
     xs = RNG(30).normal(size=(2, 2))
-    h = cell.sequence(Tensor(xs.copy())).value
+    h = cell.run(Tensor(xs.copy())).value
     h_np = np.zeros(2)
     for x, state in zip(xs, h):
         h_np = np.tanh(cell.w["cand"].value @ x + cell.u["cand"].value @ h_np)
@@ -68,7 +68,7 @@ def test_elman_extra_term_enters_preactivation():
     guided = np.array([0.7, -1.2, 0.4])
     know = RNG(40).normal(size=(2, 3))
     set_know(cell, {"cand": know})
-    h = cell.sequence(Tensor(x[None].copy()), Tensor(guided.copy()))
+    h = cell.run(Tensor(x[None].copy()), guided=Tensor(guided.copy()))
     expected = np.tanh(cell.w["cand"].value @ x + know @ guided)
     np.testing.assert_allclose(h.value[0], expected, rtol=1e-12)
 
@@ -83,7 +83,7 @@ def test_gru_zero_weights_halve_previous_state():
     # zero.
     set_know(cell, {"cand": np.eye(2)})
     cand = np.array([0.8, -0.4])
-    h = cell.sequence(Tensor(np.full((3, 2), 3.0)), Tensor(cand.copy())).value
+    h = cell.run(Tensor(np.full((3, 2), 3.0)), guided=Tensor(cand.copy())).value
     np.testing.assert_array_equal(h[0], 0.5 * np.tanh(cand))
     for t in (1, 2):
         np.testing.assert_array_equal(h[t], 0.5 * np.tanh(cand) + 0.5 * h[t - 1])
@@ -97,7 +97,7 @@ def test_gru_saturated_update_gate_copies_previous_state():
     cell.u["update"].value[:] = 0.0
     set_know(cell, {"update": np.ones((3, 1))})
     xs = np.array([[-3000.0, 1.0], [0.0, -1.0], [0.0, 0.5]])
-    h = cell.sequence(Tensor(xs), Tensor([1000.0])).value
+    h = cell.run(Tensor(xs), guided=Tensor([1000.0])).value
     assert np.abs(h[0]).max() > 0
     np.testing.assert_array_equal(h[1], h[0])
     np.testing.assert_array_equal(h[2], h[0])
@@ -111,7 +111,7 @@ def test_gru_step_oracle_with_extras():
             for i, g in enumerate(cell.GATES)}
     extras = {g: k @ guided for g, k in know.items()}
     set_know(cell, know)
-    h = cell.sequence(Tensor(xs.copy()), Tensor(guided.copy())).value
+    h = cell.run(Tensor(xs.copy()), guided=Tensor(guided.copy())).value
     h_prev = np.zeros(3)
     for x, state in zip(xs, h):
         r = _sigmoid(cell.w["reset"].value @ x + cell.u["reset"].value @ h_prev
@@ -135,7 +135,7 @@ def test_gru_saturated_gates_match_oracle_without_warnings():
     xs = np.array([[1.0, 0.0], [0.0, 1.0], [1e-3, -2e-3]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h = cell.sequence(Tensor(xs.copy())).value
+        h = cell.run(Tensor(xs.copy())).value
     h_prev, gates = np.zeros(2), []
     for t, x in enumerate(xs):
         r = _sigmoid(cell.w["reset"].value @ x)
@@ -156,7 +156,7 @@ def test_gru_saturated_gates_match_oracle_without_warnings():
 
 def test_gru_state_is_convex_combination():
     cell = GruCell(RNG(8), 2, 4)
-    h = cell.sequence(Tensor(RNG(80).normal(size=(6, 2))))
+    h = cell.run(Tensor(RNG(80).normal(size=(6, 2))))
     assert h.shape == (6, 4)
     assert np.all(np.abs(h.value) < 1.0)
 
@@ -176,15 +176,52 @@ def test_sequence_gradients(kind, length, with_extra):
     tensors = list(cell.params("c").values()) + [x]
     tensors += [guided] if with_extra else []
     assert_grads_match(
-        lambda: sum_all(elementwise_mul(cell.sequence(x, guided), const)),
+        lambda: sum_all(elementwise_mul(cell.run(x, guided=guided), const)),
         tensors, tol=1e-6)
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("with_extra", (False, True))
+@pytest.mark.parametrize("last", (False, True))
+def test_ragged_run_equals_separate_runs(kind, with_extra, last):
+    # One packed node over ragged runs (a length-1 run, a tie for the
+    # longest, rows out of length order) gives each run's states, and the
+    # same gradients, as one `run` per run.
+    cell = make_cell(kind, RNG(28), 3, 4, knowledge_dim=2 if with_extra else None)
+    guided = Tensor(RNG(280).normal(size=2)) if with_extra else None
+    lengths = [3, 1, 5, 2, 5]
+    ends = np.cumsum(lengths)
+    x = Tensor(RNG(281).normal(size=(ends[-1], 3)))
+    upstream = RNG(282).normal(size=(len(lengths) if last else ends[-1], 4))
+    shared = [*cell.params("c").values(), *([guided] if with_extra else [])]
+
+    def grads(*outputs):
+        for t in shared:
+            t.grad = None
+        for out, up in outputs:
+            sum_all(elementwise_mul(out, Tensor(up))).backward()
+        return [t.grad.copy() for t in shared]
+
+    batch = cell.run(x, lengths, guided, last)
+    merged = grads((batch, upstream))
+    parts = [Tensor(x.value[e - n:e].copy()) for e, n in zip(ends, lengths)]
+    spans = [slice(i, i + 1) if last else slice(e - n, e)
+             for i, (e, n) in enumerate(zip(ends, lengths))]
+    runs = [cell.run(part, guided=guided, last=last) for part in parts]
+    separate = grads(*((one, upstream[span]) for one, span in zip(runs, spans)))
+    for one, span in zip(runs, spans):
+        np.testing.assert_allclose(one.value, batch.value[span], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x.grad, np.vstack([p.grad for p in parts]),
+                               rtol=0, atol=1e-12)
+    for a, b in zip(merged, separate):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_sequence_rejects_bad_shapes():
     cell = make_cell("gru", RNG(27), 3, 4)
     for bad in (np.zeros((0, 3)), np.zeros(3), np.zeros((2, 2))):
         with pytest.raises(DimensionError):
-            cell.sequence(Tensor(bad))
+            cell.run(Tensor(bad))
 
 
 def test_make_cell_rejects_unknown_kind():
@@ -232,7 +269,7 @@ def test_knowledge_elman_oracle_includes_projected_guide():
     xs = RNG(120).normal(size=(2, 2))
     guided = RNG(121).normal(size=2)
     cell = tagger.towers[0]
-    states = cell.sequence(Tensor(xs.copy()), Tensor(guided.copy())).value
+    states = cell.run(Tensor(xs.copy()), guided=Tensor(guided.copy())).value
     know = cell.know["cand"].value @ guided
     h = np.zeros(2)
     for x, state in zip(xs, states):
@@ -291,7 +328,7 @@ def test_joint_alpha_half_differs_from_both_towers():
     guided = RNG(191).normal(size=3)
     blended = joint.distributions(Tensor(embedded.copy()),
                                   Tensor(guided.copy())).value
-    chain_states = joint.towers[0].sequence(Tensor(embedded.copy()))
+    chain_states = joint.towers[0].run(Tensor(embedded.copy()))
     assert np.abs(blended - 0.25).max() > 0  # sanity: something was computed
     assert chain_states.shape == (3, 3)
 
