@@ -9,16 +9,14 @@ backward pass and the numpy helpers the fused ops share. Tensors are
 rank 0..2, stored row-major as float64. A graph and its tensors belong
 to one thread; independent graphs are safe in parallel.
 
-No op reads the switch: inside `no_grad()`, a per-thread switch that
-inference uses, the `Tensor` constructor drops the op name, parents and
-closure it is given, so every op's result is a constant; other threads
-keep building graphs. Gradients land only through `Tensor._accumulate`.
+Inference needs no switch: without gold tags `tag_output` returns its
+softmax as a leaf, and `attention` its weights, so a tagging call keeps
+no graph once it returns. Gradients land only through
+`Tensor._accumulate`.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -26,30 +24,13 @@ import numpy as np
 from .errors import DimensionError
 
 
-class _Switch(threading.local):
-    on = True    # each thread starts out building graphs
-
-
-_switch = _Switch()
-
-
-@contextmanager
-def no_grad():
-    """Build constants only on this thread for the block (see module docstring)."""
-    was, _switch.on = _switch.on, False
-    try:
-        yield
-    finally:
-        _switch.on = was
-
-
 class Tensor:
     """A node in the computation graph: cached value plus gradient slot.
 
     Leaf tensors (parameters, constants) have no parents. Non-leaf tensors
-    record their operands and a backward closure, unless built under
-    `no_grad()`, where they are leaves too. Gradients accumulate by
-    summation, which is what tied/shared parameters require.
+    record their operands and a backward closure; an op whose value no
+    loss reads, such as inference's softmax, returns a leaf. Gradients
+    accumulate by summation, which is what tied/shared parameters require.
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_backward", "reached")
@@ -58,8 +39,6 @@ class Tensor:
                  backward: Callable[[np.ndarray], None] | None = None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        if backward is not None and not _switch.on:
-            op, parents, backward = "leaf", (), None
         self.op = op
         self.parents = parents
         self._backward = backward

@@ -71,9 +71,9 @@ def _load_utterances(path: str, id_prefix: str = "u") -> list:
     return utterances
 
 
-def _note_without_parses(mode: str, parses_path: str | None):
+def _note_without_parses(mode: str, parses_path: str | None, which: str = ""):
     if mode != "chain" and parses_path is None:
-        print("note: no parse file given; each utterance falls back to "
+        print(f"note: no {which}parse file given; each {which}utterance falls back to "
               "a single whole-sentence substructure", file=sys.stderr)
 
 
@@ -119,11 +119,12 @@ def cmd_train(args) -> int:
                           "is held out of --train and uses --parses)")
     config = _load_train_config(args)
     utterances = _load_utterances(args.train)
-    parses = (None if config.mode == "chain" else
-              _load_parses(args.parses, utterances))
+    parses = _load_parses(args.parses, utterances)    # checked in chain mode too
     _note_without_parses(config.mode, args.parses)
     dev_utterances = _load_utterances(args.dev, id_prefix="d") if args.dev else None
     dev_parses = _load_parses(args.dev_parses, dev_utterances or [], id_prefix="d")
+    if args.parses and args.dev:    # else the dev set uses what training uses
+        _note_without_parses(config.mode, args.dev_parses, "dev ")
     manifest_path = str(args.out) + ".splits.json"
     for path in (args.out, manifest_path):    # before training, which opens --log
         _check_writable(path)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .attention import (AttentionRecord, KnowledgeMemory,
                         build_attention_record, knowledge_representation)
-from .autodiff import Tensor, dropout_mask, no_grad
+from .autodiff import Tensor, dropout_mask
 from .corpus import Utterance, Vocabulary
 from .encoders import OutputNetwork, make_encoder
 from .errors import DimensionError
@@ -103,14 +103,13 @@ class SlotModel:
 
     def tag_utterance(self, utt: Utterance, parse: KnowledgeParse | None
                       ) -> tuple[list[str], AttentionRecord | None]:
-        """Predict tag strings for one utterance (no dropout, no graph)."""
+        """Predict tag strings for one utterance (no dropout, no graph kept)."""
         token_ids = self.vocab.encode_tokens(utt.tokens)
         subs = None
         if self.config.mode != "chain":
             subs = substructures_with_fallback(parse, len(utt.tokens),
                                                self.config.max_substructures)
-        with no_grad():
-            dist, weights, used_subs = self.forward(token_ids, subs)
+        dist, weights, used_subs = self.forward(token_ids, subs)
         names = self.vocab.tag_names()
         tags = [names[i] for i in decode_greedy(dist)]
         record = None

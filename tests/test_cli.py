@@ -129,6 +129,8 @@ def test_every_train_flag_lands_in_its_config_field():
 
 _FALLBACK_NOTE = ("note: no parse file given; each utterance falls back to "
                   "a single whole-sentence substructure")
+_DEV_FALLBACK_NOTE = ("note: no dev parse file given; each dev utterance falls back to "
+                      "a single whole-sentence substructure")
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +148,8 @@ def test_knowledge_model_without_parses_notes_fallback(workspace, chain_ckpt, tm
                                                        capsys, command, mode):
     """Train, eval and inspect-attention each print the fallback note once
     when a knowledge model runs without --parses; a chain model, or a run
-    given --parses, prints none."""
+    given --parses, prints none. Train given --parses and --dev but no
+    --dev-parses prints the dev note once instead, outside chain mode."""
     data = str(workspace["data"] / "corpus.tsv")
     if command == "train":
         args = ["train", "--train", data, "--out", str(tmp_path / "m.json"), "--mode", mode,
@@ -159,8 +162,18 @@ def test_knowledge_model_without_parses_notes_fallback(workspace, chain_ckpt, tm
     capsys.readouterr()
     assert main(args) == 0
     assert capsys.readouterr().err.splitlines().count(_FALLBACK_NOTE) == (mode != "chain")
-    assert main([*args, "--parses", str(workspace["data"] / "dependencies.tsv")]) == 0
-    assert _FALLBACK_NOTE not in capsys.readouterr().err
+    deps = str(workspace["data"] / "dependencies.tsv")
+    assert main([*args, "--parses", deps]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert _FALLBACK_NOTE not in err and _DEV_FALLBACK_NOTE not in err
+    if command == "train":
+        dev = [*args, "--parses", deps, "--dev", data]
+        assert main(dev) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err.count(_DEV_FALLBACK_NOTE) == (mode != "chain")
+        assert _FALLBACK_NOTE not in err
+        assert main([*dev, "--dev-parses", deps]) == 0
+        assert _DEV_FALLBACK_NOTE not in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(workspace, tmp_path, capsys):
@@ -491,17 +504,18 @@ def test_checkpoint_with_empty_tag_index_exits_3(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["train --out", "train --train", "train --dev",
                                   "train --config", "train --parses", "eval --data",
-                                  "eval --report", "eval --parses",
-                                  "inspect-attention --parses", "stats --parses",
-                                  "gen-synthetic --out"])
+                                  "train --parses chain", "eval --report",
+                                  "eval --parses", "inspect-attention --parses",
+                                  "stats --parses", "gen-synthetic --out"])
 def test_path_of_the_wrong_kind_exits_2_naming_it(workspace, tmp_path, capsys, flag):
     # A directory where a file is wanted, or for gen-synthetic's output
     # directory an existing file: one error line naming the path, which
-    # exists, so it is not reported as missing. Chain mode reads no parses.
+    # exists, so it is not reported as missing. train checks --parses in
+    # every mode; a third word in `flag` names the mode.
     corpus = str(workspace["data"] / "corpus.tsv")
-    command, option = flag.split()
+    command, option, *mode = flag.split()
     path = str(workspace["ckpt"] if command == "gen-synthetic" else tmp_path)
-    mode = "knowledge" if option == "--parses" else "chain"
+    mode = mode[0] if mode else "knowledge" if option == "--parses" else "chain"
     args = {
         "train": ["train", "--train", corpus, "--out", str(tmp_path / "m.json"),
                   "--epochs", "1", "--embed-dim", "4", "--hidden-size", "4",

@@ -1,6 +1,7 @@
-"""Inference without a graph: `no_grad` tagging builds constants only, gives
-the recording forward's values bitwise, and leaves other threads recording.
-The switch is observed through the nodes that ops return."""
+"""Inference without a switch: tagging runs the one recording forward, reads
+only its leaves (the softmax and the attention weights), whose values are
+those a loss's recorded graph gives, and leaves every gradient to the
+backward pass of a loss."""
 
 import sys
 import threading
@@ -8,11 +9,13 @@ import threading
 import numpy as np
 import pytest
 
-from structag.autodiff import Tensor, no_grad
+from structag.attention import KnowledgeMemory, knowledge_representation
+from structag.autodiff import _toposort
 from structag.corpus import Vocabulary, load_corpus
 from structag.knowledge import load_amr, load_dependency, substructures_with_fallback
-from structag.model import SlotModel, embed
+from structag.model import SlotModel
 from structag.synthetic import SyntheticConfig, generate
+from structag.tagger import tag_output
 from structag.trainer import TrainConfig
 
 # Every mode, encoder and cell, on both parse kinds.
@@ -34,26 +37,6 @@ def data(tmp_path_factory):
     return utts, {kind: {p.id: p for p in ps} for kind, ps in parses.items()}
 
 
-def _records() -> bool:
-    """Whether ops on this thread build graph nodes."""
-    return embed(Tensor([[1.0]]), [0]).op == "embed"
-
-
-def _collecting_init(made):
-    """A `Tensor.__init__` that also appends every tensor it builds to `made`."""
-    init = Tensor.__init__
-
-    def collect(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-    return collect
-
-
-def _constants(made) -> bool:
-    return bool(made) and all(t.op == "leaf" and t.parents == () and t._backward is None
-                              for t in made)
-
-
 def _model(utts, mode, encoder, cell):
     config = TrainConfig(mode=mode, encoder=encoder, cell=cell, embed_dim=6,
                          hidden_size=5)
@@ -67,81 +50,91 @@ def _subs(model, utt, parse):
                                        model.config.max_substructures)
 
 
+def _leaf(t) -> bool:
+    return t.op == "leaf" and t.parents == () and t._backward is None
+
+
+def _recorded(model, ids, tag_ids, subs):
+    """The distributions and attention weights of a loss's recorded graph:
+    `tag_output` and the attention step rerun on its nodes' operands."""
+    loss = model.loss(ids, tag_ids, subs)
+    dist = tag_output(list(loss.parents[:-2]), model.tagger.alpha, *loss.parents[-2:])
+    if model.config.mode == "chain":
+        return dist, None
+    att = next(t for t in _toposort(loss) if t.op == "attention")
+    return dist, knowledge_representation(att.parents[0], KnowledgeMemory(list(subs)),
+                                          model.output_net)[1]
+
+
 @pytest.mark.parametrize("mode,encoder,cell,parse_kind", CONFIGS)
 def test_tagging_builds_only_constants_with_recording_values(
-        data, monkeypatch, mode, encoder, cell, parse_kind):
+        data, mode, encoder, cell, parse_kind):
+    # What tagging keeps, its distributions and attention weights, are
+    # constants (leaves) holding bitwise the values of a loss's graph.
     utts, parses = data
     model = _model(utts, mode, encoder, cell)
-    made = []
+    names = model.vocab.tag_names()
     for utt in utts:
         parse = parses[parse_kind][utt.id]
-        ids, subs = model.vocab.encode_tokens(utt.tokens), _subs(model, utt, parse)
-        dist, weights, _ = model.forward(ids, subs)     # recording
-        with monkeypatch.context() as m:
-            m.setattr(Tensor, "__init__", _collecting_init(made))
-            tags, record = model.tag_utterance(utt, parse)
-            with no_grad():
-                const_dist, const_weights, _ = model.forward(ids, subs)
-        assert _constants(made)
-        made.clear()
-        assert _records()
-        names = model.vocab.tag_names()
-        assert tags == [names[i] for i in dist.value.argmax(axis=1)]
-        assert np.array_equal(const_dist.value, dist.value)
-        if mode == "chain":
-            assert record is None and weights is None and const_weights is None
-        else:
-            assert record.weights == weights.value.tolist()
-            assert np.array_equal(const_weights.value, weights.value)
-
-
-@pytest.mark.parametrize("mode,encoder,cell,parse_kind", CONFIGS)
-def test_no_grad_loss_is_a_constant_equal_to_the_recording_loss(
-        data, monkeypatch, mode, encoder, cell, parse_kind):
-    # The gold path of `tag_output`, with dropout masks in every op.
-    utts, parses = data
-    model = _model(utts, mode, encoder, cell)
-    made = []
-    for utt in utts:
         ids, tag_ids = model.vocab.encode_tokens(utt.tokens), model.vocab.encode_tags(utt.tags)
-        subs = _subs(model, utt, parses[parse_kind][utt.id])
-        loss = model.loss(ids, tag_ids, subs, 0.25, np.random.default_rng(6))
-        assert loss.op == "tag_output"
-        with monkeypatch.context() as m, no_grad():
-            m.setattr(Tensor, "__init__", _collecting_init(made))
-            const = model.loss(ids, tag_ids, subs, 0.25, np.random.default_rng(6))
-        assert _constants(made) and const in made
-        made.clear()
-        assert np.array_equal(const.value, loss.value)
+        subs = _subs(model, utt, parse)
+        dist, weights, _ = model.forward(ids, subs)
+        tags, record = model.tag_utterance(utt, parse)
+        recorded_dist, recorded_weights = _recorded(model, ids, tag_ids, subs)
+        assert _leaf(dist) and np.array_equal(dist.value, recorded_dist.value)
+        assert tags == [names[i] for i in recorded_dist.value.argmax(axis=1)]
+        if mode == "chain":
+            assert record is None and weights is None
+        else:
+            assert _leaf(weights) and np.array_equal(weights.value, recorded_weights.value)
+            assert record.weights == recorded_weights.value.tolist()
 
 
-def test_no_grad_is_per_thread_and_restored_on_error():
-    seen = []
-    worker = threading.Thread(target=lambda: seen.append(_records()))
-    with pytest.raises(RuntimeError):
-        with no_grad():
-            with no_grad():
-                pass
-            assert not _records()
-            worker.start()
-            worker.join(timeout=10)
-            raise RuntimeError
-    assert not worker.is_alive() and seen == [True]
-    assert _records()
-
-
-def _gradients(model, ids, tag_ids, subs):
+def _gradients(model, ids, tag_ids, subs, between=lambda: None):
+    """The parameter gradients of one loss, with `between()` run after its
+    forward pass and before its backward pass."""
     params = model.params()
     for p in params.values():
         p.grad = None
-    model.loss(ids, tag_ids, subs, 0.25, np.random.default_rng(5)).backward()
+    loss = model.loss(ids, tag_ids, subs, 0.25, np.random.default_rng(5))
+    between()
+    loss.backward()
     return {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
 
 
+def _same(grads, alone) -> bool:
+    return grads.keys() == alone.keys() and all(
+        np.array_equal(grads[k], alone[k]) for k in alone)
+
+
+@pytest.mark.parametrize("mode,encoder,cell,parse_kind", CONFIGS)
+def test_tagging_between_a_loss_and_its_backward_leaves_its_gradients(
+        data, mode, encoder, cell, parse_kind):
+    # Tagging builds graph nodes whose parents are the parameters; the
+    # backward pass of a loss built before them reaches none of them, and
+    # tagging alone moves no gradient.
+    utts, parses = data
+    kind = parses[parse_kind]
+    model = _model(utts, mode, encoder, cell)
+    utt = utts[0]
+    ids, tag_ids = model.vocab.encode_tokens(utt.tokens), model.vocab.encode_tags(utt.tags)
+    subs = _subs(model, utt, kind[utt.id])
+    alone = _gradients(model, ids, tag_ids, subs)
+    untouched = []
+
+    def tag():
+        for u in utts:
+            model.tag_utterance(u, kind[u.id])
+        untouched.append(all(p.grad is None for p in model.params().values()))
+    assert _same(_gradients(model, ids, tag_ids, subs, tag), alone)
+    assert untouched == [True]
+
+
 def test_tagging_threads_leave_a_training_thread_recording(data):
-    # Two threads tag under `no_grad` while a third builds and backpropagates
-    # losses on the same model; a process-wide switch would turn some of
-    # those losses into constants with no gradients.
+    # Two threads tag while a third builds and backpropagates losses on the
+    # same model: the graphs tagging builds and drops on each thread share
+    # parameters with the learner's graph but no node, so the learner's
+    # gradients stay those of its loss alone.
     utts, parses = data
     deps = parses["dependency"]
     model = _model(utts, "joint", "cnn", "gru")
@@ -159,9 +152,7 @@ def test_tagging_threads_leave_a_training_thread_recording(data):
 
     def learn():
         for _ in range(30):
-            grads = _gradients(model, ids, tag_ids, subs)
-            if grads.keys() != alone.keys() or not all(
-                    np.array_equal(grads[k], alone[k]) for k in alone):
+            if not _same(_gradients(model, ids, tag_ids, subs), alone):
                 failures.append("gradients")
         finished.append(True)
 
