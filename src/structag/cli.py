@@ -21,7 +21,7 @@ from .corpus import load_corpus, write_split_manifest
 from .encoders import ENCODER_KINDS
 from .errors import (CheckpointError, ConfigError, CorpusFormatError,
                      DataError, ParseFileError, StructagError)
-from .evaluator import format_report, save_report
+from .evaluator import format_report
 from .knowledge import (DEFAULT_MAX_SUBSTRUCTURES, check_alignment, load_parses,
                         substructure_stats)
 from .synthetic import SyntheticConfig, generate
@@ -49,41 +49,32 @@ def _path(text: str) -> str:
     return text
 
 
-def _load_parses(path: str | None, utterances: list | None,
-                 id_prefix: str = "u") -> dict | None:
-    """Parses by utterance id. Blocks align to a corpus by ordinal, so given
-    its `utterances`, each block must fit its utterance (`check_alignment`)."""
-    if path is None:
-        return None
-    parses = {p.id: p for p in load_parses(path, id_prefix=id_prefix)}
-    if utterances is not None:
-        if len(parses) != len(utterances):
-            raise DataError(f"{path}: {len(parses)} parse blocks for a corpus of "
-                            f"{len(utterances)} utterances")
-        check_alignment(parses, utterances, path)
-    return parses
-
-
-def _load_utterances(path: str, id_prefix: str = "u") -> list:
+def _load_data(path: str, parses_path: str | None, mode: str, which: str = "",
+               id_prefix: str = "u") -> tuple[list, dict]:
+    """A corpus, refused if empty, and its parses by utterance id. Parse blocks
+    align to the corpus by ordinal, so each must fit its utterance
+    (`check_alignment`). Without a parse file the parses are {}, and outside
+    chain mode a note says that each utterance falls back."""
     utterances = load_corpus(path, id_prefix=id_prefix)
     if not utterances:
         raise DataError(f"{path}: empty corpus")
-    return utterances
-
-
-def _note_without_parses(mode: str, parses_path: str | None, which: str = ""):
-    if mode != "chain" and parses_path is None:
-        print(f"note: no {which}parse file given; each {which}utterance falls back to "
-              "a single whole-sentence substructure", file=sys.stderr)
+    if parses_path is None:
+        if mode != "chain":
+            print(f"note: no {which}parse file given; each {which}utterance falls back "
+                  "to a single whole-sentence substructure", file=sys.stderr)
+        return utterances, {}
+    parses = {p.id: p for p in load_parses(parses_path, id_prefix=id_prefix)}
+    if len(parses) != len(utterances):
+        raise DataError(f"{parses_path}: {len(parses)} parse blocks for a corpus of "
+                        f"{len(utterances)} utterances")
+    check_alignment(parses, utterances, parses_path)
+    return utterances, parses
 
 
 def _load_scored(args) -> tuple:
     """The checkpoint, corpus and parses that `eval` and `inspect-attention` read."""
     model = load_checkpoint(args.model)
-    utterances = _load_utterances(args.data)
-    parses = _load_parses(args.parses, utterances) or {}
-    _note_without_parses(model.config.mode, args.parses)
-    return model, utterances, parses
+    return (model, *_load_data(args.data, args.parses, model.config.mode))
 
 
 def _check_writable(path: str) -> None:
@@ -118,13 +109,14 @@ def cmd_train(args) -> int:
         raise ConfigError("--dev-parses needs --dev (without --dev the dev set "
                           "is held out of --train and uses --parses)")
     config = _load_train_config(args)
-    utterances = _load_utterances(args.train)
-    parses = _load_parses(args.parses, utterances)    # checked in chain mode too
-    _note_without_parses(config.mode, args.parses)
-    dev_utterances = _load_utterances(args.dev, id_prefix="d") if args.dev else None
-    dev_parses = _load_parses(args.dev_parses, dev_utterances or [], id_prefix="d")
-    if args.parses and args.dev:    # else the dev set uses what training uses
-        _note_without_parses(config.mode, args.dev_parses, "dev ")
+    # Parses are checked in chain mode too; without --dev the dev set is
+    # held out of the training set and shares its parses and its note.
+    utterances, parses = _load_data(args.train, args.parses, config.mode,
+                                    "training " if args.dev else "")
+    dev_utterances = dev_parses = None
+    if args.dev:
+        dev_utterances, dev_parses = _load_data(args.dev, args.dev_parses, config.mode,
+                                                "dev ", id_prefix="d")
     manifest_path = str(args.out) + ".splits.json"
     for path in (args.out, manifest_path):    # before training, which opens --log
         _check_writable(path)
@@ -151,10 +143,10 @@ def cmd_eval(args) -> int:
         print(f"warning: {oov}/{total} tokens are outside the checkpoint "
               f"vocabulary and map to the unknown token", file=sys.stderr)
     report = evaluate_model(model, utterances, parses)
-    text = format_report(report) if args.text else json.dumps(report, indent=2) + "\n"
-    print(text, end="")
+    serialised = json.dumps(report, indent=2) + "\n"
+    print(format_report(report) if args.text else serialised, end="")
     if args.report:
-        save_report(report, args.report)
+        Path(args.report).write_text(serialised, encoding="utf-8")
     return EXIT_OK
 
 
@@ -190,8 +182,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    parses = _load_parses(args.parses, None)
-    stats = substructure_stats(list(parses.values()),
+    stats = substructure_stats(load_parses(args.parses),
                                max_substructures=args.max_substructures)
     print(json.dumps(stats, indent=2))
     return EXIT_OK

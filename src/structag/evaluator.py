@@ -8,8 +8,7 @@ type. Scores are percentages.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import Counter
 
 from .errors import DataError
 
@@ -44,21 +43,17 @@ def extract_chunks(tags: list[str] | tuple[str, ...]) -> set[tuple[int, int, str
     return chunks
 
 
-@dataclass
-class _Counts:
-    gold: int = 0
-    predicted: int = 0
-    correct: int = 0
-
-
-def _prf(c: _Counts) -> tuple[float, float, float]:
-    if c.gold == 0 and c.predicted == 0:
+def _scores(gold: int, predicted: int, correct: int) -> dict:
+    """Precision, recall and F1 from chunk counts, followed by the counts."""
+    if gold == 0 and predicted == 0:
         # Nothing to find and nothing found: treat as a perfect score.
-        return 100.0, 100.0, 100.0
-    p = 100.0 * c.correct / c.predicted if c.predicted else 0.0
-    r = 100.0 * c.correct / c.gold if c.gold else 0.0
-    f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f
+        p = r = f = 100.0
+    else:
+        p = 100.0 * correct / predicted if predicted else 0.0
+        r = 100.0 * correct / gold if gold else 0.0
+        f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+    return {"precision": p, "recall": r, "f1": f,
+            "gold": gold, "predicted": predicted, "correct": correct}
 
 
 def evaluate(gold: list[list[str]], predicted: list[list[str]],
@@ -72,10 +67,8 @@ def evaluate(gold: list[list[str]], predicted: list[list[str]],
     if len(gold) != len(predicted):
         raise DataError(f"got {len(gold)} gold sequences but "
                         f"{len(predicted)} predicted")
-    overall = _Counts()
-    by_type: dict[str, _Counts] = {}
-    tokens = 0
-    tokens_correct = 0
+    n_gold, n_predicted, n_correct = Counter(), Counter(), Counter()    # by chunk type
+    tokens = tokens_correct = 0
     for i, (g, p) in enumerate(zip(gold, predicted)):
         if len(g) != len(p):
             label = ids[i] if ids else f"#{i}"
@@ -83,33 +76,15 @@ def evaluate(gold: list[list[str]], predicted: list[list[str]],
                 f"utterance {label}: {len(g)} gold tags vs {len(p)} predicted")
         tokens += len(g)
         tokens_correct += sum(1 for a, b in zip(g, p) if a == b)
-        gold_chunks = extract_chunks(g)
-        pred_chunks = extract_chunks(p)
-        matched = gold_chunks & pred_chunks
-        for chunk_set, attr in ((gold_chunks, "gold"),
-                                (pred_chunks, "predicted"),
-                                (matched, "correct")):
-            for _, _, ctype in chunk_set:
-                counts = by_type.setdefault(ctype, _Counts())
-                setattr(counts, attr, getattr(counts, attr) + 1)
-                setattr(overall, attr, getattr(overall, attr) + 1)
-    p, r, f = _prf(overall)
-    report = {
-        "precision": p, "recall": r, "f1": f,
-        "gold": overall.gold, "predicted": overall.predicted,
-        "correct": overall.correct,
-        "tokens": tokens,
-        "token_accuracy": 100.0 * tokens_correct / tokens if tokens else 0.0,
-        "types": {},
-    }
-    for ctype in sorted(by_type):
-        tp, tr, tf = _prf(by_type[ctype])
-        report["types"][ctype] = {
-            "precision": tp, "recall": tr, "f1": tf,
-            "gold": by_type[ctype].gold,
-            "predicted": by_type[ctype].predicted,
-            "correct": by_type[ctype].correct,
-        }
+        gold_chunks, pred_chunks = extract_chunks(g), extract_chunks(p)
+        n_gold.update(ctype for _, _, ctype in gold_chunks)
+        n_predicted.update(ctype for _, _, ctype in pred_chunks)
+        n_correct.update(ctype for _, _, ctype in gold_chunks & pred_chunks)
+    report = _scores(n_gold.total(), n_predicted.total(), n_correct.total())
+    report["tokens"] = tokens
+    report["token_accuracy"] = 100.0 * tokens_correct / tokens if tokens else 0.0
+    report["types"] = {ctype: _scores(n_gold[ctype], n_predicted[ctype], n_correct[ctype])
+                       for ctype in sorted(n_gold | n_predicted)}
     return report
 
 
@@ -131,9 +106,3 @@ def format_report(report: dict) -> str:
             f"recall: {t['recall']:6.2f}%; "
             f"FB1: {t['f1']:6.2f}  {t['predicted']}")
     return "\n".join(lines) + "\n"
-
-
-def save_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")

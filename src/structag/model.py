@@ -68,20 +68,20 @@ class SlotModel:
                 substructures: list[Substructure] | None,
                 dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None,
-                gold: list[int] | None = None
-                ) -> tuple[Tensor, Tensor | None, list[Substructure]]:
+                gold: list[int] | None = None) -> tuple[Tensor, Tensor | None]:
         """Tag distributions for one utterance, or with `gold` tag ids
         their loss (see `tagger.tag_output`).
 
-        Returns (distributions or loss, attention weights or None,
-        substructures actually used). Dropout is active only when a rate
-        and rng are given; evaluation passes neither.
+        Returns (distributions or loss, attention weights or None). Outside
+        chain mode the substructures are the memory rows, at least one
+        (`substructures_with_fallback` makes one when a parse yields none).
+        Dropout is active only when a rate and rng are given; evaluation
+        passes neither.
         """
         guided = weights = None
-        subs = []
         if self.encoder is not None:
             n = len(token_ids)
-            subs = substructures or substructures_with_fallback(None, n)
+            subs = substructures or []
             if not all(0 <= pos < n for sub in subs for pos in sub.positions):
                 raise DimensionError(f"substructure positions out of range for a {n}-"
                                      f"token utterance: {[s.positions for s in subs]}")
@@ -92,7 +92,7 @@ class SlotModel:
                 finals, KnowledgeMemory(list(subs)), self.output_net)
         embedded = embed(self.embedding, token_ids, dropout_rate, rng)
         dist = self.tagger.distributions(embedded, guided, dropout_rate, rng, gold)
-        return dist, weights, list(subs)
+        return dist, weights
 
     def loss(self, token_ids: list[int], tag_ids: list[int],
              substructures: list[Substructure] | None,
@@ -109,11 +109,11 @@ class SlotModel:
         if self.config.mode != "chain":
             subs = substructures_with_fallback(parse, len(utt.tokens),
                                                self.config.max_substructures)
-        dist, weights, used_subs = self.forward(token_ids, subs)
+        dist, weights = self.forward(token_ids, subs)
         names = self.vocab.tag_names()
         tags = [names[i] for i in decode_greedy(dist)]
         record = None
         if weights is not None:
-            record = build_attention_record(utt.id, list(utt.tokens), used_subs,
+            record = build_attention_record(utt.id, list(utt.tokens), subs,
                                             weights.value.tolist())
         return tags, record

@@ -131,6 +131,8 @@ _FALLBACK_NOTE = ("note: no parse file given; each utterance falls back to "
                   "a single whole-sentence substructure")
 _DEV_FALLBACK_NOTE = ("note: no dev parse file given; each dev utterance falls back to "
                       "a single whole-sentence substructure")
+_TRAINING_FALLBACK_NOTE = ("note: no training parse file given; each training utterance "
+                           "falls back to a single whole-sentence substructure")
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +150,9 @@ def test_knowledge_model_without_parses_notes_fallback(workspace, chain_ckpt, tm
                                                        capsys, command, mode):
     """Train, eval and inspect-attention each print the fallback note once
     when a knowledge model runs without --parses; a chain model, or a run
-    given --parses, prints none. Train given --parses and --dev but no
-    --dev-parses prints the dev note once instead, outside chain mode."""
+    given --parses, prints none. Given --dev, train notes the training set
+    and the dev set apart, each once outside chain mode: the training note
+    without --parses, the dev note without --dev-parses."""
     data = str(workspace["data"] / "corpus.tsv")
     if command == "train":
         args = ["train", "--train", data, "--out", str(tmp_path / "m.json"), "--mode", mode,
@@ -174,6 +177,12 @@ def test_knowledge_model_without_parses_notes_fallback(workspace, chain_ckpt, tm
         assert _FALLBACK_NOTE not in err
         assert main([*dev, "--dev-parses", deps]) == 0
         assert _DEV_FALLBACK_NOTE not in capsys.readouterr().err
+        for dev_parses, notes in (([], [_TRAINING_FALLBACK_NOTE, _DEV_FALLBACK_NOTE]),
+                                  (["--dev-parses", deps], [_TRAINING_FALLBACK_NOTE])):
+            assert main([*args, "--dev", data, *dev_parses]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert [line for line in err if line.startswith("note: ")] == \
+                (notes if mode != "chain" else [])
 
 
 def test_config_file_with_flag_override(workspace, tmp_path, capsys):
@@ -193,22 +202,26 @@ def test_config_file_with_flag_override(workspace, tmp_path, capsys):
 
 
 def test_eval_json_text_and_report(workspace, tmp_path, capsys):
+    # --report holds byte for byte the JSON that eval prints, also when
+    # --text prints the table instead.
     report_path = tmp_path / "report.json"
     code = main(["eval", "--model", str(workspace["ckpt"]),
                  "--data", str(workspace["data"] / "corpus.tsv"),
                  "--parses", str(workspace["data"] / "dependencies.tsv"),
                  "--report", str(report_path)])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert set(report) >= {"precision", "recall", "f1", "types"}
-    assert json.loads(report_path.read_text()) == report
+    printed = capsys.readouterr().out
+    assert set(json.loads(printed)) >= {"precision", "recall", "f1", "types"}
+    assert report_path.read_text() == printed
 
+    report_path.unlink()
     code = main(["eval", "--model", str(workspace["ckpt"]),
                  "--data", str(workspace["data"] / "corpus.tsv"),
                  "--parses", str(workspace["data"] / "dependencies.tsv"),
-                 "--text"])
+                 "--text", "--report", str(report_path)])
     assert code == 0
     assert capsys.readouterr().out.startswith("processed ")
+    assert report_path.read_text() == printed
 
 
 def test_eval_warns_about_unknown_tokens(workspace, tmp_path, capsys):
@@ -465,6 +478,22 @@ def test_non_finite_checkpoint_exits_3(workspace, tmp_path, capsys):
     assert main(["eval", "--model", str(bad),
                  "--data", str(workspace["data"] / "corpus.tsv")]) == 3
     assert "'embedding'" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_parameter_of_the_wrong_shape_exits_3(workspace, tmp_path,
+                                                               capsys):
+    # The embedding's data read as one flat row: it decodes, but does not fit.
+    payload = json.loads(workspace["ckpt"].read_text())
+    entry = payload["params"]["embedding"]
+    rows, cols = entry["shape"]
+    entry["shape"] = [rows * cols]
+    bad = tmp_path / "flat.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(bad),
+                 "--data", str(workspace["data"] / "corpus.tsv")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {bad}: parameter 'embedding' has shape ({rows * cols},), "
+        f"expected ({rows}, {cols})\n")
 
 
 def test_checkpoint_without_unknown_token_exits_3(workspace, tmp_path, capsys):

@@ -1,14 +1,12 @@
 """Chunk extraction and corpus-level F1 scoring."""
 
-import json
 import random
 
 import pytest
 
 import conlleval_reference as ref
 from structag.errors import DataError
-from structag.evaluator import (evaluate, extract_chunks, format_report,
-                                save_report)
+from structag.evaluator import evaluate, extract_chunks, format_report
 
 
 def test_flight_query_chunks():
@@ -117,13 +115,6 @@ def test_format_report_layout():
                            "found: 1 phrases; correct: 1.")
     assert "FB1:" in text
     assert "city" in text and "day" in text
-
-
-def test_save_report_roundtrip(tmp_path):
-    report = evaluate([["B-a", "O"]], [["B-a", "O"]])
-    path = tmp_path / "report.json"
-    save_report(report, path)
-    assert json.loads(path.read_text()) == report
 
 
 @pytest.mark.parametrize("case", range(len(ref.PARITY_CASES)))

@@ -78,7 +78,7 @@ def test_tagging_builds_only_constants_with_recording_values(
         parse = parses[parse_kind][utt.id]
         ids, tag_ids = model.vocab.encode_tokens(utt.tokens), model.vocab.encode_tags(utt.tags)
         subs = _subs(model, utt, parse)
-        dist, weights, _ = model.forward(ids, subs)
+        dist, weights = model.forward(ids, subs)
         tags, record = model.tag_utterance(utt, parse)
         recorded_dist, recorded_weights = _recorded(model, ids, tag_ids, subs)
         assert _leaf(dist) and np.array_equal(dist.value, recorded_dist.value)

@@ -260,6 +260,28 @@ def test_max_substructures_cap():
     assert len(extract_substructures(parse, max_substructures=4)) == 4
 
 
+def test_parse_aligned_past_the_utterance_raises_naming_it(tmp_path):
+    # The 9-token tree given a 5-token utterance: extraction and tagging
+    # refuse it, naming the parse, instead of reading past the sentence.
+    import numpy as np
+
+    from structag.corpus import Vocabulary
+    from structag.model import SlotModel
+    from structag.trainer import TrainConfig
+
+    parse = load_dependency(_write(tmp_path, FLIGHT_TREE), id_prefix="p")[0]
+    match = (r"^p0000: substructure position out of range for a 5-token "
+             r"utterance: \(0, 3, 5, 4\)$")
+    with pytest.raises(DataError, match=match):
+        substructures_with_fallback(parse, 5)
+    utt = Utterance(id="u0000", tokens=("show", "me", "the", "flights", "from"),
+                    tags=("O",) * 5)
+    config = TrainConfig(mode="knowledge", embed_dim=4, hidden_size=4)
+    model = SlotModel(config, Vocabulary.build([utt]), np.random.default_rng(0))
+    with pytest.raises(DataError, match=match):
+        model.tag_utterance(utt, parse)
+
+
 def test_fallback_without_parse():
     subs = substructures_with_fallback(None, 3)
     assert len(subs) == 1

@@ -628,7 +628,7 @@ def test_loss_is_the_nll_of_the_inference_distributions(mode, encoder, cell):
 
     model, token_ids, tag_ids = _small_model(mode, encoder, cell)
     subs = [Substructure(positions=(0, 2), forms=("w0", "w2"), leaf=2)]
-    dist, _, _ = model.forward(token_ids, subs)
+    dist, _ = model.forward(token_ids, subs)
     # Inference builds no graph node for the output layer.
     assert dist.op == "leaf" and dist.parents == ()
     expected = -np.log(dist.value[np.arange(3), tag_ids]).sum()
@@ -647,4 +647,16 @@ def test_forward_rejects_substructure_positions_out_of_range(positions):
     with pytest.raises(DimensionError, match=r"3-token"):
         model.forward(token_ids, subs)
     with pytest.raises(DimensionError, match=r"3-token"):
+        model.loss(token_ids, tag_ids, subs)
+
+
+@pytest.mark.parametrize("subs", [None, []], ids=["none", "empty"])
+@pytest.mark.parametrize("mode", ["knowledge", "joint"])
+def test_forward_without_substructures_raises_outside_chain_mode(mode, subs):
+    # The whole-sentence memory comes from `substructures_with_fallback`
+    # alone; forward makes none, and attention over no rows is refused.
+    model, token_ids, tag_ids = _small_model(mode)
+    with pytest.raises(DimensionError, match=r"at least 1"):
+        model.forward(token_ids, subs)
+    with pytest.raises(DimensionError, match=r"at least 1"):
         model.loss(token_ids, tag_ids, subs)

@@ -754,6 +754,27 @@ def test_empty_training_set_rejected():
         train([], _tiny_config())
 
 
+def test_dev_holdout_of_the_only_utterance_rejected():
+    with pytest.raises(ConfigError, match="dev holdout consumed the whole training set"):
+        train(_utterances(1), _tiny_config(dev_fraction=0.6))
+
+
+def test_optimizer_divergence_names_its_epoch_and_utterance(monkeypatch):
+    # The second update of a one-utterance corpus fails: epoch 2, u0000.
+    step = AdamOptimizer.step
+
+    def failing_step(self):
+        if self.t == 1:
+            raise TrainingDivergedError("update became non-finite")
+        step(self)
+
+    monkeypatch.setattr(AdamOptimizer, "step", failing_step)
+    with pytest.raises(TrainingDivergedError) as err:
+        train(_utterances(1), _tiny_config(epochs=3))
+    assert str(err.value) == "update became non-finite (epoch 2, utterance u0000)"
+    assert str(err.value.__cause__) == "update became non-finite"
+
+
 def test_train_rejects_parses_of_other_utterances(tmp_path):
     # Two trees of equal length but different words, swapped: the library
     # path aligns parses by id, so nothing else would notice.
