@@ -6,8 +6,8 @@ out the substructures that matter, and the blended knowledge vector
 feeds every step of a recurrent tagger.
 """
 
-from .attention import (AttentionRecord, KnowledgeMemory,
-                        build_attention_record, knowledge_representation)
+from .attention import (KnowledgeMemory, build_attention_record,
+                        knowledge_representation)
 from .autodiff import Tensor
 from .corpus import (Utterance, Vocabulary, fractional_split, load_corpus,
                      split_dev, validate_iob)
@@ -27,14 +27,14 @@ from .trainer import (AdamOptimizer, TrainConfig, TrainResult, evaluate_model,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamOptimizer", "AttentionRecord", "CheckpointError", "ConfigError",
-    "CorpusFormatError", "DataError", "DimensionError", "KnowledgeMemory",
-    "KnowledgeParse", "ParseFileError", "SlotModel", "StructagError",
-    "Substructure", "SyntheticConfig", "Tensor", "TrainConfig", "TrainResult",
+    "AdamOptimizer", "CheckpointError", "ConfigError", "CorpusFormatError",
+    "DataError", "DimensionError", "KnowledgeMemory", "KnowledgeParse",
+    "ParseFileError", "SlotModel", "StructagError", "Substructure",
+    "SyntheticConfig", "Tensor", "TrainConfig", "TrainResult",
     "TrainingDivergedError", "Utterance", "Vocabulary", "build_attention_record",
     "derive_seed", "evaluate", "evaluate_model", "extract_chunks",
     "extract_substructures", "format_report", "fractional_split", "generate",
     "knowledge_representation", "load_amr", "load_checkpoint", "load_corpus",
-    "load_dependency", "save_checkpoint", "split_dev",
-    "substructure_stats", "substructures_with_fallback", "train", "validate_iob",
+    "load_dependency", "save_checkpoint", "split_dev", "substructure_stats",
+    "substructures_with_fallback", "train", "validate_iob",
 ]

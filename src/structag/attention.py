@@ -62,39 +62,16 @@ def knowledge_representation(states: Tensor, memory: KnowledgeMemory,
     return Tensor(o, "attention", (states, w, b), bw), Tensor(p)
 
 
-@dataclass
-class AttentionRecord:
-    """Per-utterance attention snapshot for inspection output.
-
-    Token salience is the max weight over substructures containing the
-    token; edge salience is the max weight over substructures whose path
-    traverses the (head, dependent) token pair. Both are projections of
-    the substructure-level distribution, defined here for visualization.
-    """
-    utterance_id: str
-    tokens: list[str]
-    substructures: list[Substructure]
-    weights: list[float]
-    token_salience: list[float]
-    edge_salience: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "utterance_id": self.utterance_id,
-            "tokens": self.tokens,
-            "substructures": [
-                {"positions": list(s.positions),
-                 "tokens": [self.tokens[i] for i in s.positions],
-                 "weight": w}
-                for s, w in zip(self.substructures, self.weights)],
-            "token_salience": self.token_salience,
-            "edge_salience": self.edge_salience,
-        }
-
-
 def build_attention_record(utterance_id: str, tokens: list[str],
                            substructures: list[Substructure],
-                           weights: list[float]) -> AttentionRecord:
+                           weights: list[float]) -> dict:
+    """The JSON attention record that `inspect-attention` writes for one utterance.
+
+    A token's salience is the max weight over the substructures holding it;
+    an edge's is the max over the paths traversing (head, dependent), and an
+    edge whose best weight is not above 0 is left out. Both project the
+    substructure-level distribution for visualization.
+    """
     token_salience = [0.0] * len(tokens)
     edge_best: dict[tuple[int, int], float] = {}
     for sub, w in zip(substructures, weights):
@@ -102,13 +79,12 @@ def build_attention_record(utterance_id: str, tokens: list[str],
             if w > token_salience[pos]:
                 token_salience[pos] = w
         for head, dep in zip(sub.positions, sub.positions[1:]):
-            key = (head, dep)
-            if w > edge_best.get(key, 0.0):
-                edge_best[key] = w
-    edge_salience = [{"head": h, "dependent": d, "salience": s}
-                     for (h, d), s in sorted(edge_best.items())]
-    return AttentionRecord(utterance_id=utterance_id, tokens=list(tokens),
-                           substructures=list(substructures),
-                           weights=list(weights),
-                           token_salience=token_salience,
-                           edge_salience=edge_salience)
+            if w > edge_best.get((head, dep), 0.0):
+                edge_best[head, dep] = w
+    return {"utterance_id": utterance_id, "tokens": list(tokens),
+            "substructures": [{"positions": list(s.positions),
+                               "tokens": [tokens[i] for i in s.positions],
+                               "weight": w} for s, w in zip(substructures, weights)],
+            "token_salience": token_salience,
+            "edge_salience": [{"head": h, "dependent": d, "salience": s}
+                              for (h, d), s in sorted(edge_best.items())]}

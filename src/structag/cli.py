@@ -71,10 +71,13 @@ def _load_data(path: str, parses_path: str | None, mode: str, which: str = "",
     return utterances, parses
 
 
-def _load_scored(args) -> tuple:
-    """The checkpoint, corpus and parses that `eval` and `inspect-attention` read."""
+def _load_scored(args, out: str | None) -> tuple:
+    """What `eval` and `inspect-attention` read; `out` is checked before any tagging."""
     model = load_checkpoint(args.model)
-    return (model, *_load_data(args.data, args.parses, model.config.mode))
+    utterances, parses = _load_data(args.data, args.parses, model.config.mode)
+    if out:
+        _check_writable(out)
+    return model, utterances, parses
 
 
 def _check_writable(path: str) -> None:
@@ -135,7 +138,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, utterances, parses = _load_scored(args)
+    model, utterances, parses = _load_scored(args, args.report)
     known = model.vocab.token_index
     oov = sum(1 for u in utterances for t in u.tokens if t not in known)
     if oov:
@@ -151,7 +154,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    model, utterances, parses = _load_scored(args)
+    model, utterances, parses = _load_scored(args, args.out)
     selected = utterances
     if args.ids:
         by_id = {u.id: u for u in utterances}
@@ -161,7 +164,7 @@ def cmd_inspect(args) -> int:
     if model.config.mode == "chain":
         print("note: chain model, no attention to inspect", file=sys.stderr)
         selected = []
-    records = [model.tag_utterance(u, parses.get(u.id))[1].to_dict() for u in selected]
+    records = [model.tag_utterance(u, parses.get(u.id))[1] for u in selected]
     payload = json.dumps({"records": records}, indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import (AttentionRecord, KnowledgeMemory,
-                        build_attention_record, knowledge_representation)
+from .attention import (KnowledgeMemory, build_attention_record,
+                        knowledge_representation)
 from .autodiff import Tensor, dropout_mask
 from .corpus import Utterance, Vocabulary
 from .encoders import OutputNetwork, make_encoder
@@ -102,8 +102,8 @@ class SlotModel:
                             gold=tag_ids)[0]
 
     def tag_utterance(self, utt: Utterance, parse: KnowledgeParse | None
-                      ) -> tuple[list[str], AttentionRecord | None]:
-        """Predict tag strings for one utterance (no dropout, no graph kept)."""
+                      ) -> tuple[list[str], dict | None]:
+        """Tags (no dropout, no graph kept) and, outside chain mode, the attention record."""
         token_ids = self.vocab.encode_tokens(utt.tokens)
         subs = None
         if self.config.mode != "chain":
@@ -112,8 +112,7 @@ class SlotModel:
         dist, weights = self.forward(token_ids, subs)
         names = self.vocab.tag_names()
         tags = [names[i] for i in decode_greedy(dist)]
-        record = None
-        if weights is not None:
-            record = build_attention_record(utt.id, list(utt.tokens), subs,
+        if weights is None:
+            return tags, None
+        return tags, build_attention_record(utt.id, utt.tokens, subs,
                                             weights.value.tolist())
-        return tags, record

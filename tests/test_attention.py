@@ -196,12 +196,11 @@ def test_attention_record_salience():
     subs = [Substructure(positions=(0, 2), forms=("a", "c"), leaf=1),
             Substructure(positions=(0, 1), forms=("a", "b"), leaf=2)]
     rec = build_attention_record("u0", ["a", "b", "c"], subs, [0.7, 0.3])
-    assert rec.token_salience == [0.7, 0.3, 0.7]
-    assert rec.edge_salience == [
+    assert rec["token_salience"] == [0.7, 0.3, 0.7]
+    assert rec["edge_salience"] == [
         {"head": 0, "dependent": 1, "salience": 0.3},
         {"head": 0, "dependent": 2, "salience": 0.7}]
-    payload = json.dumps(rec.to_dict())
-    parsed = json.loads(payload)
+    parsed = json.loads(json.dumps(rec))
     assert parsed["substructures"][0]["tokens"] == ["a", "c"]
     assert parsed["substructures"][0]["weight"] == 0.7
 
@@ -211,6 +210,30 @@ def test_attention_record_edge_takes_max_over_paths():
             Substructure(positions=(0, 1), forms=(), leaf=2)]
     rec = build_attention_record("u1", ["x", "y", "z"], subs, [0.2, 0.8])
     by_pair = {(e["head"], e["dependent"]): e["salience"]
-               for e in rec.edge_salience}
+               for e in rec["edge_salience"]}
     assert by_pair[(0, 1)] == 0.8
     assert by_pair[(1, 2)] == 0.2
+
+
+def test_attention_record_json_is_pinned():
+    # The record is the JSON that inspect-attention writes, key order
+    # included. Edge (0, 1) is shared by two paths and keeps the larger
+    # weight; the path of weight exactly 0.0 lists no edge (1, 3) and
+    # leaves its tokens' salience at 0.0.
+    subs = [Substructure(positions=(0, 1, 2), forms=("a", "b", "c"), leaf=2),
+            Substructure(positions=(0, 1), forms=("a", "b"), leaf=1),
+            Substructure(positions=(1, 3), forms=("b", "d"), leaf=3),
+            Substructure(positions=(4,), forms=("e",), leaf=4)]
+    rec = build_attention_record("u7", ("a", "b", "c", "d", "e"), subs,
+                                 [0.25, 0.5, 0.0, 0.25])
+    assert json.dumps(rec) == (
+        '{"utterance_id": "u7", "tokens": ["a", "b", "c", "d", "e"], '
+        '"substructures": ['
+        '{"positions": [0, 1, 2], "tokens": ["a", "b", "c"], "weight": 0.25}, '
+        '{"positions": [0, 1], "tokens": ["a", "b"], "weight": 0.5}, '
+        '{"positions": [1, 3], "tokens": ["b", "d"], "weight": 0.0}, '
+        '{"positions": [4], "tokens": ["e"], "weight": 0.25}], '
+        '"token_salience": [0.5, 0.5, 0.25, 0.0, 0.25], '
+        '"edge_salience": ['
+        '{"head": 0, "dependent": 1, "salience": 0.5}, '
+        '{"head": 1, "dependent": 2, "salience": 0.25}]}')

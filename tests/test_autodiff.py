@@ -288,6 +288,13 @@ def test_dropout_without_rng_is_identity():
                                   table.value[[1]])
 
 
+@pytest.mark.parametrize("rate", (1.0, float("nan")))
+def test_dropout_rate_of_one_or_nan_raises(rate):
+    # A rate of 1 would divide by zero; NaN passes `rate <= 0` unnoticed.
+    with pytest.raises(DimensionError, match="rate must be < 1"):
+        dropout_mask((3, 2), rate, np.random.default_rng(0))
+
+
 def test_dropout_masks_and_rescales():
     rng = np.random.default_rng(5)
     table = Tensor(np.ones((40, 3)))

@@ -18,6 +18,7 @@ import pytest
 
 import structag
 from structag.cli import _load_train_config, build_parser, main
+from structag.model import SlotModel
 from structag.trainer import TrainConfig
 
 
@@ -629,6 +630,27 @@ def test_unwritable_out_exits_2_before_training(workspace, tmp_path, capsys, whe
     assert captured.err.splitlines() == [f"error: {reason}: {named}"]
     assert not captured.out and not log.exists() and not out.is_file()
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command,flag", (("eval", "--report"),
+                                          ("inspect-attention", "--out")))
+def test_unwritable_output_exits_2_before_tagging(workspace, tmp_path, monkeypatch,
+                                                  capsys, command, flag):
+    # The output path is checked once the inputs load, so nothing is
+    # tagged and nothing is printed on stdout before the error.
+    calls = []
+    original = SlotModel.tag_utterance
+    monkeypatch.setattr(SlotModel, "tag_utterance",
+                        lambda self, *a: calls.append(1) or original(self, *a))
+    out = tmp_path / "missing" / "out.json"
+    assert main([command, "--model", str(workspace["ckpt"]),
+                 "--data", str(workspace["data"] / "corpus.tsv"),
+                 "--parses", str(workspace["data"] / "dependencies.tsv"),
+                 flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: file not found: {out}"]
+    assert calls == [] and not (tmp_path / "missing").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point

@@ -194,6 +194,12 @@ def test_split_dev_partitions():
     assert split_dev(utts, 0.0, seed=4) == (utts, [])
 
 
+@pytest.mark.parametrize("fraction", (1.0, -0.1))
+def test_split_dev_rejects_a_fraction_outside_zero_to_one(fraction):
+    with pytest.raises(ConfigError, match="dev fraction must be in"):
+        split_dev(_dummy_corpus(10), fraction, seed=4)
+
+
 def test_vocabulary_reserved_indices_and_oov():
     utts = [Utterance("u0", ("a", "b", "a"), ("O", "B-x", "O"))]
     vocab = Vocabulary.build(utts)

@@ -87,7 +87,8 @@ def test_tagging_builds_only_constants_with_recording_values(
             assert record is None and weights is None
         else:
             assert _leaf(weights) and np.array_equal(weights.value, recorded_weights.value)
-            assert record.weights == recorded_weights.value.tolist()
+            assert [s["weight"] for s in record["substructures"]] == \
+                recorded_weights.value.tolist()
 
 
 def _gradients(model, ids, tag_ids, subs, between=lambda: None):

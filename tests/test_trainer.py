@@ -1,6 +1,7 @@
 """Optimizer math, the training loop, and checkpointing."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -578,6 +579,18 @@ OUT_OF_RANGE = [("epsilon", 0.0), ("epsilon", -1e-8), ("epsilon", 5e-324),
 def test_config_rejects_out_of_range_settings(name, value):
     with pytest.raises(ConfigError, match=name):
         _tiny_config(**{name: value}).validate()
+
+
+def test_progress_prints_one_line_per_epoch_with_dev_f1_only_given_a_dev_set(capsys):
+    utts = _utterances(8)
+    for dev, pattern in ((None, r"epoch +\d+  loss=\d+\.\d{4}"),
+                         (utts[6:], r"epoch +\d+  loss=\d+\.\d{4}  dev_f1=\d+\.\d{2}")):
+        result = train(utts[:6], _tiny_config(mode="chain", epochs=3),
+                       dev_utterances=dev, quiet=False)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(result.history) == 3
+        assert all(re.fullmatch(pattern, line) for line in lines)
+        assert [line[:9] for line in lines] == ["epoch   1", "epoch   2", "epoch   3"]
 
 
 def test_out_of_range_fractions_fail_before_the_parse_check(tmp_path):
