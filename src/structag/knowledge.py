@@ -3,7 +3,7 @@
 Two parse sources are supported, both produced by external tools and
 consumed as files: dependency trees in CoNLL-U-style TSV, and concept
 graphs given as node/edge/root triples with token alignments. Relation
-labels are kept as metadata but never used in substructures.
+labels are read and ignored: substructures are token paths only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class KnowledgeParse:
     id: str
     nodes: dict = field(default_factory=dict)  # node id -> ParseNode
     children: dict = field(default_factory=dict)  # node id -> [node ids]
-    edge_labels: dict = field(default_factory=dict)  # (head, dep) -> label
     root: object = None
     kind: str = "amr"  # "dependency": one node per token, its form the token
     line: int | None = None  # the file line (1-based) its block starts on
@@ -152,13 +151,12 @@ def _amr_parses(path: Path, blocks, id_prefix: str) -> list[KnowledgeParse]:
                 if len(cols) != 4:
                     raise ParseFileError(
                         f"{path}: {utt_id}: edge line needs head, relation, dep: {line!r}")
-                _, head, rel, dep = cols
+                _, head, _, dep = cols
                 for ref in (head, dep):
                     if ref not in parse.nodes:
                         raise ParseFileError(
                             f"{path}: {utt_id}: edge references undeclared node {ref!r}")
                 parse.children[head].append(dep)
-                parse.edge_labels[(head, dep)] = rel
             elif kind == "root":
                 if len(cols) != 2 or cols[1] not in parse.nodes:
                     raise ParseFileError(f"{path}: {utt_id}: bad root line: {line!r}")
@@ -226,10 +224,10 @@ def extract_substructures(parse: KnowledgeParse,
                           ) -> list[Substructure]:
     """Enumerate root-to-leaf paths as token substructures.
 
-    One substructure per leaf (per distinct path for DAG-shaped parses,
-    capped at `max_substructures`). Unaligned nodes contribute no token
-    but do not break the path. Exact-duplicate token sequences are
-    dropped; the result is ordered by deepest token position, then path.
+    One per root-to-leaf path, the walk stopping after `max_substructures`
+    paths, duplicates included. Unaligned nodes contribute no token but do
+    not break the path. Exact-duplicate token sequences are dropped; the
+    result is ordered by deepest token position, then path.
     """
     found: dict[tuple, Substructure] = {}
     stack = [(parse.root, [parse.root])]
@@ -245,7 +243,7 @@ def extract_substructures(parse: KnowledgeParse,
                               if parse.nodes[n].token is not None)
                 found[positions] = Substructure(positions=positions, forms=forms,
                                                leaf=node)
-                n_enumerated += 1
+            n_enumerated += 1
             continue
         # Reversed push keeps DFS in declared child order.
         for child in reversed(kids):

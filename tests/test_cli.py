@@ -7,6 +7,7 @@ show up as a shell user sees them.
 
 import base64
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -61,27 +62,31 @@ def test_gen_synthetic_reports_files_and_counts(tmp_path, capsys):
 
 
 def test_gen_synthetic_is_byte_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["gen-synthetic", "--out", str(a), "--count", "14",
-                 "--seed", "21"]) == 0
-    assert main(["gen-synthetic", "--out", str(b), "--count", "14",
-                 "--seed", "21"]) == 0
+    # The files the command writes are pinned byte for byte, on every run.
+    digests = {
+        "corpus.tsv": "c486a00d2f11956d0205351fc9d3176ae2290bf585c2b6836fbbbd0377c76c3b",
+        "dependencies.tsv": "a36ec11c291398166acf9c8e483edfcd8fea1c5f198a6c520472e0974f5d440e",
+        "graphs.tsv": "608a2463671ca31024ab24634961f340f17b3c7f55fab67050a44458656ee66b"}
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["gen-synthetic", "--out", str(out), "--count", "40",
+                     "--seed", "13"]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
     capsys.readouterr()
-    for name in ("corpus.tsv", "dependencies.tsv", "graphs.tsv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_train_writes_checkpoint_summary_and_split_manifest(workspace, capsys):
-    ckpt = workspace["root"] / "again.json"
+    ckpt, log = workspace["root"] / "again.json", workspace["root"] / "again.jsonl"
     code = main(["train",
                  "--train", str(workspace["data"] / "corpus.tsv"),
                  "--parses", str(workspace["data"] / "dependencies.tsv"),
-                 "--out", str(ckpt),
+                 "--out", str(ckpt), "--log", str(log),
                  "--epochs", "1", "--embed-dim", "8", "--hidden-size", "8",
                  "--quiet"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["epochs_run"] == 1
+    assert [json.loads(line)["epoch"] for line in log.read_text().splitlines()] == [1]
     assert summary["checkpoint"] == str(ckpt)
     assert "best_dev_f1" in summary
     manifest = json.loads((ckpt.parent / (ckpt.name + ".splits.json")).read_text())
@@ -303,11 +308,15 @@ def test_stats_on_concept_graphs(workspace, capsys):
 def test_parse_files_of_either_kind_load_without_a_kind_flag(workspace, tmp_path,
                                                               capsys, kind):
     # The file says which kind it is: train, eval, inspect-attention and
-    # stats read a dependency file and a concept-graph file alike.
+    # stats read a dependency file and a concept-graph file alike. The
+    # model goes through a checkpoint: on trees the Elman knowledge tower,
+    # whose cell holds the knowledge projection, on graphs the rnn encoder.
     data, parses = workspace["data"], str(workspace["data"] / f"{kind}.tsv")
     ckpt = tmp_path / "model.json"
+    config = {"dependencies": ["--mode", "knowledge", "--encoder", "nn", "--cell", "elman"],
+              "graphs": ["--encoder", "rnn"]}[kind]
     assert main(["train", "--train", str(data / "corpus.tsv"), "--parses", parses,
-                 "--dev", str(data / "corpus.tsv"), "--dev-parses", parses,
+                 "--dev", str(data / "corpus.tsv"), "--dev-parses", parses, *config,
                  "--out", str(ckpt), "--epochs", "1", "--embed-dim", "4",
                  "--hidden-size", "4", "--quiet"]) == 0
     scored = ["--model", str(ckpt), "--data", str(data / "corpus.tsv"), "--parses", parses]
@@ -384,10 +393,11 @@ def test_missing_parse_file_exits_2(workspace, capsys):
     assert capsys.readouterr().err == "error: file not found: /no/such/parses.tsv\n"
 
 
-def _with_bom(path: Path, out: Path, line: int = 1) -> Path:
-    """A copy of `path` with U+FEFF at the start of its `line`-th line."""
+def _with_bom(path: Path, out: Path, line: int = 1, mark: str = "\ufeff") -> Path:
+    """A copy of `path` with `mark`, U+FEFF by default, at the start of its
+    `line`-th line."""
     lines = path.read_text(encoding="utf-8").split("\n")
-    lines[line - 1] = "\ufeff" + lines[line - 1]
+    lines[line - 1] = mark + lines[line - 1]
     out.write_text("\n".join(lines), encoding="utf-8")
     return out
 
@@ -407,28 +417,41 @@ def test_corpus_with_byte_order_mark_trains_the_same_vocabulary(workspace, tmp_p
 
 @pytest.mark.parametrize("kind", ["dependencies", "graphs"])
 def test_files_with_byte_order_mark_score_as_without(workspace, tmp_path, capsys, kind):
-    data = workspace["data"]
-    scored = []
-    for corpus, parses in ((data / "corpus.tsv", data / f"{kind}.tsv"),
-                           (_with_bom(data / "corpus.tsv", tmp_path / "c.tsv"),
-                            _with_bom(data / f"{kind}.tsv", tmp_path / "p.tsv"))):
-        assert main(["eval", "--model", str(workspace["ckpt"]), "--data", str(corpus),
-                     "--parses", str(parses)]) == 0
-        scored.append(capsys.readouterr().out)
-    assert scored[1] == scored[0]
+    # Files saved as "UTF-8 with BOM", the parse file also by a converter
+    # that put a comment line first: stats and eval, as JSON and as text,
+    # read them as the files themselves.
+    data, plain = workspace["data"], workspace["data"] / f"{kind}.tsv"
+    bom_corpus = _with_bom(data / "corpus.tsv", tmp_path / "c.tsv")
+    printed = []
+    for corpus, parses in ((data / "corpus.tsv", plain),
+                           (bom_corpus, _with_bom(plain, tmp_path / "p.tsv")),
+                           (bom_corpus, _with_bom(plain, tmp_path / "converted.tsv",
+                                                  mark="\ufeff# converted\n"))):
+        scored = ["--model", str(workspace["ckpt"]), "--data", str(corpus),
+                  "--parses", str(parses)]
+        assert main(["stats", "--parses", str(parses)]) == 0
+        assert main(["eval", *scored]) == 0
+        assert main(["eval", *scored, "--text"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[1] == printed[0] and printed[2] == printed[0]
 
 
-@pytest.mark.parametrize("name", ["corpus", "dependencies", "graphs"])
-def test_byte_order_mark_past_the_start_exits_2_naming_its_line(workspace, tmp_path,
-                                                                capsys, name):
+@pytest.mark.parametrize("name", ["corpus", "dependencies", "graphs", "corpus-cr"])
+def test_byte_order_mark_or_carriage_return_inside_exits_2_naming_its_line(
+        workspace, tmp_path, capsys, name):
+    # A U+FEFF past the start of the file, or a CR not just before an LF
+    # (it is no line break), on line 3: one error line names that line.
+    name, _, cr = name.partition("-")
+    mark, fault = (("\r", "carriage return (CR) inside a line") if cr else
+                   ("\ufeff", "byte-order mark (U+FEFF) after the start of the file"))
     data = {"corpus": workspace["data"] / "corpus.tsv",
             "parses": workspace["data"] / "dependencies.tsv"}
     key = "corpus" if name == "corpus" else "parses"
-    data[key] = _with_bom(workspace["data"] / f"{name}.tsv", tmp_path / "bad.tsv", line=3)
+    data[key] = _with_bom(workspace["data"] / f"{name}.tsv", tmp_path / "bad.tsv", line=3,
+                          mark=mark)
     assert main(["eval", "--model", str(workspace["ckpt"]), "--data", str(data["corpus"]),
                  "--parses", str(data["parses"])]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {data[key]}:3: byte-order mark (U+FEFF) after the start of the file\n")
+    assert capsys.readouterr().err == f"error: {data[key]}:3: {fault}\n"
 
 
 def test_empty_corpus_exits_2(tmp_path, capsys):
@@ -561,8 +584,8 @@ def test_path_of_the_wrong_kind_exits_2_naming_it(workspace, tmp_path, capsys, f
     # eval also warns about unknown tokens and notes that it runs without parses
     err = capsys.readouterr().err
     lines = [ln for ln in err.splitlines() if not ln.startswith(("warning:", "note:"))]
-    assert len(lines) == 1 and lines[0].startswith("error: ") and path in lines[0]
-    assert "not found" not in lines[0]
+    reason = "File exists" if command == "gen-synthetic" else "Is a directory"
+    assert lines == [f"error: {reason}: {path}"]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -875,15 +898,19 @@ def _drop_last_block(path: Path, out: Path) -> Path:
     return _write_blocks(_blocks(path)[:-1], out)
 
 
-@pytest.mark.parametrize("command", ("train", "train-dev", "eval",
+@pytest.mark.parametrize("command", ("train", "train-chain", "train-dev", "eval",
                                      "inspect-attention"))
 def test_parse_file_missing_a_block_exits_2(workspace, tmp_path, capsys,
                                             command):
+    # train checks --parses against the corpus in chain mode too, which
+    # reads no parse.
     data = workspace["data"]
     short = _drop_last_block(data / "dependencies.tsv", tmp_path / "short.tsv")
     corpus = str(data / "corpus.tsv")
     args = {
         "train": ["train", "--train", corpus, "--parses", str(short)],
+        "train-chain": ["train", "--train", corpus, "--parses", str(short),
+                        "--mode", "chain"],
         "train-dev": ["train", "--train", corpus, "--dev", corpus,
                       "--parses", str(data / "dependencies.tsv"),
                       "--dev-parses", str(short)],

@@ -182,7 +182,6 @@ def test_amr_dag_loads_and_enumerates_paths(tmp_path):
     parses = load_amr(_write(tmp_path, AMR_BLOCK))
     parse = parses[0]
     assert parse.root == "n0"
-    assert parse.edge_labels[("n0", "n1")] == "arg0"
     subs = extract_substructures(parse)
     # two distinct paths end at the shared person node, one at go's leaf
     positions = {s.positions for s in subs}
@@ -258,6 +257,39 @@ def test_max_substructures_cap():
     parse.root = 0
     assert len(extract_substructures(parse)) == 10
     assert len(extract_substructures(parse, max_substructures=4)) == 4
+
+
+class _CountingChildren(dict):
+    """A children map that counts how often the walk looks a node up."""
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_chain_of_diamonds_walks_at_most_the_capped_paths():
+    # k diamonds in a row, their middle nodes unaligned: 2^k root-to-leaf
+    # paths that all read the same tokens. The cap counts paths walked,
+    # duplicates included, so the walk visits at most cap x depth nodes
+    # instead of every path.
+    k, cap = 16, 8
+    parse = KnowledgeParse(id="diamonds", root="t0")
+    parse.children = _CountingChildren()
+    for i in range(k):
+        top, left, right, bottom = f"t{i}", f"l{i}", f"r{i}", f"t{i + 1}"
+        parse.nodes.update({top: ParseNode(top, i), left: ParseNode(left, None),
+                            right: ParseNode(right, None)})
+        parse.children.update({top: [left, right], left: [bottom], right: [bottom]})
+    parse.nodes[f"t{k}"] = ParseNode(f"t{k}", k)
+    parse.children[f"t{k}"] = []
+    subs = extract_substructures(parse, max_substructures=cap)
+    assert [s.positions for s in subs] == [tuple(range(k + 1))]
+    assert parse.children.lookups <= cap * (2 * k + 1)
 
 
 def test_parse_aligned_past_the_utterance_raises_naming_it(tmp_path):
