@@ -6,8 +6,8 @@ layer it computes (`embed` in model.py, the encoders, the recurrences
 in cells.py, `attention`, and `tag_output` in tagger.py, which ends in
 the loss), so this module defines no op: here live the tensor, the
 backward pass and the numpy helpers the fused ops share. Tensors are
-rank 0..2, stored row-major as float64. A graph and its tensors belong
-to one thread; independent graphs are safe in parallel.
+float64 of rank 0..2, or 3 for the towers' states. A graph and its
+tensors belong to one thread; independent graphs are safe in parallel.
 
 Inference needs no switch: without gold tags `tag_output` returns its
 softmax as a leaf, and `attention` its weights, so a tagging call keeps

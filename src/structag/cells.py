@@ -2,17 +2,18 @@
 
 A cell is its gate list. For every gate it holds an input weight and a
 recurrence weight and, in a knowledge-guided tagger tower, a projection
-of the guided vector. Every run is one fused graph op from one entry
-point, `run`: one sequence, or a ragged batch packed as PyTorch's
-`pack_padded_sequence` packs one. The forward pass projects all inputs
-before the loop (one matmul per gate, into one preallocated matrix),
-adds the knowledge terms to that projection as a constant bias, and
-loops over the steps with one recurrent product per gate group, writing
-every gate and state into its preallocated rows. The backward pass is a
-hand-written backpropagation through time over the stored gate values,
-with one matmul or sum per weight and input after the loop. Parameters
-stay one matrix per gate, as checkpoints store them; the GRU negates
-U_r and U_z into one stacked buffer once per call, for both passes.
+of the guided vector. Every run is one fused graph op over L cells of one
+kind, its lanes: `run` is the one-lane entry (one sequence, or a ragged
+batch packed as PyTorch's `pack_padded_sequence` packs one), `run_lanes`
+runs the joint tagger's towers over one sequence. The forward pass
+projects all inputs before the loop (one matmul per lane and gate, into
+one preallocated matrix), adds the knowledge terms to that projection as
+a constant bias, and loops over the steps with one recurrent product per
+gate group, stacked over the lanes. The backward pass is a hand-written
+backpropagation through time over the stored gate values, with one matmul
+or sum per lane and weight and input after the loop. Parameters stay one
+matrix per gate, as checkpoints store them; the GRU negates U_r and U_z
+into one stacked buffer once per call, for both passes.
 """
 
 from __future__ import annotations
@@ -45,19 +46,36 @@ def zero_vector(n: int) -> Tensor:
     return Tensor(np.zeros(n))
 
 
+def run_lanes(cells: list, x: Tensor, guided: Tensor | None = None) -> Tensor:
+    """Cells of one kind and size over the same x (T, E) as one graph node:
+    the states (L, T, H), lane l bit for bit `cells[l].run(x, guided=guided)`."""
+    check_runs(x, cells[0].input_dim, [x.shape[0]])
+    return cells[0]._op(cells, x, guided, None, [1] * x.shape[0], ...)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """One lane's matrix as it is; several on a leading lane axis."""
+    return arrays[0] if len(arrays) == 1 else np.array(arrays)
+
+
+def _by_lane(a: np.ndarray) -> list[np.ndarray]:
+    """The rows of each lane of a time-major (rows, [L,] ·) array."""
+    return [a] if a.ndim == 2 else a.swapaxes(0, 1)
+
+
 class _Recurrence:
     """Parameters and the one graph-op builder shared by both fused cells.
 
-    A cell sets GATES and OP and defines `_recur(proj, sizes)`, walking the
-    packed rows with `_steps`. It returns the states, zero states first,
-    and a closure `bptt(d_states, d_pre)` that fills d_pre with the
-    pre-activation gradients of d_states, adding into d_states as it walks
-    back. Here the cell draws `w[gate]` (H, E) for every gate, then
-    `u[gate]` (H, H) for every gate, then, with a `knowledge_dim`,
-    `know[gate]`, an (H, K) projection of a guided vector (K,) into that
-    gate's pre-activation at every step. NAMES renames a weight in
-    checkpoints. Projecting gate by gate builds `X @ [W_1; ...; W_k]ᵀ`
-    without a stacked weight copy.
+    A cell sets GATES and OP and defines `_recur(cells, proj, sizes)`,
+    walking the packed rows of its lanes with `_steps`. It returns the
+    states, zero states first, and a closure `bptt(d_states, d_pre)` that
+    fills d_pre with the pre-activation gradients of d_states, adding into
+    d_states as it walks back. Here the cell draws `w[gate]` (H, E) for
+    every gate, then `u[gate]` (H, H) for every gate, then, with a
+    `knowledge_dim`, `know[gate]`, an (H, K) projection of a guided vector
+    (K,) into that gate's pre-activation at every step. NAMES renames a
+    weight in checkpoints. Projecting gate by gate builds
+    `X @ [W_1; ...; W_k]ᵀ` without a stacked weight copy.
     """
 
     NAMES: dict[str, str] = {}
@@ -89,57 +107,63 @@ class _Recurrence:
         masks); one run takes no packing."""
         runs = check_runs(x, self.input_dim, [x.shape[0]] if lengths is None else lengths)
         if len(runs) == 1:
-            return self._op(x, guided, None, [1] * x.shape[0], [-1] if last else None)
+            return self._op([self], x, guided, None, [1] * runs[0], (0, [-1]) if last else 0)
         order = np.argsort(-runs, kind="stable")
         step, rank = np.nonzero(runs[order] > np.arange(runs.max())[:, None])
         # The row of x of each packed row, and the packed row of each row of x.
         rows = (np.cumsum(runs) - runs)[order][rank] + step
         where = np.argsort(rows)
-        return self._op(x, guided, rows, np.bincount(step).tolist(),
-                        where[np.cumsum(runs) - 1] if last else where)
+        return self._op([self], x, guided, rows, np.bincount(step).tolist(),
+                        (0, where[np.cumsum(runs) - 1] if last else where))
 
-    def _op(self, x: Tensor, guided: Tensor | None, rows, sizes: list[int],
-            ends) -> Tensor:
-        """One graph node running the rows `rows` of x (None: all, in order),
-        `sizes[t]` of them at step t, and giving the states at `ends` (None:
-        all)."""
-        hd, weights = self.hidden_dim, [self.w[g] for g in self.GATES]
-        xv = x.value if rows is None else x.value[rows]
-        know = list(self.know.values()) if guided is not None else []
-        proj = np.empty((xv.shape[0], len(weights) * hd))
-        for i, w in enumerate(weights):
-            block = np.matmul(xv, w.value.T, out=proj[:, i * hd:(i + 1) * hd])
-            if know:
-                block += know[i].value @ guided.value
-        states, bptt = self._recur(proj, sizes)
-        value = states[-xv.shape[0]:]
-        result = value if ends is None else value[ends]
+    @classmethod
+    def _op(cls, cells: list, x: Tensor, guided: Tensor | None, rows,
+            sizes: list[int], key) -> Tensor:
+        """One graph node running cells[l] in lane l over the rows `rows` of
+        x (None: all, in order), `sizes[t]` of them at step t, and giving
+        `states[key]` of the states (L, rows, H) in packed row order."""
+        hd, xv = cells[0].hidden_dim, x.value if rows is None else x.value[rows]
+        weights = [list(c.w.values()) for c in cells]
+        know = [list(c.know.values()) if guided is not None else [] for c in cells]
+        n, lanes = len(xv), (len(cells),) if len(cells) > 1 else ()    # 2-D for one lane
+        proj = np.empty((n, *lanes, len(cls.GATES) * hd))    # time-major
+        for lane, ws, ks in zip(_by_lane(proj), weights, know):
+            for i, w in enumerate(ws):
+                block = np.matmul(xv, w.value.T, out=lane[:, i * hd:(i + 1) * hd])
+                if ks:
+                    block += ks[i].value @ guided.value
+        states, bptt = cls._recur(cells, proj, sizes)
+        result = states[-n:].reshape(n, len(cells), hd).swapaxes(0, 1)[key]
 
         def bw(g):
             d_states, d_pre = np.zeros_like(states), np.empty_like(proj)
-            d_states[-xv.shape[0]:][... if ends is None else ends] = g
+            d_states[-n:].reshape(n, len(cells), hd).swapaxes(0, 1)[key] = g
             bptt(d_states, d_pre)
-            for i, w in enumerate(weights):
-                d_gate = d_pre[:, i * hd:(i + 1) * hd]
-                w._accumulate(d_gate.T @ xv)
-                x._accumulate(d_gate @ w.value, rows)    # back to x's row order
-                if know:
-                    d_term = d_gate.sum(axis=0)
-                    know[i]._accumulate(np.outer(d_term, guided.value))
-                    guided._accumulate(know[i].value.T @ d_term)
+            for lane, ws, ks in zip(_by_lane(d_pre), weights, know):
+                for i, w in enumerate(ws):
+                    d_gate = lane[:, i * hd:(i + 1) * hd]
+                    w._accumulate(d_gate.T @ xv)
+                    x._accumulate(d_gate @ w.value, rows)    # lane 0 first, in x's row order
+                    if ks:
+                        d_term = d_gate.sum(axis=0)
+                        ks[i]._accumulate(np.outer(d_term, guided.value))
+                        guided._accumulate(ks[i].value.T @ d_term)
         # guided after x: the backward pass reaches x's embedding first.
-        return Tensor(result, self.OP, (x, *weights, *self.u.values(),
-                                        *([guided, *know] if know else [])), bw)
+        params = [t for c, ws in zip(cells, weights) for t in (*ws, *c.u.values())]
+        knows = [k for ks in know for k in ks]
+        return Tensor(result, cls.OP, (x, *params, *([guided, *knows] if knows else [])), bw)
 
     @staticmethod
-    def _steps(sizes: list[int]):
+    def _steps(sizes: list[int], lanes: int):
         """The number b0 of runs, and how a loop walks `sizes[t]` packed rows
         at step t: `at(*arrays)` gives each array's rows at each step, and
         `before(*arrays)`, of arrays laid out as the states (b0 zero states
-        first), the rows each step follows. One run walks the arrays whole."""
+        first), the rows each step follows. One run walks them whole, and L
+        lanes as (L, 1, ·) stacks."""
         b0 = sizes[0]
         if b0 == 1:
-            return 1, (lambda *arrays: arrays), (lambda *arrays: arrays)
+            whole = (lambda *a: a) if lanes == 1 else (lambda *a: [v[:, :, None] for v in a])
+            return 1, whole, whole
         starts = np.cumsum([0, *sizes[:-1]]).tolist()
 
         def views(starts):
@@ -155,11 +179,12 @@ class ElmanCell(_Recurrence):
     OP = "elman_sequence"
     NAMES = {"w_cand": "w_in", "u_cand": "u_rec"}
 
-    def _recur(self, proj: np.ndarray, sizes: list[int]):
-        u = self.u["cand"].value
-        u_t = u.T    # one transposed view, not one per step
-        b0, at, before = self._steps(sizes)
-        states = np.zeros((b0 + proj.shape[0], self.hidden_dim))
+    @classmethod
+    def _recur(cls, cells: list, proj: np.ndarray, sizes: list[int]):
+        u = _stack([c.u["cand"].value for c in cells])
+        u_t = u.swapaxes(-1, -2)    # one transposed view, not one per step
+        b0, at, before = cls._steps(sizes, len(cells))
+        states = np.zeros((b0 + proj.shape[0], *proj.shape[1:-1], cells[0].hidden_dim))
         for h, h_next, p in zip(*before(states[:-1]), *at(states[b0:], proj)):
             np.tanh(p + h @ u_t, out=h_next)
 
@@ -169,7 +194,8 @@ class ElmanCell(_Recurrence):
                     *before(d_states[:-1]), *at(d_states[b0:], d_pre, dtanh)))):
                 d_prev += np.multiply(dh, t_tanh, out=d_step) @ u
             h_prev = states[:-1] if b0 == 1 else np.vstack(*before(states[:-1]))
-            self.u["cand"]._accumulate(d_pre.T @ h_prev)
+            for d, h, c in zip(_by_lane(d_pre), _by_lane(h_prev), cells):
+                c.u["cand"]._accumulate(d.T @ h)
         return states, bptt
 
 
@@ -190,22 +216,25 @@ class GruCell(_Recurrence):
     GATES = ("reset", "update", "cand")
     OP = "gru_sequence"
 
-    def _recur(self, proj: np.ndarray, sizes: list[int]):
-        hd, n = self.hidden_dim, proj.shape[0]
-        b0, at, before = self._steps(sizes)
-        u_c, neg_u_rz = self.u["cand"].value, np.empty((2 * hd, hd))
+    @classmethod
+    def _recur(cls, cells: list, proj: np.ndarray, sizes: list[int]):
+        hd, n, lanes = cells[0].hidden_dim, proj.shape[0], proj.shape[1:-1]
+        b0, at, before = cls._steps(sizes, len(cells))
+        u_c = _stack([c.u["cand"].value for c in cells])
         # h [-U_r; -U_z] - p is bitwise -(h [U_r; U_z] + p), the -a that exp(-a) needs.
-        np.negative(self.u["reset"].value, out=neg_u_rz[:hd])
-        np.negative(self.u["update"].value, out=neg_u_rz[hd:])
-        neg_u_rz_t, u_c_t = neg_u_rz.T, u_c.T
-        states = np.zeros((b0 + n, hd))
-        rz = np.empty((n, 2 * hd))    # reset and update gate values
-        cand = np.empty((n, hd))
-        keep = np.empty((n, hd))      # (1 - z) * h~, the candidate's share
+        neg_u_rz = np.empty((*lanes, 2 * hd, hd))
+        for buf, c in zip(neg_u_rz.reshape(-1, 2 * hd, hd), cells):
+            np.negative(c.u["reset"].value, out=buf[:hd])
+            np.negative(c.u["update"].value, out=buf[hd:])
+        neg_u_rz_t, u_c_t = neg_u_rz.swapaxes(-1, -2), u_c.swapaxes(-1, -2)
+        states = np.zeros((b0 + n, *lanes, hd))
+        rz = np.empty((n, *lanes, 2 * hd))    # reset and update gate values
+        cand = np.empty((n, *lanes, hd))
+        keep = np.empty((n, *lanes, hd))      # (1 - z) * h~, the candidate's share
         with np.errstate(over="ignore"):    # exp(-a) = inf for a < -709
             for h, h_next, gates, r, z, c, k, p_rz, p_c in zip(*before(states[:-1]), *at(
-                    states[b0:], rz, rz[:, :hd], rz[:, hd:], cand, keep,
-                    proj[:, :2 * hd], proj[:, 2 * hd:])):
+                    states[b0:], rz, rz[..., :hd], rz[..., hd:], cand, keep,
+                    proj[..., :2 * hd], proj[..., 2 * hd:])):
                 np.subtract(np.matmul(h, neg_u_rz_t, out=gates), p_rz, out=gates)
                 np.divide(1.0, np.add(np.exp(gates, out=gates), 1.0, out=gates), out=gates)
                 # h_next holds r * h until the new state overwrites it.
@@ -216,7 +245,7 @@ class GruCell(_Recurrence):
 
         def bptt(d_states, d_pre):
             h_prev = states[:-1] if b0 == 1 else np.vstack(*before(states[:-1]))
-            r, z = rz[:, :hd], rz[:, hd:]
+            r, z = rz[..., :hd], rz[..., hd:]
             # Per-step factors that do not depend on the incoming gradient.
             to_cand = (1.0 - z) * (1.0 - cand * cand)
             to_update = (h_prev - cand) * z * (1.0 - z)
@@ -228,10 +257,11 @@ class GruCell(_Recurrence):
                 np.multiply(d_reset_h, t_reset, out=d_step[..., :hd])
                 np.multiply(dh, t_update, out=d_step[..., hd:2 * hd])
                 d_prev += dh * z_t + d_reset_h * r_t - d_step[..., :2 * hd] @ neg_u_rz
-            d_u_rz = d_pre[:, :2 * hd].T @ h_prev
-            self.u["reset"]._accumulate(d_u_rz[:hd])
-            self.u["update"]._accumulate(d_u_rz[hd:])
-            self.u["cand"]._accumulate(d_pre[:, 2 * hd:].T @ (r * h_prev))
+            for d, h, r_h, c in zip(*map(_by_lane, (d_pre, h_prev, r * h_prev)), cells):
+                d_u_rz = d[:, :2 * hd].T @ h
+                c.u["reset"]._accumulate(d_u_rz[:hd])
+                c.u["update"]._accumulate(d_u_rz[hd:])
+                c.u["cand"]._accumulate(d[:, 2 * hd:].T @ r_h)
         return states, bptt
 
 

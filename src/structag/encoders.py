@@ -80,7 +80,7 @@ class RecurrentEncoder(GruCell):
     # No caller in src/: bench/spans.py patches it to count encodings.
     def encode(self, embedded: Tensor) -> Tensor:
         n = check_runs(embedded, self.input_dim, [embedded.shape[0]])[0]
-        return self._op(embedded, None, None, [1] * n, n - 1)
+        return self._op([self], embedded, None, None, [1] * n, (0, n - 1))
 
 
 class ConvolutionalEncoder(_PerSequence):

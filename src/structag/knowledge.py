@@ -38,7 +38,6 @@ class KnowledgeParse:
 class Substructure:
     """An ordered token path from the parse root down to one leaf."""
     positions: tuple[int, ...]  # 0-based utterance positions, root first
-    forms: tuple[str, ...]      # node forms at the aligned positions
     leaf: object                # originating leaf node id, None for fallback
 
 
@@ -239,10 +238,7 @@ def extract_substructures(parse: KnowledgeParse,
             positions = tuple(parse.nodes[n].token for n in path_nodes
                               if parse.nodes[n].token is not None)
             if positions and positions not in found:
-                forms = tuple(parse.nodes[n].form for n in path_nodes
-                              if parse.nodes[n].token is not None)
-                found[positions] = Substructure(positions=positions, forms=forms,
-                                               leaf=node)
+                found[positions] = Substructure(positions=positions, leaf=node)
             n_enumerated += 1
             continue
         # Reversed push keeps DFS in declared child order.
@@ -270,7 +266,7 @@ def substructures_with_fallback(parse: KnowledgeParse | None, n_tokens: int,
                     f"{n_tokens}-token utterance: {sub.positions}")
         if subs:
             return subs
-    return [Substructure(positions=tuple(range(n_tokens)), forms=(), leaf=None)]
+    return [Substructure(positions=tuple(range(n_tokens)), leaf=None)]
 
 
 def substructure_stats(parses: list[KnowledgeParse | None],

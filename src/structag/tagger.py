@@ -4,9 +4,10 @@ All variants run left to right and emit one tag distribution per token
 via a shared output layer. Each tower is a recurrent cell; a knowledge
 tower's cell owns the projections that add the per-utterance guided
 representation into every step's pre-activations. The joint variant
-blends a chain tower and a knowledge tower before the output softmax.
-The output layer, blend included, is one graph op that ends in the
-training loss; inference reads its softmax as a constant.
+blends a chain tower and a knowledge tower, run as the two lanes of one
+recurrence op, before the output softmax. The output layer, blend
+included, is one graph op that ends in the training loss; inference
+reads its softmax as a constant.
 """
 
 from __future__ import annotations
@@ -15,29 +16,29 @@ import numpy as np
 
 from .autodiff import Tensor, dropout_mask, softmax_array
 # CELL_KINDS is re-exported beside TAGGER_MODES for the config checks.
-from .cells import CELL_KINDS, glorot_uniform, make_cell, zero_vector
+from .cells import CELL_KINDS, glorot_uniform, make_cell, run_lanes, zero_vector
 from .errors import DimensionError
 
 TAGGER_MODES = ("chain", "knowledge", "joint")
 
 
-def tag_output(states: list[Tensor], alpha: float, weight: Tensor,
+def tag_output(states: Tensor, alpha: float, weight: Tensor,
                bias: Tensor, dropout_rate: float = 0.0,
                rng: np.random.Generator | None = None,
                gold: list[int] | None = None) -> Tensor:
-    """The blend `alpha * s1 + (1 - alpha) * s2` of two towers (one passes
-    through), the dropout mask and `@ weight + bias` give (tokens, tags)
-    logits. Without `gold`, returns their row softmax as a constant; with
-    it, one graph node: the summed NLL of the gold tag indices from a
-    max-shifted log-sum-exp, with logit gradient `softmax - onehot(gold)`."""
-    n_tokens, n_tags = states[0].shape[0], weight.shape[1]
+    """The blend `alpha * s1 + (1 - alpha) * s2` of two towers' states (one
+    passes through), (towers, T, H), the dropout mask and `@ weight + bias`
+    give (T, tags) logits. Without `gold`, returns their row softmax as a
+    constant; with it, one graph node: the summed NLL of the gold tag indices
+    from a max-shifted log-sum-exp, with logit gradient `softmax - onehot(gold)`."""
+    n_tokens, n_tags = states.shape[1], weight.shape[1]
     if gold is not None and (len(gold) != n_tokens
                              or not all(0 <= t < n_tags for t in gold)):
         raise DimensionError(f"tag_output: gold tags {list(gold)} are not "
                              f"{n_tokens} indices below {n_tags}")
-    scales = (alpha, 1.0 - alpha) if len(states) == 2 else (1.0,)
-    hidden = states[0].value if len(states) == 1 else (
-        alpha * states[0].value + (1.0 - alpha) * states[1].value)
+    towers = states.value
+    scales = (alpha, 1.0 - alpha) if len(towers) == 2 else (1.0,)
+    hidden = towers[0] if len(towers) == 1 else alpha * towers[0] + (1.0 - alpha) * towers[1]
     mask = dropout_mask(hidden.shape, dropout_rate, rng)
     if mask is not None:
         hidden = hidden * mask
@@ -57,9 +58,8 @@ def tag_output(states: list[Tensor], alpha: float, weight: Tensor,
         d_hidden = d_logits @ weight.value.T
         if mask is not None:
             d_hidden = d_hidden * mask
-        for state, scale in zip(states, scales):
-            state._accumulate(scale * d_hidden)
-    return Tensor(nll, "tag_output", (*states, weight, bias), bw)
+        states._accumulate(np.multiply.outer(scales, d_hidden))
+    return Tensor(nll, "tag_output", (states, weight, bias), bw)
 
 
 class Tagger:
@@ -67,8 +67,8 @@ class Tagger:
 
     chain       one tower, no knowledge input
     knowledge   one tower with the guided representation in every step
-    joint       independent chain and knowledge towers, hidden states
-                blended with weight alpha, one shared output layer
+    joint       chain and knowledge towers as two lanes of one op, hidden
+                states blended with weight alpha, one shared output layer
 
     The guided representation has the towers' hidden size, so a knowledge
     tower projects a (hidden_dim,) vector into every gate.
@@ -106,9 +106,8 @@ class Tagger:
         tower ignores `guided`."""
         if self.mode != "chain" and guided is None:
             raise DimensionError(f"{self.mode} tagger needs a guided representation")
-        return tag_output([cell.run(embedded, guided=guided) for cell in self.towers],
-                          self.alpha, self.out_weight, self.out_bias,
-                          dropout_rate, rng, gold)
+        return tag_output(run_lanes(self.towers, embedded, guided), self.alpha,
+                          self.out_weight, self.out_bias, dropout_rate, rng, gold)
 
 
 def decode_greedy(distributions: Tensor) -> list[int]:

@@ -7,7 +7,7 @@ from structag.autodiff import Tensor
 STEP = 1e-4
 
 
-# Loss-building helpers. The model itself never needs these two ops, so
+# Loss-building helpers. The model itself never needs these three ops, so
 # they live with the tests that read gradients out through them.
 
 
@@ -24,6 +24,15 @@ def elementwise_mul(a, b):
         a._accumulate(g * b.value)
         b._accumulate(g * a.value)
     return Tensor(a.value * b.value, "mul", (a, b), bw)
+
+
+def stack(parts):
+    """Tensors of one shape on a new leading axis, each part's gradient
+    landing on it in order: separate tower runs as the tagger's lanes."""
+    def bw(g):
+        for p, d in zip(parts, g):
+            p._accumulate(d)
+    return Tensor(np.stack([p.value for p in parts]), "stack", tuple(parts), bw)
 
 
 def set_know(cell, know):

@@ -17,7 +17,7 @@ import conlleval_reference as ref
 from gradcheck_util import assert_grads_match, elementwise_mul, set_know, sum_all
 from structag.attention import KnowledgeMemory, knowledge_representation
 from structag.autodiff import Tensor
-from structag.cells import make_cell
+from structag.cells import make_cell, run_lanes
 from structag.corpus import Utterance, Vocabulary, load_corpus
 from structag.encoders import ENCODER_KINDS, OutputNetwork, make_encoder
 from structag.evaluator import evaluate
@@ -97,7 +97,7 @@ def _per_op_worst() -> tuple[float, set]:
     for n_rows in (1, 3):
         states = mat(n_rows + 1, 4)
         wo = rng.normal(size=4)
-        memory = KnowledgeMemory([Substructure((i,), (), i) for i in range(n_rows)])
+        memory = KnowledgeMemory([Substructure((i,), i) for i in range(n_rows)])
         check(lambda: _weighted(knowledge_representation(states, memory, net)[0], wo),
               [states, net.weight, net.bias])
 
@@ -105,11 +105,11 @@ def _per_op_worst() -> tuple[float, set]:
     # and with a dropout mask.
     out_w, out_b = mat(4, 5), mat(5)
     for n_towers in (1, 2):
-        states = [mat(3, 4) for _ in range(n_towers)]
+        states = mat(n_towers, 3, 4)
         for rate in (0.0, 0.5):
             check(lambda: tag_output(states, 0.3, out_w, out_b, rate,
                                      np.random.default_rng(4), gold=[4, 0, 2]),
-                  states + [out_w, out_b])
+                  [states, out_w, out_b])
 
     # The fused recurrences, with and without knowledge terms: one run of
     # one step, one run of several (the rnn sentence vector, a tower), and
@@ -128,11 +128,22 @@ def _per_op_worst() -> tuple[float, set]:
                 check(lambda: _weighted(cell.run(xs, lengths, guided, last), wh),
                       tensors + know + [guided])
 
+    # The joint towers as two lanes of one op, over one step and several:
+    # the chain tower, then a tower with knowledge projections.
+    for kind in CELL_KINDS:
+        cells = [make_cell(kind, rng, 3, 4), make_cell(kind, rng, 3, 4, knowledge_dim=2)]
+        guided = mat(2)
+        know = set_know(cells[1], {g: rng.normal(size=(4, 2)) for g in cells[1].GATES})
+        tensors = [t for c in cells for t in (*c.w.values(), *c.u.values())] + know
+        for n in (1, 4):
+            xs, wh = mat(n, 3), rng.normal(size=(2, n, 4))
+            check(lambda: _weighted(run_lanes(cells, xs, guided), wh), tensors + [xs, guided])
+
     # Every encoder's memory and sentence vector: the rows of one
     # `final_states` over one lookup of the parts and then the sentence,
     # which the attention step reads whole; the sentence ties the longest
     # part.
-    subs = [Substructure((i,), (), i) for i in range(3)]
+    subs = [Substructure((i,), i) for i in range(3)]
     for kind in ENCODER_KINDS:
         enc, net = make_encoder(kind, rng, 3, 4), OutputNetwork(rng, 4)
         table, wo = mat(6, 3), rng.normal(size=4)
@@ -178,8 +189,8 @@ def test_criterion_1_gradients():
                       np.random.default_rng(derive_seed(1, "init")))
     token_ids = vocab.encode_tokens(utt.tokens)
     tag_ids = vocab.encode_tags(utt.tags)
-    subs = [Substructure(positions=(0, 1), forms=("which", "flights"), leaf=1),
-            Substructure(positions=(0, 2), forms=("which", "leave"), leaf=2)]
+    subs = [Substructure(positions=(0, 1), leaf=1),
+            Substructure(positions=(0, 2), leaf=2)]
 
     full_worst = assert_grads_match(
         lambda: model.loss(token_ids, tag_ids, subs),
@@ -199,8 +210,8 @@ def test_criterion_1_checks_every_op_a_training_loss_builds():
     vocab = Vocabulary.build([utt])
     token_ids = vocab.encode_tokens(utt.tokens)
     tag_ids = vocab.encode_tags(utt.tags)
-    subs = [Substructure(positions=(0, 1), forms=("which", "flights"), leaf=1),
-            Substructure(positions=(2, 3), forms=("leave", "today"), leaf=3)]
+    subs = [Substructure(positions=(0, 1), leaf=1),
+            Substructure(positions=(2, 3), leaf=3)]
     built = set()
     for mode in TAGGER_MODES:
         for encoder in ENCODER_KINDS:
@@ -224,7 +235,7 @@ def test_criterion_1_checks_every_op_a_training_loss_builds():
 def attend(rows, u) -> Tensor:
     """The attention weights of `u` over the memory `rows`, output network
     drawn at random."""
-    memory = KnowledgeMemory([Substructure((i,), (), i) for i in range(len(rows))])
+    memory = KnowledgeMemory([Substructure((i,), i) for i in range(len(rows))])
     net = OutputNetwork(np.random.default_rng(0), len(u))
     return knowledge_representation(Tensor(np.vstack([rows, u])), memory, net)[1]
 
@@ -275,7 +286,8 @@ def test_criterion_3_substructures(tmp_path):
     path.write_text(tree, encoding="utf-8")
     parse = load_dependency(path)[0]
     fixture_ok = ("show", "flights", "seattle", "from") in {
-        s.forms for s in extract_substructures(parse)}
+        tuple(parse.nodes[i + 1].form for i in s.positions)
+        for s in extract_substructures(parse)}
 
     rng = random.Random(33)
     mismatches = 0

@@ -22,7 +22,7 @@ from structag.knowledge import Substructure
 
 
 def _memory(n):
-    return KnowledgeMemory([Substructure(positions=(i,), forms=(f"w{i}",), leaf=i)
+    return KnowledgeMemory([Substructure(positions=(i,), leaf=i)
                             for i in range(n)])
 
 
@@ -193,8 +193,8 @@ def test_dimension_mismatches_rejected():
 
 
 def test_attention_record_salience():
-    subs = [Substructure(positions=(0, 2), forms=("a", "c"), leaf=1),
-            Substructure(positions=(0, 1), forms=("a", "b"), leaf=2)]
+    subs = [Substructure(positions=(0, 2), leaf=1),
+            Substructure(positions=(0, 1), leaf=2)]
     rec = build_attention_record("u0", ["a", "b", "c"], subs, [0.7, 0.3])
     assert rec["token_salience"] == [0.7, 0.3, 0.7]
     assert rec["edge_salience"] == [
@@ -206,8 +206,8 @@ def test_attention_record_salience():
 
 
 def test_attention_record_edge_takes_max_over_paths():
-    subs = [Substructure(positions=(0, 1, 2), forms=(), leaf=1),
-            Substructure(positions=(0, 1), forms=(), leaf=2)]
+    subs = [Substructure(positions=(0, 1, 2), leaf=1),
+            Substructure(positions=(0, 1), leaf=2)]
     rec = build_attention_record("u1", ["x", "y", "z"], subs, [0.2, 0.8])
     by_pair = {(e["head"], e["dependent"]): e["salience"]
                for e in rec["edge_salience"]}
@@ -220,10 +220,10 @@ def test_attention_record_json_is_pinned():
     # included. Edge (0, 1) is shared by two paths and keeps the larger
     # weight; the path of weight exactly 0.0 lists no edge (1, 3) and
     # leaves its tokens' salience at 0.0.
-    subs = [Substructure(positions=(0, 1, 2), forms=("a", "b", "c"), leaf=2),
-            Substructure(positions=(0, 1), forms=("a", "b"), leaf=1),
-            Substructure(positions=(1, 3), forms=("b", "d"), leaf=3),
-            Substructure(positions=(4,), forms=("e",), leaf=4)]
+    subs = [Substructure(positions=(0, 1, 2), leaf=2),
+            Substructure(positions=(0, 1), leaf=1),
+            Substructure(positions=(1, 3), leaf=3),
+            Substructure(positions=(4,), leaf=4)]
     rec = build_attention_record("u7", ("a", "b", "c", "d", "e"), subs,
                                  [0.25, 0.5, 0.0, 0.25])
     assert json.dumps(rec) == (

@@ -21,7 +21,7 @@ from structag.model import embed
 from structag.tagger import tag_output
 
 from gradcheck_util import (assert_grads_match, elementwise_mul, numeric_grad,
-                            rel_err, set_know, sum_all)
+                            rel_err, set_know, stack, sum_all)
 
 
 def _t(rng, *shape):
@@ -38,7 +38,7 @@ def _weighted_sum(expr, weights):
 
 
 def _memory(n) -> KnowledgeMemory:
-    return KnowledgeMemory([Substructure((i,), (), i) for i in range(n)])
+    return KnowledgeMemory([Substructure((i,), i) for i in range(n)])
 
 
 def _attention(states: Tensor, net):
@@ -82,7 +82,7 @@ def test_add_broadcast_rows():
     # The output layer adds its bias to every row: with zero weights each
     # row is softmax(bias).
     bias = np.array([1.0, 2.0, 3.0])
-    y = tag_output([Tensor(np.ones((2, 2)))], 0.5, Tensor(np.zeros((2, 3))),
+    y = tag_output(Tensor(np.ones((1, 2, 2))), 0.5, Tensor(np.zeros((2, 3))),
                    Tensor(bias.copy())).value
     np.testing.assert_allclose(y, np.tile(_softmax_rows(bias), (2, 1)), rtol=1e-12)
 
@@ -148,7 +148,7 @@ def test_tanh_and_sigmoid_identities():
 def test_softmax_uniform():
     p = _attend(np.zeros(3), np.eye(3))
     assert np.allclose(p, [1 / 3] * 3, atol=1e-12)
-    y = tag_output([Tensor(np.ones((2, 2)))], 0.5, Tensor(np.zeros((2, 4))),
+    y = tag_output(Tensor(np.ones((1, 2, 2))), 0.5, Tensor(np.zeros((2, 4))),
                    Tensor(np.zeros(4))).value
     assert np.allclose(y, 0.25, atol=1e-12)
 
@@ -158,7 +158,7 @@ def test_softmax_large_inputs_stable():
         p = _attend([1.0], [[big], [big]])
         assert np.all(np.isfinite(p))
         assert np.allclose(p, [0.5, 0.5], atol=1e-12)
-        y = tag_output([Tensor(np.ones((3, 2)))], 0.5, Tensor(np.zeros((2, 2))),
+        y = tag_output(Tensor(np.ones((1, 3, 2))), 0.5, Tensor(np.zeros((2, 2))),
                        Tensor(np.full(2, big))).value
         assert np.all(np.isfinite(y))
         assert np.allclose(y, 0.5, atol=1e-12)
@@ -167,15 +167,15 @@ def test_softmax_large_inputs_stable():
 def test_softmax_shift_invariance():
     # Shifting every output bias by one constant shifts each row's logits.
     rng = np.random.default_rng(0)
-    states, w, b = _t(rng, 3, 4), _t(rng, 4, 7), rng.normal(size=7)
-    a = tag_output([states], 0.5, w, Tensor(b.copy())).value
-    shifted = tag_output([states], 0.5, w, Tensor(b + 123.456)).value
+    states, w, b = _t(rng, 1, 3, 4), _t(rng, 4, 7), rng.normal(size=7)
+    a = tag_output(states, 0.5, w, Tensor(b.copy())).value
+    shifted = tag_output(states, 0.5, w, Tensor(b + 123.456)).value
     assert np.max(np.abs(a - shifted)) < 1e-6
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
-    y = tag_output([_t(rng, 4, 3), _t(rng, 4, 3)], 0.3, _t(rng, 3, 5),
+    y = tag_output(_t(rng, 2, 4, 3), 0.3, _t(rng, 3, 5),
                    _t(rng, 5)).value
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-6)
     assert np.all(y > 0) and np.all(y < 1)
@@ -185,13 +185,13 @@ def test_softmax_rows_sum_to_one():
 
 def test_cross_entropy_uniform_two_tokens():
     # Zero weights and bias put every token at the uniform distribution.
-    loss = tag_output([Tensor(np.ones((2, 2)))], 0.5, Tensor(np.zeros((2, 4))),
+    loss = tag_output(Tensor(np.ones((1, 2, 2))), 0.5, Tensor(np.zeros((2, 4))),
                       Tensor(np.zeros(4)), gold=[0, 3])
     assert float(loss.value) == pytest.approx(2.0 * math.log(4.0))
 
 
 def test_cross_entropy_perfect_prediction():
-    loss = tag_output([Tensor(50.0 * np.eye(2))], 0.5, Tensor(np.eye(2)),
+    loss = tag_output(Tensor(50.0 * np.eye(2)[None]), 0.5, Tensor(np.eye(2)),
                       Tensor(np.zeros(2)), gold=[0, 1])
     assert float(loss.value) == pytest.approx(0.0)
 
@@ -199,7 +199,7 @@ def test_cross_entropy_perfect_prediction():
 def test_cross_entropy_hand_case():
     # Logits log(p) of rows that sum to one give back p.
     probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]])
-    loss = tag_output([Tensor(np.log(probs))], 0.5, Tensor(np.eye(3)),
+    loss = tag_output(Tensor(np.log(probs)[None]), 0.5, Tensor(np.eye(3)),
                       Tensor(np.zeros(3)), gold=[0, 1])
     assert float(loss.value) == pytest.approx(-(math.log(0.7) + math.log(0.6)))
 
@@ -208,25 +208,25 @@ def test_cross_entropy_extreme_logits_stay_finite():
     # Logits of +-1e3 put the gold tags at probabilities that underflow to
     # zero, and the others at one; the log-sum-exp keeps the loss exact.
     logits = 1e3 * np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.0]])
-    states, bias = Tensor(logits.copy()), Tensor(np.zeros(3))
+    states, bias = Tensor(logits[None].copy()), Tensor(np.zeros(3))
     weight = Tensor(np.eye(3))
     gold = [1, 0]
-    loss = tag_output([states], 0.5, weight, bias, gold=gold)
+    loss = tag_output(states, 0.5, weight, bias, gold=gold)
     assert float(loss.value) == pytest.approx(4e3)
     loss.backward()
     for t in (states, weight, bias):
         assert np.all(np.isfinite(t.grad))
     expected = _softmax_rows(logits)
     expected[[0, 1], gold] -= 1.0
-    np.testing.assert_array_equal(states.grad, expected)
+    np.testing.assert_array_equal(states.grad[0], expected)
     np.testing.assert_array_equal(bias.grad, expected.sum(axis=0))
 
 
 def test_cross_entropy_gold_out_of_range():
-    states, weight, bias = Tensor([[0.5, 0.5]]), Tensor(np.eye(2)), Tensor(np.zeros(2))
+    states, weight, bias = Tensor([[[0.5, 0.5]]]), Tensor(np.eye(2)), Tensor(np.zeros(2))
     for gold in ([2], [-1], [0, 1]):
         with pytest.raises(DimensionError):
-            tag_output([states], 0.5, weight, bias, gold=gold)
+            tag_output(states, 0.5, weight, bias, gold=gold)
 
 
 def test_embed_repeated_ids_accumulate():
@@ -321,9 +321,9 @@ def test_grad_add_same_shape():
 
 def test_grad_add_broadcast():
     rng = np.random.default_rng(11)
-    states, wo, b = _t(rng, 3, 4), _t(rng, 4, 5), _t(rng, 5)
+    states, wo, b = _t(rng, 1, 3, 4), _t(rng, 4, 5), _t(rng, 5)
     assert_grads_match(
-        lambda: tag_output([states], 0.5, wo, b, gold=[4, 0, 2]), [b, states])
+        lambda: tag_output(states, 0.5, wo, b, gold=[4, 0, 2]), [b, states])
 
 
 def test_grad_elementwise_mul():
@@ -335,17 +335,17 @@ def test_grad_elementwise_mul():
 def test_grad_affine():
     # The joint blend alpha * s1 + (1 - alpha) * s2 scales each tower.
     rng = np.random.default_rng(13)
-    s1, s2, wo, b = _t(rng, 3, 4), _t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2)
+    states, wo, b = _t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)
     assert_grads_match(
-        lambda: tag_output([s1, s2], 0.3, wo, b, gold=[1, 0, 1]), [s1, s2])
+        lambda: tag_output(states, 0.3, wo, b, gold=[1, 0, 1]), [states])
 
 
 def test_grad_matmul_all_rank_combinations():
     rng = np.random.default_rng(14)
     # matrix @ matrix: states @ W of the output layer
-    states, wo, b = _t(rng, 3, 4), _t(rng, 4, 2), _t(rng, 2)
+    states, wo, b = _t(rng, 1, 3, 4), _t(rng, 4, 2), _t(rng, 2)
     assert_grads_match(
-        lambda: tag_output([states], 0.5, wo, b, gold=[0, 1, 1]), [states, wo])
+        lambda: tag_output(states, 0.5, wo, b, gold=[0, 1, 1]), [states, wo])
     # matrix @ vector (M u, W s) and vector @ matrix (pᵀM) in attention
     states, w_att = _t(rng, 4, 4), _const(rng, 4)
     net = _net(4, seed=14)
@@ -378,9 +378,9 @@ def test_grad_softmax_vector_and_rows():
     assert_grads_match(lambda: _weighted_sum(_attention(states, net)[0], wv), [states])
     # Row softmax: the output layer's per-token distributions, read
     # through the log-likelihood of the gold tags.
-    states, wo, b = _t(rng, 3, 2), _t(rng, 2, 4), _t(rng, 4)
+    states, wo, b = _t(rng, 1, 3, 2), _t(rng, 2, 4), _t(rng, 4)
     assert_grads_match(
-        lambda: tag_output([states], 0.5, wo, b, gold=[3, 3, 0]), [states, wo, b])
+        lambda: tag_output(states, 0.5, wo, b, gold=[3, 3, 0]), [states, wo, b])
 
 
 def test_grad_row_ops():
@@ -397,10 +397,10 @@ def test_grad_row_ops():
 
 def test_grad_cross_entropy():
     rng = np.random.default_rng(20)
-    states, wo, b = _t(rng, 4, 3), _t(rng, 3, 5), _t(rng, 5)
+    states, wo, b = _t(rng, 1, 4, 3), _t(rng, 3, 5), _t(rng, 5)
     gold = [1, 0, 4, 2]
     assert_grads_match(
-        lambda: tag_output([states], 0.5, wo, b, gold=gold), [states, wo, b])
+        lambda: tag_output(states, 0.5, wo, b, gold=gold), [states, wo, b])
 
 
 def test_grad_composed_chain():
@@ -416,7 +416,7 @@ def test_grad_composed_chain():
     def loss():
         x = embed(table, [0, 2, 0])
         guided = cell.encode(embed(table, [1, 3]))
-        states = [cell.run(x), cell.run(x, guided=guided)]
+        states = stack([cell.run(x), cell.run(x, guided=guided)])
         return tag_output(states, 0.4, wo, b, gold=[0, 1, 3])
 
     assert_grads_match(loss, [table, *cell.params("").values(), wo, b])

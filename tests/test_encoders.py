@@ -150,7 +150,7 @@ def test_rnn_memory_gradients_match_per_sequence_runs():
     for parts in ([[4, 1]], [[5, 6, 1], [7], [0, 1, 2, 3], [3, 2]], [sentence]):
         table, x, lengths = _runs(310, parts, sentence)
         tensors = [*enc.params("enc").values(), table]
-        subs = [Substructure((i,), (), i) for i in range(len(parts))]
+        subs = [Substructure((i,), i) for i in range(len(parts))]
 
         def grads(*outputs):
             for t in tensors:
@@ -340,7 +340,7 @@ def _apply(net, v):
     gets weight 1 and a zero sentence vector adds nothing, so the
     attention step returns tanh(W v + b)."""
     states = Tensor(np.array([v, np.zeros(len(v))], dtype=float))
-    return knowledge_representation(states, KnowledgeMemory([Substructure((0,), ("w",), 0)]),
+    return knowledge_representation(states, KnowledgeMemory([Substructure((0,), 0)]),
                                     net)[0]
 
 

@@ -58,7 +58,7 @@ def _recorded(model, ids, tag_ids, subs):
     """The distributions and attention weights of a loss's recorded graph:
     `tag_output` and the attention step rerun on its nodes' operands."""
     loss = model.loss(ids, tag_ids, subs)
-    dist = tag_output(list(loss.parents[:-2]), model.tagger.alpha, *loss.parents[-2:])
+    dist = tag_output(loss.parents[0], model.tagger.alpha, *loss.parents[-2:])
     if model.config.mode == "chain":
         return dist, None
     att = next(t for t in _toposort(loss) if t.op == "attention")

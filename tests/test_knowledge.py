@@ -39,7 +39,8 @@ def test_flight_tree_substructures(tmp_path):
     parses = load_dependency(_write(tmp_path, FLIGHT_TREE))
     assert len(parses) == 1
     subs = extract_substructures(parses[0])
-    forms = {s.forms for s in subs}
+    # A dependency tree's node i + 1 is token i.
+    forms = {tuple(parses[0].nodes[i + 1].form for i in s.positions) for s in subs}
     assert ("show", "flights", "seattle", "from") in forms
     assert len(subs) == 5  # one per leaf: me, the, from, to, san
     for s in subs:
@@ -59,7 +60,7 @@ def test_single_token_tree(tmp_path):
     subs = extract_substructures(parses[0])
     assert len(subs) == 1
     assert subs[0].positions == (0,)
-    assert subs[0].forms == ("hello",)
+    assert parses[0].nodes[1].form == "hello"
 
 
 def test_conllu_style_rows_use_seventh_column(tmp_path):
@@ -200,7 +201,8 @@ def test_amr_unaligned_node_skipped_but_path_continues(tmp_path):
     parse = load_amr(_write(tmp_path, text))[0]
     subs = extract_substructures(parse)
     assert [s.positions for s in subs] == [(0, 2)]
-    assert subs[0].forms == ("leave", "city")
+    form_at = {node.token: node.form for node in parse.nodes.values()}
+    assert [form_at[i] for i in subs[0].positions] == ["leave", "city"]
 
 
 def test_amr_all_unaligned_falls_back(tmp_path):

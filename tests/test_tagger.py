@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from gradcheck_util import assert_grads_match, elementwise_mul, set_know, sum_all
+from gradcheck_util import assert_grads_match, elementwise_mul, set_know, stack, sum_all
 from structag.autodiff import Tensor
 from structag.cells import ElmanCell, GruCell, make_cell
 from structag.errors import DimensionError
-from structag.tagger import CELL_KINDS, TAGGER_MODES, Tagger, decode_greedy
+from structag.tagger import CELL_KINDS, TAGGER_MODES, Tagger, decode_greedy, tag_output
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -333,6 +333,42 @@ def test_joint_alpha_half_differs_from_both_towers():
     assert chain_states.shape == (3, 3)
 
 
+@pytest.mark.parametrize("cell", CELL_KINDS)
+@pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
+@pytest.mark.parametrize("rate", (0.0, 0.3))
+def test_joint_lanes_equal_separate_towers_bitwise(cell, alpha, rate):
+    # The towers as the two lanes of one node against one `run` per tower,
+    # blended by the same output layer: the loss, every gradient (the
+    # parameters', the input's and the guided vector's) and the tag
+    # distributions, bit for bit.
+    tagger = Tagger(RNG(32), "joint", cell, embed_dim=3, hidden_dim=4, n_tags=5,
+                    alpha=alpha)
+    x, guided = Tensor(RNG(320).normal(size=(6, 3))), Tensor(RNG(321).normal(size=4))
+    tensors = [*tagger.params("t").values(), x, guided]
+
+    def outputs(build):
+        for t in tensors:
+            t.grad = None
+        loss = build([0, 4, 1, 1, 3, 2])
+        loss.backward()
+        return (loss.value.tobytes(), [t.grad.tobytes() for t in tensors],
+                build(None).value.tobytes())
+
+    def separate(gold):
+        states = stack([tagger.towers[0].run(x), tagger.towers[1].run(x, guided=guided)])
+        return tag_output(states, alpha, tagger.out_weight, tagger.out_bias, rate,
+                          RNG(322), gold)
+
+    lanes = outputs(lambda gold: tagger.distributions(x, guided, rate, RNG(322), gold))
+    assert lanes == outputs(separate)
+    # x before the guided vector among the node's operands, as in each
+    # tower's own node: a model's backward pass then reaches the towers'
+    # embedding before the attention step, and the embedding's gradient
+    # adds up in the same order.
+    operands = tagger.distributions(x, guided, gold=[0] * 6).parents[0].parents
+    assert operands.index(x) < operands.index(guided)
+
+
 @pytest.mark.parametrize("mode", TAGGER_MODES)
 def test_prefix_distributions_ignore_future_tokens(mode):
     tagger = Tagger(RNG(20), mode, "gru", embed_dim=2, hidden_dim=3, n_tags=4)
@@ -471,8 +507,8 @@ def _graph_ops(root) -> list[str]:
 
 
 @pytest.mark.parametrize("mode,encoder,cell,nodes", [
-    ("joint", "rnn", "gru", 33), ("joint", "nn", "gru", 29),
-    ("joint", "cnn", "gru", 29), ("chain", "nn", "elman", 8)])
+    ("joint", "rnn", "gru", 32), ("joint", "nn", "gru", 28),
+    ("joint", "cnn", "gru", 28), ("chain", "nn", "elman", 8)])
 def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                                                         nodes):
     # Each model stage is one graph node however many tokens it runs over,
@@ -482,10 +518,10 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
     # tag_output. Both hold 2 embeds (the encoder's runs, the towers'
     # input), and the attention node reads the encoder's final states
     # whole. With rnn they also hold 26 parameters and
-    # 3 GRU runs (one batch of the two substructures and the sentence,
-    # 2 towers); with nn or cnn, 22 parameters (the encoder's weight and
-    # bias in place of the GRU's six), one encoder node over the 3 runs
-    # and the 2 towers.
+    # 2 GRU nodes (one batch of the two substructures and the sentence,
+    # and the 2 towers as the lanes of one node); with nn or cnn, 22
+    # parameters (the encoder's weight and bias in place of the GRU's
+    # six), one encoder node over the 3 runs and the towers' one node.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -497,8 +533,8 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
                          hidden_size=2, dropout=0.0)
     model = SlotModel(config, vocab, RNG(28))
     subs = None if mode == "chain" else [
-        Substructure(positions=(0, 1), forms=("w0", "w1"), leaf=1),
-        Substructure(positions=(0, 2), forms=("w0", "w2"), leaf=2)]
+        Substructure(positions=(0, 1), leaf=1),
+        Substructure(positions=(0, 2), leaf=2)]
     sizes = [len(_graph_ops(model.loss(vocab.encode_tokens(tokens[:n]),
                                         vocab.encode_tags(("O",) * n), subs)))
              for n in (3, 12)]
@@ -509,8 +545,8 @@ def test_loss_graph_does_not_grow_with_utterance_length(mode, encoder, cell,
 def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
     # Under every encoder, not only rnn: one embedding and one encoder
     # node over the substructures and the sentence, read whole by the
-    # attention node, and the towers' embedding and two runs, however many
-    # substructures the utterance has.
+    # attention node, and the towers' embedding and their one two-lane
+    # node, however many substructures the utterance has.
     from structag.corpus import Utterance, Vocabulary
     from structag.knowledge import Substructure
     from structag.model import SlotModel
@@ -518,11 +554,11 @@ def test_rnn_memory_is_one_gru_node_per_utterance(n_subs):
 
     tokens = tuple(f"w{i}" for i in range(6))
     vocab = Vocabulary.build([Utterance(id="u", tokens=tokens, tags=("O",) * 6)])
-    subs = [Substructure(positions=(0, *range(1 + i, 6)), forms=(), leaf=i)
+    subs = [Substructure(positions=(0, *range(1 + i, 6)), leaf=i)
             for i in range(n_subs)]
-    for encoder, counts in (("rnn", {"gru_sequence": 3}),
-                            ("nn", {"nn_encoder": 1, "gru_sequence": 2}),
-                            ("cnn", {"cnn_encoder": 1, "gru_sequence": 2})):
+    for encoder, counts in (("rnn", {"gru_sequence": 2}),
+                            ("nn", {"nn_encoder": 1, "gru_sequence": 1}),
+                            ("cnn", {"cnn_encoder": 1, "gru_sequence": 1})):
         config = TrainConfig(mode="joint", encoder=encoder, cell="gru", embed_dim=3,
                              hidden_size=2)
         model = SlotModel(config, vocab, RNG(27))
@@ -540,21 +576,13 @@ def _encoded(enc, x):
                   lambda g: x._accumulate(backward(g)))
 
 
-def _stacked(parts):
-    """Vectors stacked as the rows of a matrix node, each row's gradient
-    landing on its vector in order."""
-    def bw(g):
-        for p, d in zip(parts, g):
-            p._accumulate(d)
-    return Tensor(np.stack([p.value for p in parts]), "stack", tuple(parts), bw)
-
-
 def _reference_loss(model, token_ids, tag_ids, subs, rate, rng):
     """The loss as the model built it before every encoder took its runs
-    through `final_states`: under nn and cnn one lookup and one encoding
-    node per substructure and then the sentence, stacked as the final
-    states; under rnn one lookup of the parts and the sentence and one
-    GRU batch."""
+    through `final_states` and the towers became lanes: under nn and cnn
+    one lookup and one encoding node per substructure and then the
+    sentence, stacked as the final states; under rnn one lookup of the
+    parts and the sentence and one GRU batch; then one `run` per tower,
+    stacked."""
     from structag.attention import KnowledgeMemory, knowledge_representation
     from structag.model import embed
 
@@ -566,9 +594,12 @@ def _reference_loss(model, token_ids, tag_ids, subs, rate, rng):
         states = enc.final_states(lookup([i for ids in (*parts, token_ids) for i in ids]),
                                   [*map(len, parts), len(token_ids)])
     else:
-        states = _stacked([_encoded(enc, lookup(ids)) for ids in (*parts, token_ids)])
+        states = stack([_encoded(enc, lookup(ids)) for ids in (*parts, token_ids)])
     guided, _ = knowledge_representation(states, KnowledgeMemory(subs), model.output_net)
-    return model.tagger.distributions(lookup(token_ids), guided, rate, rng, tag_ids)
+    x, tagger = lookup(token_ids), model.tagger
+    towers = stack([tagger.towers[0].run(x), tagger.towers[1].run(x, guided=guided)])
+    return tag_output(towers, tagger.alpha, tagger.out_weight, tagger.out_bias, rate, rng,
+                      tag_ids)
 
 
 @pytest.mark.parametrize("encoder", ["nn", "cnn", "rnn"])
@@ -587,7 +618,7 @@ def test_loss_matches_the_per_sequence_reference_bitwise(encoder, n_subs):
     config = TrainConfig(mode="joint", encoder=encoder, cell="gru", embed_dim=4,
                          hidden_size=3, dropout=0.3)
     model = SlotModel(config, vocab, RNG(31))
-    subs = [Substructure(positions=(0, *range(i, 7)) if i else (0,), forms=(), leaf=i)
+    subs = [Substructure(positions=(0, *range(i, 7)) if i else (0,), leaf=i)
             for i in range(n_subs)]
     token_ids, tag_ids = vocab.encode_tokens(tokens), vocab.encode_tags(tags)
     params = model.params()
@@ -627,7 +658,7 @@ def test_loss_is_the_nll_of_the_inference_distributions(mode, encoder, cell):
     from structag.knowledge import Substructure
 
     model, token_ids, tag_ids = _small_model(mode, encoder, cell)
-    subs = [Substructure(positions=(0, 2), forms=("w0", "w2"), leaf=2)]
+    subs = [Substructure(positions=(0, 2), leaf=2)]
     dist, _ = model.forward(token_ids, subs)
     # Inference builds no graph node for the output layer.
     assert dist.op == "leaf" and dist.parents == ()
@@ -642,8 +673,8 @@ def test_forward_rejects_substructure_positions_out_of_range(positions):
     from structag.knowledge import Substructure
 
     model, token_ids, tag_ids = _small_model()
-    subs = [Substructure(positions=(0, 1), forms=(), leaf=1),
-            Substructure(positions=positions, forms=(), leaf=None)]
+    subs = [Substructure(positions=(0, 1), leaf=1),
+            Substructure(positions=positions, leaf=None)]
     with pytest.raises(DimensionError, match=r"3-token"):
         model.forward(token_ids, subs)
     with pytest.raises(DimensionError, match=r"3-token"):
