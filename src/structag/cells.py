@@ -42,10 +42,6 @@ def check_runs(x: Tensor, dim: int, lengths: list[int]) -> np.ndarray:
     return np.array(lengths, dtype=int)
 
 
-def zero_vector(n: int) -> Tensor:
-    return Tensor(np.zeros(n))
-
-
 def run_lanes(cells: list, x: Tensor, guided: Tensor | None = None) -> Tensor:
     """Cells of one kind and size over the same x (T, E) as one graph node:
     the states (L, T, H), lane l bit for bit `cells[l].run(x, guided=guided)`."""
@@ -102,12 +98,10 @@ class _Recurrence:
         `lengths[i]` rows of x (T, E) (default: one run over all of x), with
         `guided` (K,) projected into every step if the cell has projections.
         Gives every state (T, H) in x's row order or, with `last`, each run's
-        final state (runs, H). Several runs are packed time-major, longest
+        final state (runs, H). The runs are packed time-major, longest
         first, so step t updates only the rows of runs longer than t (no
-        masks); one run takes no packing."""
+        masks)."""
         runs = check_runs(x, self.input_dim, [x.shape[0]] if lengths is None else lengths)
-        if len(runs) == 1:
-            return self._op([self], x, guided, None, [1] * runs[0], (0, [-1]) if last else 0)
         order = np.argsort(-runs, kind="stable")
         step, rank = np.nonzero(runs[order] > np.arange(runs.max())[:, None])
         # The row of x of each packed row, and the packed row of each row of x.

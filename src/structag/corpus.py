@@ -118,7 +118,6 @@ class Vocabulary:
     """Dense token and tag index maps with reserved pad/unknown tokens."""
     token_index: dict[str, int] = field(default_factory=dict)
     tag_index: dict[str, int] = field(default_factory=dict)
-    token_freq: dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def build(cls, utterances: list[Utterance]) -> "Vocabulary":
@@ -126,7 +125,6 @@ class Vocabulary:
         vocab.token_index = {PAD_TOKEN: 0, UNK_TOKEN: 1}
         for utt in utterances:
             for token in utt.tokens:
-                vocab.token_freq[token] = vocab.token_freq.get(token, 0) + 1
                 if token not in vocab.token_index:
                     vocab.token_index[token] = len(vocab.token_index)
             for tag in utt.tags:
@@ -160,22 +158,19 @@ class Vocabulary:
             names[i] = tag
         return names
 
-    def singleton_tokens(self) -> set[str]:
-        return {t for t, c in self.token_freq.items() if c == 1}
-
     def to_dict(self) -> dict:
-        return {"tokens": self.token_index, "tags": self.tag_index,
-                "token_freq": self.token_freq}
+        return {"tokens": self.token_index, "tags": self.tag_index}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        """Raises ValueError unless each index maps to 0..n-1, the reserved
+        """Raises ValueError unless each index maps to the ints 0..n-1, the reserved
         tokens sit where `build` puts them, and the tags are one or more IOB tags."""
-        vocab = cls(token_index=dict(data["tokens"]), tag_index=dict(data["tags"]),
-                    token_freq=dict(data.get("token_freq", {})))
+        vocab = cls(token_index=dict(data["tokens"]), tag_index=dict(data["tags"]))
         for index in (vocab.token_index, vocab.tag_index):
-            if sorted(index.values()) != list(range(len(index))):
-                raise ValueError(f"indices are not 0..{len(index) - 1}")
+            # 1.0 or True equals an index but breaks numpy's row lookups.
+            if (not all(type(i) is int for i in index.values())
+                    or sorted(index.values()) != list(range(len(index)))):
+                raise ValueError(f"indices are not the ints 0..{len(index) - 1}")
         if [vocab.token_index.get(t) for t in (PAD_TOKEN, UNK_TOKEN)] != [0, 1]:
             raise ValueError(f"tokens {PAD_TOKEN} and {UNK_TOKEN} must have indices 0 and 1")
         if not vocab.tag_index or not all(map(_TAG_RE.match, vocab.tag_index)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .cells import GruCell, check_runs, glorot_uniform, zero_vector
+from .cells import GruCell, check_runs, glorot_uniform
 
 CNN_WINDOW = 3
 
@@ -28,7 +28,7 @@ class _Dense:
     def __init__(self, rng: np.random.Generator, rows: int, cols: int):
         self.input_dim = rows
         self.weight = glorot_uniform(rng, self.WIDTH * rows, cols)
-        self.bias = zero_vector(cols)
+        self.bias = Tensor(np.zeros(cols))
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}

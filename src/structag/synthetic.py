@@ -38,8 +38,6 @@ class SyntheticConfig:
     n_utterances: int = 200
     ambiguous_fraction: float = 0.5
     cities: tuple[str, ...] = DEFAULT_CITIES
-    days: tuple[str, ...] = DEFAULT_DAYS
-    periods: tuple[str, ...] = DEFAULT_PERIODS
 
     def validate(self):
         if self.n_utterances < 0:
@@ -53,12 +51,9 @@ class SyntheticConfig:
             raise ConfigError("need at least two cities for origin and destination")
         if len(set(self.cities)) != len(self.cities):
             raise ConfigError("city names must be distinct")
-        if not self.days or not self.periods:
-            raise ConfigError("days and periods must be non-empty")
-        for name in ("cities", "days", "periods"):
-            if not all(n.split() for n in getattr(self, name)):
-                raise ConfigError(f"every name in {name} needs a token, "
-                                  f"got {getattr(self, name)!r}")
+        if not all(n.split() for n in self.cities):
+            raise ConfigError("every name in cities needs a token, "
+                              f"got {self.cities!r}")
 
 
 class _Draft:
@@ -154,7 +149,7 @@ def _family_day(r: random.Random, cfg: SyntheticConfig) -> _Draft:
     # list flights on DAY from CITY to CITY
     d = _Draft()
     origin, dest = _pick_cities(r, cfg.cities)
-    day = r.choice(cfg.days)
+    day = r.choice(DEFAULT_DAYS)
     lst = d.word("list", "O", -1)
     flights = d.word("flights", "O", lst)
     day_pos = d.phrase(("on",), day, "day", flights)
@@ -173,7 +168,7 @@ def _family_period(r: random.Random, cfg: SyntheticConfig, arriving: bool) -> _D
     # flights from CITY to CITY leaving|arriving in the PERIOD
     d = _Draft()
     origin, dest = _pick_cities(r, cfg.cities)
-    period = r.choice(cfg.periods)
+    period = r.choice(DEFAULT_PERIODS)
     verb = "arriving" if arriving else "leaving"
     slot = "arrive_period" if arriving else "depart_period"
     flights = d.word("flights", "O", -1)
@@ -197,8 +192,8 @@ def _family_ambiguous(r: random.Random, cfg: SyntheticConfig) -> _Draft:
     # identical either way, only the parse and the period tag change.
     d = _Draft()
     origin, dest = _pick_cities(r, cfg.cities)
-    day = r.choice(cfg.days)
-    period = r.choice(cfg.periods)
+    day = r.choice(DEFAULT_DAYS)
+    period = r.choice(DEFAULT_PERIODS)
     departs = r.random() < 0.5
     slot = "depart_period" if departs else "arrive_period"
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor, dropout_mask, softmax_array
 # CELL_KINDS is re-exported beside TAGGER_MODES for the config checks.
-from .cells import CELL_KINDS, glorot_uniform, make_cell, run_lanes, zero_vector
+from .cells import CELL_KINDS, glorot_uniform, make_cell, run_lanes
 from .errors import DimensionError
 
 TAGGER_MODES = ("chain", "knowledge", "joint")
@@ -87,7 +87,7 @@ class Tagger:
         self.towers = [make_cell(cell_kind, rng, embed_dim, hidden_dim, k)
                        for k in tower_knowledge]
         self.out_weight = glorot_uniform(rng, hidden_dim, n_tags)
-        self.out_bias = zero_vector(n_tags)
+        self.out_bias = Tensor(np.zeros(n_tags))
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {}

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -397,7 +398,8 @@ def train(train_utterances: list[Utterance], config: TrainConfig,
 
     dropout_rng = np.random.default_rng(derive_seed(config.seed, "dropout"))
     unk_rng = random.Random(derive_seed(config.seed, "oov"))
-    singleton_ids = {vocab.token_index[t] for t in vocab.singleton_tokens()}
+    counts = Counter(t for utt in train_utterances for t in utt.tokens)
+    singleton_ids = {vocab.token_index[t] for t, c in counts.items() if c == 1}
     subs_table = _substructure_table(train_utterances, parses, config)
 
     history = []

@@ -208,12 +208,12 @@ def test_vocabulary_reserved_indices_and_oov():
     assert vocab.encode_tokens(("a", "zzz")) == [vocab.token_index["a"], 1]
     assert vocab.encode_tags(("O", "B-x")) == [0, 1]
     assert vocab.tag_names() == ["O", "B-x"]
-    assert vocab.singleton_tokens() == {"b"}
 
 
 def test_vocabulary_dict_roundtrip():
     utts = [Utterance("u0", ("x", "y"), ("O", "B-t"))]
     vocab = Vocabulary.build(utts)
+    assert sorted(vocab.to_dict()) == ["tags", "tokens"]
     back = Vocabulary.from_dict(json.loads(json.dumps(vocab.to_dict())))
     assert back.token_index == vocab.token_index
     assert back.tag_index == vocab.tag_index

@@ -110,22 +110,31 @@ def test_mutated_inputs_raise_only_typed_errors(inputs, tmp_path, kind):
 @pytest.mark.parametrize("where,value", [
     (("vocab", "tokens", "leave"), 1.5), (("vocab", "tags", "O"), [0]),
     (("vocab", "tokens"), "x"), (("params",), 0), (("params",), "x"),
-    (("config", "hidden_size"), 10 ** 30)], ids=[
+    (("config", "hidden_size"), 10 ** 30),
+    # Each of these equals the index it replaces, so only its type is wrong.
+    (("vocab", "tags", "B-from_city"), 1.0), (("vocab", "tokens", "show"), 2.0),
+    (("vocab", "tokens", "<pad>"), False), (("vocab", "tokens", "<unk>"), True)], ids=[
     "float-token-id", "list-tag-id", "tokens-not-a-map", "params-int",
-    "params-str", "hidden-size-too-large"])
+    "params-str", "hidden-size-too-large", "whole-float-tag-id",
+    "whole-float-token-id", "false-pad-id", "true-unk-id"])
 def test_checkpoint_with_mistyped_fields_raises_checkpoint_error(
-        inputs, tmp_path, where, value):
+        inputs, tmp_path, capsys, where, value):
     # Well-formed JSON whose fields have the wrong type or range is as
     # malformed as a truncated file: it must not load, or fail at tagging.
     payload = json.loads(inputs["checkpoint"].read_text())
     node = payload
     for key in where[:-1]:
         node = node[key]
+    if isinstance(value, (bool, float)) and value == int(value):
+        assert node[where[-1]] == value
     node[where[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="malformed checkpoint"):
         load_checkpoint(bad)
+    assert main(["eval", "--model", str(bad), "--data", str(inputs["corpus"])]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 @pytest.mark.parametrize("kind", ("dependency", "amr"))
