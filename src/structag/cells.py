@@ -6,14 +6,14 @@ of the guided vector. Every run is one fused graph op over L cells of one
 kind, its lanes: `run` is the one-lane entry (one sequence, or a ragged
 batch packed as PyTorch's `pack_padded_sequence` packs one), `run_lanes`
 runs the joint tagger's towers over one sequence. The forward pass
-projects all inputs before the loop (one matmul per lane and gate, into
-one preallocated matrix), adds the knowledge terms to that projection as
-a constant bias, and loops over the steps with one recurrent product per
-gate group, stacked over the lanes. The backward pass is a hand-written
-backpropagation through time over the stored gate values, with one matmul
-or sum per lane and weight and input after the loop. Parameters stay one
-matrix per gate, as checkpoints store them; the GRU negates U_r and U_z
-into one stacked buffer once per call, for both passes.
+projects all inputs, lane after lane, into one time-major matrix per
+gate group (GRU [reset|update] and [cand], Elman [cand]), adds the
+knowledge terms as a constant bias, and loops over the steps with one
+recurrent product per group, stacked over the lanes; several GRU lanes
+keep their gate values gate-major, so each step reads contiguous blocks.
+The backward pass is hand-written backpropagation through time, with one
+matmul or sum per lane and weight and input after the loop. Parameters
+stay one matrix per gate, as checkpoints store them.
 """
 
 from __future__ import annotations
@@ -49,28 +49,28 @@ def run_lanes(cells: list, x: Tensor, guided: Tensor | None = None) -> Tensor:
     return cells[0]._op(cells, x, guided, None, [1] * x.shape[0], ...)
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """One lane's matrix as it is; several on a leading lane axis."""
-    return arrays[0] if len(arrays) == 1 else np.array(arrays)
-
-
-def _by_lane(a: np.ndarray) -> list[np.ndarray]:
-    """The rows of each lane of a time-major (rows, [L,] ·) array."""
-    return [a] if a.ndim == 2 else a.swapaxes(0, 1)
+def _lanes(cells: list, *arrays: np.ndarray):
+    """Each cell with its lane's columns of the arrays (rows, L·k), copied
+    contiguous: BLAS multiplies them as one lane's own arrays, bit for bit."""
+    if len(cells) == 1:
+        return [(cells[0], *arrays)]
+    lanes = (a.reshape(len(a), len(cells), -1).swapaxes(0, 1) for a in arrays)
+    return zip(cells, *map(np.ascontiguousarray, lanes))
 
 
 class _Recurrence:
     """Parameters and the one graph-op builder shared by both fused cells.
 
-    A cell sets GATES and OP and defines `_recur(cells, proj, sizes)`,
-    walking the packed rows of its lanes with `_steps`. It returns the
-    states, zero states first, and a closure `bptt(d_states, d_pre)` that
-    fills d_pre with the pre-activation gradients of d_states, adding into
-    d_states as it walks back. Here the cell draws `w[gate]` (H, E) for
-    every gate, then `u[gate]` (H, H) for every gate, then, with a
-    `knowledge_dim`, `know[gate]`, an (H, K) projection of a guided vector
-    (K,) into that gate's pre-activation at every step. NAMES renames a
-    weight in checkpoints. Projecting gate by gate builds
+    A cell sets GATES, their GROUPS and OP and defines `_recur(cells, proj,
+    sizes)`, walking the packed rows of its lanes with `_steps`. It returns
+    the states, zero states first, and a closure `bptt(d_states, d_pre)`
+    that fills d_pre, laid out as proj, with the pre-activation gradients
+    of d_states, adding into d_states as it walks back, and gives per group
+    the rows its recurrence weights multiplied. Here the cell draws
+    `w[gate]` (H, E) for every gate, then `u[gate]` (H, H) for every gate,
+    then, with a `knowledge_dim`, `know[gate]`, an (H, K) projection of a
+    guided vector (K,) into that gate's pre-activation at every step. NAMES
+    renames a weight in checkpoints. Projecting gate by gate builds
     `X @ [W_1; ...; W_k]ᵀ` without a stacked weight copy.
     """
 
@@ -116,80 +116,86 @@ class _Recurrence:
         """One graph node running cells[l] in lane l over the rows `rows` of
         x (None: all, in order), `sizes[t]` of them at step t, and giving
         `states[key]` of the states (L, rows, H) in packed row order."""
-        hd, xv = cells[0].hidden_dim, x.value if rows is None else x.value[rows]
-        weights = [list(c.w.values()) for c in cells]
-        know = [list(c.know.values()) if guided is not None else [] for c in cells]
-        n, lanes = len(xv), (len(cells),) if len(cells) > 1 else ()    # 2-D for one lane
-        proj = np.empty((n, *lanes, len(cls.GATES) * hd))    # time-major
-        for lane, ws, ks in zip(_by_lane(proj), weights, know):
-            for i, w in enumerate(ws):
-                block = np.matmul(xv, w.value.T, out=lane[:, i * hd:(i + 1) * hd])
-                if ks:
-                    block += ks[i].value @ guided.value
+        hd, lanes, xv = cells[0].hidden_dim, len(cells), x.value if rows is None else x.value[rows]
+        n = len(xv)
+        proj = [np.empty((n, lanes * len(group) * hd)) for group in cls.GROUPS]
+        for l, c in enumerate(cells):
+            for p, group in zip(proj, cls.GROUPS):    # time-major, lane after lane in a row
+                for i, gate in enumerate(group, l * len(group)):
+                    block = np.matmul(xv, c.w[gate].value.T, out=p[:, i * hd:(i + 1) * hd])
+                    if guided is not None and c.know:
+                        block += c.know[gate].value @ guided.value
         states, bptt = cls._recur(cells, proj, sizes)
-        result = states[-n:].reshape(n, len(cells), hd).swapaxes(0, 1)[key]
+        view = ((lambda a: a[None, -n:]) if lanes == 1    # a's states as (L, rows, H)
+                else lambda a: a[-n:].reshape(n, lanes, hd).swapaxes(0, 1))
 
         def bw(g):
-            d_states, d_pre = np.zeros_like(states), np.empty_like(proj)
-            d_states[-n:].reshape(n, len(cells), hd).swapaxes(0, 1)[key] = g
-            bptt(d_states, d_pre)
-            for lane, ws, ks in zip(_by_lane(d_pre), weights, know):
-                for i, w in enumerate(ws):
-                    d_gate = lane[:, i * hd:(i + 1) * hd]
-                    w._accumulate(d_gate.T @ xv)
-                    x._accumulate(d_gate @ w.value, rows)    # lane 0 first, in x's row order
-                    if ks:
-                        d_term = d_gate.sum(axis=0)
-                        ks[i]._accumulate(np.outer(d_term, guided.value))
-                        guided._accumulate(ks[i].value.T @ d_term)
+            d_states, d_pre = np.zeros_like(states), [np.empty_like(p) for p in proj]
+            view(d_states)[key] = g
+            h_in = bptt(d_states, d_pre)
+            for c, *lane in _lanes(cells, *d_pre, *h_in):    # x: lane 0 first, in its row order
+                for d, h, group in zip(lane, lane[len(h_in):], cls.GROUPS):
+                    d_u = d.T @ h    # the group's [U_1; ...; U_k] in one product
+                    for i, gate in enumerate(group):
+                        d_gate = d[:, i * hd:(i + 1) * hd]
+                        c.u[gate]._accumulate(d_u[i * hd:(i + 1) * hd])
+                        c.w[gate]._accumulate(d_gate.T @ xv)
+                        x._accumulate(d_gate @ c.w[gate].value, rows)
+                        if guided is not None and c.know:
+                            d_term = d_gate.sum(axis=0)
+                            c.know[gate]._accumulate(np.outer(d_term, guided.value))
+                            guided._accumulate(c.know[gate].value.T @ d_term)
         # guided after x: the backward pass reaches x's embedding first.
-        params = [t for c, ws in zip(cells, weights) for t in (*ws, *c.u.values())]
-        knows = [k for ks in know for k in ks]
-        return Tensor(result, cls.OP, (x, *params, *([guided, *knows] if knows else [])), bw)
+        params = [t for c in cells for t in (*c.w.values(), *c.u.values())]
+        knows = [k for c in cells for k in c.know.values()] if guided is not None else []
+        return Tensor(view(states)[key], cls.OP,
+                      (x, *params, *([guided, *knows] if knows else [])), bw)
 
     @staticmethod
     def _steps(sizes: list[int], lanes: int):
         """The number b0 of runs, and how a loop walks `sizes[t]` packed rows
         at step t: `at(*arrays)` gives each array's rows at each step, and
         `before(*arrays)`, of arrays laid out as the states (b0 zero states
-        first), the rows each step follows. One run walks them whole, and L
-        lanes as (L, 1, ·) stacks."""
-        b0 = sizes[0]
+        first), the rows each step follows, and `mm` multiplies them. One run
+        walks them whole, and L lanes walk arrays (rows, L·k) in (L, 1, k)
+        blocks; np.dot is one lane's np.matmul, bit for bit, at less cost."""
+        b0, mm = sizes[0], np.dot if lanes == 1 else np.matmul
         if b0 == 1:
-            whole = (lambda *a: a) if lanes == 1 else (lambda *a: [v[:, :, None] for v in a])
-            return 1, whole, whole
+            whole = (lambda *a: a) if lanes == 1 else (
+                lambda *a: [v.reshape(len(v), lanes, 1, -1) for v in a])
+            return 1, whole, whole, mm
         starts = np.cumsum([0, *sizes[:-1]]).tolist()
 
         def views(starts):
             steps = [slice(a, a + b) for a, b in zip(starts, sizes)]
             return lambda *arrays: [[a[s] for s in steps] for a in arrays]
-        return b0, views(starts), views([0, *(b0 + a for a in starts[:-1])])
+        return b0, views(starts), views([0, *(b0 + a for a in starts[:-1])]), mm
 
 
 class ElmanCell(_Recurrence):
     """h_t = tanh(W x_t + U h_{t-1} [+ K_cand g]); no bias in the recurrence."""
 
     GATES = ("cand",)
+    GROUPS = (GATES,)
     OP = "elman_sequence"
     NAMES = {"w_cand": "w_in", "u_cand": "u_rec"}
 
     @classmethod
-    def _recur(cls, cells: list, proj: np.ndarray, sizes: list[int]):
-        u = _stack([c.u["cand"].value for c in cells])
-        u_t = u.swapaxes(-1, -2)    # one transposed view, not one per step
-        b0, at, before = cls._steps(sizes, len(cells))
-        states = np.zeros((b0 + proj.shape[0], *proj.shape[1:-1], cells[0].hidden_dim))
-        for h, h_next, p in zip(*before(states[:-1]), *at(states[b0:], proj)):
-            np.tanh(p + h @ u_t, out=h_next)
+    def _recur(cls, cells: list, proj: list[np.ndarray], sizes: list[int]):
+        (p_all,), lanes = proj, len(cells)
+        u = np.array([c.u["cand"].value for c in cells]) if lanes > 1 else cells[0].u["cand"].value
+        u_t, (b0, at, before, mm) = u.swapaxes(-1, -2), cls._steps(sizes, lanes)
+        states = np.zeros((b0 + len(p_all), p_all.shape[1]))
+        for h, h_next, p in zip(*before(states[:-1]), *at(states[b0:], p_all)):
+            # h U^T + p is bitwise p + h U^T: IEEE addition commutes.
+            np.tanh(np.add(mm(h, u_t, out=h_next), p, out=h_next), out=h_next)
 
         def bptt(d_states, d_pre):
             dtanh = 1.0 - states[b0:] * states[b0:]
             for d_prev, dh, d_step, t_tanh in zip(*(a[::-1] for a in (
-                    *before(d_states[:-1]), *at(d_states[b0:], d_pre, dtanh)))):
-                d_prev += np.multiply(dh, t_tanh, out=d_step) @ u
-            h_prev = states[:-1] if b0 == 1 else np.vstack(*before(states[:-1]))
-            for d, h, c in zip(_by_lane(d_pre), _by_lane(h_prev), cells):
-                c.u["cand"]._accumulate(d.T @ h)
+                    *before(d_states[:-1]), *at(d_states[b0:], d_pre[0], dtanh)))):
+                d_prev += mm(np.multiply(dh, t_tanh, out=d_step), u)
+            return [states[:-1] if b0 == 1 else np.vstack(*before(states[:-1]))]
         return states, bptt
 
 
@@ -208,54 +214,56 @@ class GruCell(_Recurrence):
     """
 
     GATES = ("reset", "update", "cand")
+    GROUPS = (GATES[:2], GATES[2:])
     OP = "gru_sequence"
 
     @classmethod
-    def _recur(cls, cells: list, proj: np.ndarray, sizes: list[int]):
-        hd, n, lanes = cells[0].hidden_dim, proj.shape[0], proj.shape[1:-1]
-        b0, at, before = cls._steps(sizes, len(cells))
-        u_c = _stack([c.u["cand"].value for c in cells])
+    def _recur(cls, cells: list, proj: list[np.ndarray], sizes: list[int]):
+        (p_rz, p_c), hd, lanes = proj, cells[0].hidden_dim, len(cells)
+        n, (b0, at, before, mm) = len(p_c), cls._steps(sizes, lanes)
+        u_c = cells[0].u["cand"].value if lanes == 1 else np.array(
+            [c.u["cand"].value for c in cells])
         # h [-U_r; -U_z] - p is bitwise -(h [U_r; U_z] + p), the -a that exp(-a) needs.
-        neg_u_rz = np.empty((*lanes, 2 * hd, hd))
-        for buf, c in zip(neg_u_rz.reshape(-1, 2 * hd, hd), cells):
+        neg_u_rz = np.empty((2 * hd, hd) if lanes == 1 else (lanes, 2 * hd, hd))
+        for buf, c in zip(neg_u_rz.reshape(lanes, 2 * hd, hd), cells):
             np.negative(c.u["reset"].value, out=buf[:hd])
             np.negative(c.u["update"].value, out=buf[hd:])
         neg_u_rz_t, u_c_t = neg_u_rz.swapaxes(-1, -2), u_c.swapaxes(-1, -2)
-        states = np.zeros((b0 + n, *lanes, hd))
-        rz = np.empty((n, *lanes, 2 * hd))    # reset and update gate values
-        cand = np.empty((n, *lanes, hd))
-        keep = np.empty((n, *lanes, hd))      # (1 - z) * h~, the candidate's share
+        states = np.zeros((b0 + n, lanes * hd))
+        rz = np.empty((n, 2 * lanes * hd))    # every lane's reset gate values, then update's
+        r, z, cand = rz[:, :lanes * hd], rz[:, lanes * hd:], np.empty((n, lanes * hd))
+        keep = np.empty((n, lanes * hd))    # (1 - z) * h~, the candidate's share
+        # One lane's sigmoid runs in rz; several lanes' divide writes rz gate-major.
+        gates = rz if lanes == 1 else np.empty_like(p_rz)
+        to_rz = [None] * n if lanes == 1 else zip(gates.reshape(n, lanes, 2, hd),
+                                                  rz.reshape(n, 2, lanes, hd).swapaxes(1, 2))
         with np.errstate(over="ignore"):    # exp(-a) = inf for a < -709
-            for h, h_next, gates, r, z, c, k, p_rz, p_c in zip(*before(states[:-1]), *at(
-                    states[b0:], rz, rz[..., :hd], rz[..., hd:], cand, keep,
-                    proj[..., :2 * hd], proj[..., 2 * hd:])):
-                np.subtract(np.matmul(h, neg_u_rz_t, out=gates), p_rz, out=gates)
-                np.divide(1.0, np.add(np.exp(gates, out=gates), 1.0, out=gates), out=gates)
+            for h, h_next, a, r_t, z_t, c, k, p_rz_t, p_c_t, to in zip(
+                    *before(states[:-1]), *at(states[b0:], gates, r, z, cand, keep, p_rz, p_c),
+                    to_rz):
+                np.subtract(mm(h, neg_u_rz_t, out=a), p_rz_t, out=a)
+                np.add(np.exp(a, out=a), 1.0, out=a)
+                np.divide(1.0, a, out=a) if to is None else np.divide(1.0, to[0], out=to[1])
                 # h_next holds r * h until the new state overwrites it.
-                np.matmul(np.multiply(r, h, out=h_next), u_c_t, out=c)
-                np.tanh(np.add(c, p_c, out=c), out=c)
-                np.multiply(np.subtract(1.0, z, out=k), c, out=k)
-                np.add(np.multiply(z, h, out=h_next), k, out=h_next)
+                mm(np.multiply(r_t, h, out=h_next), u_c_t, out=c)
+                np.tanh(np.add(c, p_c_t, out=c), out=c)
+                np.multiply(np.subtract(1.0, z_t, out=k), c, out=k)
+                np.add(np.multiply(z_t, h, out=h_next), k, out=h_next)
 
         def bptt(d_states, d_pre):
             h_prev = states[:-1] if b0 == 1 else np.vstack(*before(states[:-1]))
-            r, z = rz[..., :hd], rz[..., hd:]
             # Per-step factors that do not depend on the incoming gradient.
             to_cand = (1.0 - z) * (1.0 - cand * cand)
             to_update = (h_prev - cand) * z * (1.0 - z)
             to_reset = h_prev * r * (1.0 - r)
-            for d_prev, dh, d_step, z_t, r_t, t_cand, t_update, t_reset in zip(*(
+            for d_prev, dh, d_rz, d_c, z_t, r_t, t_cand, t_update, t_reset in zip(*(
                     a[::-1] for a in (*before(d_states[:-1]), *at(
-                        d_states[b0:], d_pre, z, r, to_cand, to_update, to_reset)))):
-                d_reset_h = np.multiply(dh, t_cand, out=d_step[..., 2 * hd:]) @ u_c
-                np.multiply(d_reset_h, t_reset, out=d_step[..., :hd])
-                np.multiply(dh, t_update, out=d_step[..., hd:2 * hd])
-                d_prev += dh * z_t + d_reset_h * r_t - d_step[..., :2 * hd] @ neg_u_rz
-            for d, h, r_h, c in zip(*map(_by_lane, (d_pre, h_prev, r * h_prev)), cells):
-                d_u_rz = d[:, :2 * hd].T @ h
-                c.u["reset"]._accumulate(d_u_rz[:hd])
-                c.u["update"]._accumulate(d_u_rz[hd:])
-                c.u["cand"]._accumulate(d[:, 2 * hd:].T @ r_h)
+                        d_states[b0:], *d_pre, z, r, to_cand, to_update, to_reset)))):
+                d_reset_h = mm(np.multiply(dh, t_cand, out=d_c), u_c)
+                np.multiply(d_reset_h, t_reset, out=d_rz[..., :hd])
+                np.multiply(dh, t_update, out=d_rz[..., hd:])
+                d_prev += dh * z_t + d_reset_h * r_t - mm(d_rz, neg_u_rz)
+            return [h_prev, r * h_prev]
         return states, bptt
 
 

@@ -211,12 +211,14 @@ class AdamOptimizer:
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
         self._scratch = np.empty((2, min(ADAM_BLOCK, self.values.size)))
-        names = [n for n, p in params.items() if p.reached is not None and n not in skip]
+        names = [n for n, p in params.items() if p.reached is not None]    # row tables
+        self._row_tables = [params[n] for n in names]
         self._tables = [_RowTable(n, params[n], *(buf[self.slices[n]].reshape(params[n].shape)
                                                   for buf in (self.values, self.grads, self.m,
-                                                              self.v))) for n in names]
+                                                              self.v)))
+                        for n in names if n not in skip]
         self._blocks = self._blocks_outside(skip)    # the clip norm sums over these
-        self._dense = self._blocks_outside(names)    # zero_grad clears these
+        self._dense = self._blocks_outside(names)    # zero_grad clears these, and rows reached
         self._parts = self._blocks_outside({*skip, *names})    # all other updated floats
 
     def _blocks_outside(self, names) -> list[tuple[int, int]]:
@@ -238,9 +240,9 @@ class AdamOptimizer:
         """Zero every gradient, but of a row table only the rows it reached."""
         for a, b in self._dense:
             self.grads[a:b] = 0.0
-        for t in self._tables:
-            t.g[list(t.table.reached)] = 0.0
-            t.table.reached = set()
+        for table in self._row_tables:
+            table.grad[list(table.reached)] = 0.0
+            table.reached = set()
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self):

@@ -8,7 +8,7 @@ import pytest
 
 from gradcheck_util import assert_grads_match, elementwise_mul, set_know, stack, sum_all
 from structag.autodiff import Tensor
-from structag.cells import ElmanCell, GruCell, make_cell
+from structag.cells import ElmanCell, GruCell, make_cell, run_lanes
 from structag.errors import DimensionError
 from structag.tagger import CELL_KINDS, TAGGER_MODES, Tagger, decode_greedy, tag_output
 
@@ -340,33 +340,60 @@ def test_joint_lanes_equal_separate_towers_bitwise(cell, alpha, rate):
     # The towers as the two lanes of one node against one `run` per tower,
     # blended by the same output layer: the loss, every gradient (the
     # parameters', the input's and the guided vector's) and the tag
-    # distributions, bit for bit.
-    tagger = Tagger(RNG(32), "joint", cell, embed_dim=3, hidden_dim=4, n_tags=5,
-                    alpha=alpha)
-    x, guided = Tensor(RNG(320).normal(size=(6, 3))), Tensor(RNG(321).normal(size=4))
-    tensors = [*tagger.params("t").values(), x, guided]
+    # distributions, bit for bit. Also where a gate block is one float
+    # wide or of odd size, and over one token.
+    for hidden, n_tokens in ((4, 6), (1, 6), (7, 6), (4, 1)):
+        tagger = Tagger(RNG(32), "joint", cell, embed_dim=3, hidden_dim=hidden, n_tags=5,
+                        alpha=alpha)
+        x = Tensor(RNG(320).normal(size=(n_tokens, 3)))
+        guided = Tensor(RNG(321).normal(size=hidden))
+        tensors = [*tagger.params("t").values(), x, guided]
+        gold = [0, 4, 1, 1, 3, 2][:n_tokens]
 
-    def outputs(build):
-        for t in tensors:
-            t.grad = None
-        loss = build([0, 4, 1, 1, 3, 2])
-        loss.backward()
-        return (loss.value.tobytes(), [t.grad.tobytes() for t in tensors],
-                build(None).value.tobytes())
+        def outputs(build):
+            for t in tensors:
+                t.grad = None
+            loss = build(gold)
+            loss.backward()
+            return (loss.value.tobytes(), [t.grad.tobytes() for t in tensors],
+                    build(None).value.tobytes())
 
-    def separate(gold):
-        states = stack([tagger.towers[0].run(x), tagger.towers[1].run(x, guided=guided)])
-        return tag_output(states, alpha, tagger.out_weight, tagger.out_bias, rate,
-                          RNG(322), gold)
+        def separate(gold):
+            states = stack([tagger.towers[0].run(x), tagger.towers[1].run(x, guided=guided)])
+            return tag_output(states, alpha, tagger.out_weight, tagger.out_bias, rate,
+                              RNG(322), gold)
 
-    lanes = outputs(lambda gold: tagger.distributions(x, guided, rate, RNG(322), gold))
-    assert lanes == outputs(separate)
+        lanes = outputs(lambda gold: tagger.distributions(x, guided, rate, RNG(322), gold))
+        assert lanes == outputs(separate), (hidden, n_tokens)
     # x before the guided vector among the node's operands, as in each
     # tower's own node: a model's backward pass then reaches the towers'
     # embedding before the attention step, and the embedding's gradient
     # adds up in the same order.
-    operands = tagger.distributions(x, guided, gold=[0] * 6).parents[0].parents
+    operands = tagger.distributions(x, guided, gold=gold).parents[0].parents
     assert operands.index(x) < operands.index(guided)
+
+
+@pytest.mark.parametrize("cell", CELL_KINDS)
+@pytest.mark.parametrize("knowledge", (False, True), ids=["chain", "guided"])
+@pytest.mark.parametrize("n_tokens", (1, 5))
+def test_one_lane_equals_the_cells_own_run_bitwise(cell, knowledge, n_tokens):
+    # `run_lanes` over one cell, as the chain and knowledge taggers call it,
+    # against the cell's `run`: the states and every gradient, bit for bit.
+    tower = make_cell(cell, RNG(33), 3, 4, 4 if knowledge else None)
+    x = Tensor(RNG(330).normal(size=(n_tokens, 3)))
+    guided = Tensor(RNG(331).normal(size=4)) if knowledge else None
+    weights = RNG(332).normal(size=(n_tokens, 4))
+    tensors = [*tower.params("t").values(), x, *([guided] if knowledge else [])]
+
+    def outputs(states):
+        for t in tensors:
+            t.grad = None
+        sum_all(elementwise_mul(states, Tensor(weights.reshape(states.shape)))).backward()
+        return states.value.tobytes(), [t.grad.tobytes() for t in tensors]
+
+    lane = run_lanes([tower], x, guided)
+    assert lane.shape == (1, n_tokens, 4)
+    assert outputs(lane) == outputs(tower.run(x, guided=guided))
 
 
 @pytest.mark.parametrize("mode", TAGGER_MODES)

@@ -328,7 +328,7 @@ def test_row_table_adam_matches_dense_adam(rows, extra, skip, clip_norm):
             assert np.array_equal(m, ref_m[name].reshape(-1)), name
         opt.zero_grad()
         assert not opt.grads.any()
-        assert table.reached == set() or "embedding" in skip
+        assert table.reached == set()
 
 
 def test_row_table_with_a_dense_gradient_updates_every_row_bitwise():
@@ -354,6 +354,23 @@ def test_row_table_with_a_dense_gradient_updates_every_row_bitwise():
             assert opt.v[sl].tobytes() == reference.v[name].reshape(-1).tobytes()
     opt.zero_grad()
     assert not opt.grads.any() and table.reached == set()
+
+
+def test_skipped_row_table_clears_only_the_rows_it_reached():
+    """A frozen table (`skip`) is never updated, but zero_grad still empties
+    its reached rows and its `reached` set, as for an updated table."""
+    table, tail = _row_table(np.arange(12.0).reshape(6, 2)), _param([1.0, 2.0])
+    opt = AdamOptimizer({"embedding": table, "tail": tail}, learning_rate=0.1,
+                        skip={"embedding"})
+    before = table.value.tobytes()
+    table._accumulate(np.ones((2, 2)), [1, 4])
+    tail.grad[...] = 1.0
+    opt.step()
+    assert table.reached == {1, 4}
+    opt.zero_grad()
+    assert table.reached == set()
+    assert not opt.grads.any()
+    assert table.value.tobytes() == before
 
 
 def test_row_table_adam_rejects_non_finite_table_gradient():
