@@ -10,7 +10,7 @@ float64 of rank 0..2, or 3 for the towers' states. A graph and its
 tensors belong to one thread; independent graphs are safe in parallel.
 
 Inference needs no switch: without gold tags `tag_output` returns its
-softmax as a leaf, and `attention` its weights, so a tagging call keeps
+scores as a leaf, and `attention` its weights, so a tagging call keeps
 no graph once it returns. Gradients land only through
 `Tensor._accumulate`.
 """
@@ -29,7 +29,7 @@ class Tensor:
 
     Leaf tensors (parameters, constants) have no parents. Non-leaf tensors
     record their operands and a backward closure; an op whose value no
-    loss reads, such as inference's softmax, returns a leaf. Gradients
+    loss reads, such as inference's tag scores, returns a leaf. Gradients
     accumulate by summation, which is what tied/shared parameters require.
     """
 

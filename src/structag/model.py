@@ -69,10 +69,10 @@ class SlotModel:
                 dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None,
                 gold: list[int] | None = None) -> tuple[Tensor, Tensor | None]:
-        """Tag distributions for one utterance, or with `gold` tag ids
+        """Tag scores (logits) for one utterance, or with `gold` tag ids
         their loss (see `tagger.tag_output`).
 
-        Returns (distributions or loss, attention weights or None). Outside
+        Returns (scores or loss, attention weights or None). Outside
         chain mode the substructures are the memory rows, at least one
         (`substructures_with_fallback` makes one when a parse yields none).
         Dropout is active only when a rate and rng are given; evaluation

@@ -1,20 +1,20 @@
 """Recurrent slot taggers: plain chain, knowledge-guided, and joint.
 
-All variants run left to right and emit one tag distribution per token
-via a shared output layer. Each tower is a recurrent cell; a knowledge
-tower's cell owns the projections that add the per-utterance guided
+All variants run left to right and score every tag at every token via a
+shared output layer. Each tower is a recurrent cell; a knowledge tower's
+cell owns the projections that add the per-utterance guided
 representation into every step's pre-activations. The joint variant
 blends a chain tower and a knowledge tower, run as the two lanes of one
-recurrence op, before the output softmax. The output layer, blend
-included, is one graph op that ends in the training loss; inference
-reads its softmax as a constant.
+recurrence op, before the output layer. The output layer, blend
+included, is one graph op that ends in the training loss, the only
+reader of its softmax; inference tags from its scores, a constant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, dropout_mask, softmax_array
+from .autodiff import Tensor, dropout_mask
 # CELL_KINDS is re-exported beside TAGGER_MODES for the config checks.
 from .cells import CELL_KINDS, glorot_uniform, make_cell, run_lanes
 from .errors import DimensionError
@@ -28,8 +28,8 @@ def tag_output(states: Tensor, alpha: float, weight: Tensor,
                gold: list[int] | None = None) -> Tensor:
     """The blend `alpha * s1 + (1 - alpha) * s2` of two towers' states (one
     passes through), (towers, T, H), the dropout mask and `@ weight + bias`
-    give (T, tags) logits. Without `gold`, returns their row softmax as a
-    constant; with it, one graph node: the summed NLL of the gold tag indices
+    give (T, tags) logits. Without `gold`, returns them as a constant, the tag
+    scores; with it, one graph node: the summed NLL of the gold tag indices
     from a max-shifted log-sum-exp, with logit gradient `softmax - onehot(gold)`."""
     n_tokens, n_tags = states.shape[1], weight.shape[1]
     if gold is not None and (len(gold) != n_tokens
@@ -44,13 +44,15 @@ def tag_output(states: Tensor, alpha: float, weight: Tensor,
         hidden = hidden * mask
     logits = hidden @ weight.value + bias.value
     if gold is None:
-        return Tensor(softmax_array(logits))
+        return Tensor(logits)
     picked = (np.arange(n_tokens), list(gold))
     shifted = logits - logits.max(axis=1, keepdims=True)
-    nll = (np.log(np.exp(shifted).sum(axis=1)) - shifted[picked]).sum()
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1)
+    nll = (np.log(sums) - shifted[picked]).sum()
 
     def bw(g):
-        d_logits = softmax_array(logits)
+        d_logits = exps / sums[:, None]
         d_logits[picked] -= 1.0
         d_logits *= g
         bias._accumulate(d_logits.sum(axis=0))
@@ -63,7 +65,7 @@ def tag_output(states: Tensor, alpha: float, weight: Tensor,
 
 
 class Tagger:
-    """Per-token tag distributions for one of the three tagger modes.
+    """Per-token tag scores for one of the three tagger modes.
 
     chain       one tower, no knowledge input
     knowledge   one tower with the guided representation in every step
@@ -101,9 +103,9 @@ class Tagger:
                       dropout_rate: float = 0.0,
                       rng: np.random.Generator | None = None,
                       gold: list[int] | None = None) -> Tensor:
-        """Per-token distributions as a constant (tokens, tags) matrix, or
-        with `gold` the loss of those tags (see `tag_output`); a chain
-        tower ignores `guided`."""
+        """Per-token tag scores as a constant (tokens, tags) matrix (their
+        `softmax_array` is the tag distributions), or with `gold` the loss of
+        those tags (see `tag_output`); a chain tower ignores `guided`."""
         if self.mode != "chain" and guided is None:
             raise DimensionError(f"{self.mode} tagger needs a guided representation")
         return tag_output(run_lanes(self.towers, embedded, guided), self.alpha,
@@ -111,5 +113,5 @@ class Tagger:
 
 
 def decode_greedy(distributions: Tensor) -> list[int]:
-    """Per-token argmax tag indices."""
+    """Per-token argmax tag indices of the scores (or of their softmax)."""
     return distributions.value.argmax(axis=1).tolist()

@@ -106,8 +106,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        if not isinstance(data, dict):
+            kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+            raise ConfigError(f"config must be a JSON object, got {kind.get(type(data), data)}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
         cfg = cls(**data)
@@ -348,8 +350,10 @@ def _substructure_table(utterances, parses, config):
 
 def evaluate_model(model: SlotModel, utterances: list[Utterance],
                    parses: dict[str, KnowledgeParse] | None = None) -> dict:
-    """Tag every utterance and score against its gold tags."""
+    """Tag and score each utterance; outside chain mode a parse that does not fit raises."""
     parses = parses or {}
+    if model.config.mode != "chain":
+        check_alignment(parses, utterances, "parses")
     gold = [list(u.tags) for u in utterances]
     predicted = [model.tag_utterance(u, parses.get(u.id))[0] for u in utterances]
     return evaluate(gold, predicted, ids=[u.id for u in utterances])

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from structag.attention import KnowledgeMemory, knowledge_representation
-from structag.autodiff import Tensor, dropout_mask
+from structag.autodiff import Tensor, dropout_mask, softmax_array
 from structag.cells import ElmanCell, GruCell
 from structag.encoders import OutputNetwork, RecurrentEncoder
 from structag.errors import DimensionError
 from structag.knowledge import Substructure
 from structag.model import embed
-from structag.tagger import tag_output
+from structag.tagger import decode_greedy, tag_output
 
 from gradcheck_util import (assert_grads_match, elementwise_mul, numeric_grad,
                             rel_err, set_know, stack, sum_all)
@@ -80,11 +80,11 @@ def test_add_same_shape():
 
 def test_add_broadcast_rows():
     # The output layer adds its bias to every row: with zero weights each
-    # row is softmax(bias).
+    # row of scores is the bias.
     bias = np.array([1.0, 2.0, 3.0])
     y = tag_output(Tensor(np.ones((1, 2, 2))), 0.5, Tensor(np.zeros((2, 3))),
                    Tensor(bias.copy())).value
-    np.testing.assert_allclose(y, np.tile(_softmax_rows(bias), (2, 1)), rtol=1e-12)
+    np.testing.assert_allclose(y, np.tile(bias, (2, 1)), rtol=1e-12)
 
 
 def test_add_shape_mismatch_names_both_shapes():
@@ -148,9 +148,11 @@ def test_tanh_and_sigmoid_identities():
 def test_softmax_uniform():
     p = _attend(np.zeros(3), np.eye(3))
     assert np.allclose(p, [1 / 3] * 3, atol=1e-12)
+    # Zero output weights and bias score every tag alike: 0, softmax 1/4.
     y = tag_output(Tensor(np.ones((1, 2, 2))), 0.5, Tensor(np.zeros((2, 4))),
                    Tensor(np.zeros(4))).value
-    assert np.allclose(y, 0.25, atol=1e-12)
+    assert np.allclose(y, 0.0, atol=1e-12)
+    assert np.allclose(softmax_array(y), 0.25, atol=1e-12)
 
 
 def test_softmax_large_inputs_stable():
@@ -160,27 +162,50 @@ def test_softmax_large_inputs_stable():
         assert np.allclose(p, [0.5, 0.5], atol=1e-12)
         y = tag_output(Tensor(np.ones((1, 3, 2))), 0.5, Tensor(np.zeros((2, 2))),
                        Tensor(np.full(2, big))).value
-        assert np.all(np.isfinite(y))
-        assert np.allclose(y, 0.5, atol=1e-12)
+        assert np.all(np.isfinite(y)) and np.all(y == big)
+        assert np.allclose(softmax_array(y), 0.5, atol=1e-12)
 
 
 def test_softmax_shift_invariance():
-    # Shifting every output bias by one constant shifts each row's logits.
+    # Shifting every output bias by one constant shifts each row's scores
+    # by it, and leaves the tags they decode to.
     rng = np.random.default_rng(0)
     states, w, b = _t(rng, 1, 3, 4), _t(rng, 4, 7), rng.normal(size=7)
-    a = tag_output(states, 0.5, w, Tensor(b.copy())).value
-    shifted = tag_output(states, 0.5, w, Tensor(b + 123.456)).value
-    assert np.max(np.abs(a - shifted)) < 1e-6
+    a = tag_output(states, 0.5, w, Tensor(b.copy()))
+    shifted = tag_output(states, 0.5, w, Tensor(b + 123.456))
+    assert np.max(np.abs(shifted.value - a.value - 123.456)) < 1e-6
+    assert decode_greedy(a) == decode_greedy(shifted)
 
 
 def test_softmax_rows_sum_to_one():
+    # The scores are the blended states times the weights plus the bias,
+    # and their softmax is row-stochastic.
     rng = np.random.default_rng(1)
-    y = tag_output(_t(rng, 2, 4, 3), 0.3, _t(rng, 3, 5),
-                   _t(rng, 5)).value
-    assert np.allclose(y.sum(axis=1), 1.0, atol=1e-6)
-    assert np.all(y > 0) and np.all(y < 1)
+    states, w, b = _t(rng, 2, 4, 3), _t(rng, 3, 5), _t(rng, 5)
+    y = tag_output(states, 0.3, w, b).value
+    hidden = 0.3 * states.value[0] + 0.7 * states.value[1]
+    np.testing.assert_allclose(y, hidden @ w.value + b.value, rtol=1e-12)
+    probs = softmax_array(y)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+    assert np.all(probs > 0) and np.all(probs < 1)
     p = _attend(rng.normal(size=3), rng.normal(size=(6, 3)))
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_softmax_array_rows_bounds_and_shift():
+    # The helper a caller applies to the output scores for probabilities,
+    # over one vector and over (T, k) rows.
+    rng = np.random.default_rng(2)
+    for z in (rng.normal(size=5), rng.normal(size=(4, 6))):
+        p = softmax_array(z)
+        assert p.shape == z.shape
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(p > 0)
+        np.testing.assert_allclose(softmax_array(z + 37.5), p, rtol=0, atol=1e-12)
+        for big in (1000.0, -1000.0):
+            flat = softmax_array(np.full(z.shape, big))
+            assert np.all(np.isfinite(flat))
+            np.testing.assert_allclose(flat, 1.0 / z.shape[-1], rtol=0, atol=1e-12)
 
 
 def test_cross_entropy_uniform_two_tokens():

@@ -744,6 +744,25 @@ def test_unknown_config_field_exits_1(workspace, tmp_path, capsys):
     assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
                  "--config", str(cfg), "--quiet"]) == 1
     assert "unknown config fields" in capsys.readouterr().err
+    # A config that is JSON but not an object is named by its type.
+    for data, kind in (([{}], "an array"), (5, "5"), ([1], "an array"),
+                       (None, "null"), ("abc", "a string")):
+        cfg.write_text(json.dumps(data))
+        assert main(["train", "--train", str(workspace["data"] / "corpus.tsv"),
+                     "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config must be a JSON object, got {kind}"], data
+
+
+def test_checkpoint_whose_config_is_not_an_object_exits_3(workspace, tmp_path, capsys):
+    payload = json.loads(workspace["ckpt"].read_text())
+    payload["config"] = [1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(bad),
+                 "--data", str(workspace["data"] / "corpus.tsv")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: malformed checkpoint: config must be a JSON object, got an array"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point

@@ -1,6 +1,6 @@
 """Inference without a switch: tagging runs the one recording forward, reads
-only its leaves (the softmax and the attention weights), whose values are
-those a loss's recorded graph gives, and leaves every gradient to the
+only its leaves (the output scores and the attention weights), whose values
+are those a loss's recorded graph gives, and leaves every gradient to the
 backward pass of a loss."""
 
 import sys
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from structag.attention import KnowledgeMemory, knowledge_representation
-from structag.autodiff import _toposort
+from structag.autodiff import _toposort, softmax_array
 from structag.corpus import Vocabulary, load_corpus
 from structag.knowledge import load_amr, load_dependency, substructures_with_fallback
 from structag.model import SlotModel
@@ -55,7 +55,7 @@ def _leaf(t) -> bool:
 
 
 def _recorded(model, ids, tag_ids, subs):
-    """The distributions and attention weights of a loss's recorded graph:
+    """The output scores and attention weights of a loss's recorded graph:
     `tag_output` and the attention step rerun on its nodes' operands."""
     loss = model.loss(ids, tag_ids, subs)
     dist = tag_output(loss.parents[0], model.tagger.alpha, *loss.parents[-2:])
@@ -69,7 +69,7 @@ def _recorded(model, ids, tag_ids, subs):
 @pytest.mark.parametrize("mode,encoder,cell,parse_kind", CONFIGS)
 def test_tagging_builds_only_constants_with_recording_values(
         data, mode, encoder, cell, parse_kind):
-    # What tagging keeps, its distributions and attention weights, are
+    # What tagging keeps, its output scores and attention weights, are
     # constants (leaves) holding bitwise the values of a loss's graph.
     utts, parses = data
     model = _model(utts, mode, encoder, cell)
@@ -83,6 +83,8 @@ def test_tagging_builds_only_constants_with_recording_values(
         recorded_dist, recorded_weights = _recorded(model, ids, tag_ids, subs)
         assert _leaf(dist) and np.array_equal(dist.value, recorded_dist.value)
         assert tags == [names[i] for i in recorded_dist.value.argmax(axis=1)]
+        # Tagging from the scores picks what their softmax would pick.
+        assert tags == [names[i] for i in softmax_array(dist.value).argmax(axis=1)]
         if mode == "chain":
             assert record is None and weights is None
         else:

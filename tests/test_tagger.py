@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gradcheck_util import assert_grads_match, elementwise_mul, set_know, stack, sum_all
-from structag.autodiff import Tensor
+from structag.autodiff import Tensor, dropout_mask, softmax_array
 from structag.cells import ElmanCell, GruCell, make_cell, run_lanes
 from structag.errors import DimensionError
 from structag.tagger import CELL_KINDS, TAGGER_MODES, Tagger, decode_greedy, tag_output
@@ -236,14 +236,22 @@ def test_make_cell_rejects_unknown_kind():
 @pytest.mark.parametrize("mode", TAGGER_MODES)
 @pytest.mark.parametrize("cell", CELL_KINDS)
 def test_distributions_are_row_stochastic(mode, cell):
+    # Inference returns each token's scores, the blended tower states
+    # through the output layer; their softmax is row-stochastic.
     tagger = Tagger(RNG(10), mode, cell, embed_dim=2, hidden_dim=3, n_tags=4)
     for length in (1, 3, 5):
         embedded = Tensor(RNG(length).normal(size=(length, 2)))
         guided = None if mode == "chain" else Tensor(RNG(99).normal(size=3))
         dist = tagger.distributions(embedded, guided)
         assert dist.shape == (length, 4)
-        np.testing.assert_allclose(dist.value.sum(axis=1), 1.0, rtol=1e-12)
-        assert np.all(dist.value > 0)
+        states = [tower.run(embedded, guided=guided).value for tower in tagger.towers]
+        hidden = (states[0] if len(states) == 1 else
+                  tagger.alpha * states[0] + (1.0 - tagger.alpha) * states[1])
+        np.testing.assert_allclose(
+            dist.value, hidden @ tagger.out_weight.value + tagger.out_bias.value, rtol=1e-12)
+        probs = softmax_array(dist.value)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
+        assert np.all(probs > 0)
 
 
 def test_chain_elman_three_token_oracle():
@@ -258,9 +266,7 @@ def test_chain_elman_three_token_oracle():
         h = np.tanh(cell.w["cand"].value @ x + cell.u["cand"].value @ h)
         rows.append(h)
     logits = np.vstack(rows) @ tagger.out_weight.value + tagger.out_bias.value
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    expected = shifted / shifted.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(dist.value, expected, rtol=1e-12)
+    np.testing.assert_allclose(dist.value, logits, rtol=1e-12)
 
 
 def test_knowledge_elman_oracle_includes_projected_guide():
@@ -326,11 +332,16 @@ def test_joint_alpha_half_differs_from_both_towers():
                    n_tags=4, alpha=0.5)
     embedded = RNG(190).normal(size=(3, 2))
     guided = RNG(191).normal(size=3)
-    blended = joint.distributions(Tensor(embedded.copy()),
-                                  Tensor(guided.copy())).value
-    chain_states = joint.towers[0].run(Tensor(embedded.copy()))
-    assert np.abs(blended - 0.25).max() > 0  # sanity: something was computed
-    assert chain_states.shape == (3, 3)
+
+    def scores(alpha):
+        joint.alpha = alpha
+        return joint.distributions(Tensor(embedded.copy()), Tensor(guided.copy())).value
+
+    blended, chain, know = scores(0.5), scores(1.0), scores(0.0)
+    assert np.abs(blended - chain).max() > 1e-9 and np.abs(blended - know).max() > 1e-9
+    # The output layer is affine, so the blend's scores are the mean of
+    # each tower's own.
+    np.testing.assert_allclose(blended, 0.5 * (chain + know), rtol=1e-12)
 
 
 @pytest.mark.parametrize("cell", CELL_KINDS)
@@ -426,7 +437,13 @@ def test_dropout_perturbs_but_keeps_rows_stochastic():
     dropped = tagger.distributions(Tensor(embedded.copy()), None,
                                    dropout_rate=0.5, rng=RNG(221)).value
     assert np.abs(clean - dropped).max() > 1e-9
-    np.testing.assert_allclose(dropped.sum(axis=1), 1.0, rtol=1e-12)
+    # The mask scales the states before the output layer.
+    states = tagger.towers[0].run(Tensor(embedded.copy())).value
+    mask = dropout_mask(states.shape, 0.5, RNG(221))
+    np.testing.assert_allclose(
+        dropped, (states * mask) @ tagger.out_weight.value + tagger.out_bias.value,
+        rtol=1e-12)
+    np.testing.assert_allclose(softmax_array(dropped).sum(axis=1), 1.0, rtol=1e-12)
 
 
 def test_missing_guide_rejected():
@@ -689,7 +706,7 @@ def test_loss_is_the_nll_of_the_inference_distributions(mode, encoder, cell):
     dist, _ = model.forward(token_ids, subs)
     # Inference builds no graph node for the output layer.
     assert dist.op == "leaf" and dist.parents == ()
-    expected = -np.log(dist.value[np.arange(3), tag_ids]).sum()
+    expected = -np.log(softmax_array(dist.value)[np.arange(3), tag_ids]).sum()
     loss = model.loss(token_ids, tag_ids, subs)
     assert loss.op == "tag_output"
     assert float(loss.value) == pytest.approx(expected, rel=1e-12)

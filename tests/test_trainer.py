@@ -806,15 +806,20 @@ def test_optimizer_divergence_names_its_epoch_and_utterance(monkeypatch):
     assert str(err.value.__cause__) == "update became non-finite"
 
 
-def test_train_rejects_parses_of_other_utterances(tmp_path):
-    # Two trees of equal length but different words, swapped: the library
-    # path aligns parses by id, so nothing else would notice.
+def _swapped_parses(tmp_path):
+    """A corpus, its parses, and the parses with two trees of equal length but
+    different words swapped, and the first utterance of the two. The library
+    path aligns parses by id, so nothing else would notice the swap."""
     paths = generate(SyntheticConfig(n_utterances=12), 3).write(tmp_path)
     utts = load_corpus(paths["corpus"])
     parses = {p.id: p for p in load_dependency(paths["dependency"])}
     a, b = next((a, b) for i, a in enumerate(utts) for b in utts[i + 1:]
                 if len(a.tokens) == len(b.tokens) and a.tokens != b.tokens)
-    swapped = {**parses, a.id: parses[b.id], b.id: parses[a.id]}
+    return utts, parses, {**parses, a.id: parses[b.id], b.id: parses[a.id]}, a
+
+
+def test_train_rejects_parses_of_other_utterances(tmp_path):
+    utts, parses, swapped, a = _swapped_parses(tmp_path)
     config = _tiny_config(epochs=1)
     with pytest.raises(DataError, match=f"train parses: .* utterance {a.id}: "
                                         "token .* but its parse node is"):
@@ -824,6 +829,19 @@ def test_train_rejects_parses_of_other_utterances(tmp_path):
         train(utts, config, parses, dev_utterances=utts, dev_parses=swapped)
     # Chain mode reads no parses, so it trains on any.
     train(utts, _tiny_config(epochs=1, mode="chain"), swapped)
+
+
+def test_evaluate_model_rejects_parses_of_other_utterances(tmp_path):
+    # The exported scoring entry checks alignment as `train` does.
+    utts, parses, swapped, a = _swapped_parses(tmp_path)
+    model = train(utts, _tiny_config(epochs=1), parses).model
+    with pytest.raises(DataError, match=f"parses: .* utterance {a.id}: "
+                                        "token .* but its parse node is"):
+        evaluate_model(model, utts, swapped)
+    assert evaluate_model(model, utts, parses) == evaluate_model(model, utts, parses)
+    # A chain model reads no parses, so it scores with any.
+    chain = train(utts, _tiny_config(epochs=1, mode="chain")).model
+    assert evaluate_model(chain, utts, swapped) == evaluate_model(chain, utts)
 
 
 def test_frozen_embeddings_stay_at_initialization():
